@@ -7,6 +7,13 @@ normalized by the band width), and per-threshold deferral curve points.
 Metrics that are undefined on the evaluated subset (a class missing, or
 everything deferred) return None rather than raising; the CSV layer writes
 those as empty fields.
+
+Every curve point is scored on its own kept subset, so these functions run
+once per threshold and are kept free of per-element Python loops. AUC gives
+each tie group its average rank in one vectorized pass. That is exact: an
+average rank is a half-integer, and a sum of half-integers below 2**52 is
+exact in float64 in any order, so the result equals the one-group-at-a-time
+loop bit for bit (the tests keep that loop as the reference).
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from deferbench.errors import InputShapeError
+from deferbench.errors import ConfigError, InputShapeError
 
 # Decision code meaning "route this input to the expert".
 DEFER = -1
@@ -37,11 +44,13 @@ class ConfusionCounts:
         predictions = np.asarray(predictions)
         if labels.shape != predictions.shape:
             raise InputShapeError("labels and predictions must have the same shape")
+        pos, neg = labels == 1, labels == 0
+        called_pos, called_neg = predictions == 1, predictions == 0
         return cls(
-            tp=int(np.sum((labels == 1) & (predictions == 1))),
-            fp=int(np.sum((labels == 0) & (predictions == 1))),
-            tn=int(np.sum((labels == 0) & (predictions == 0))),
-            fn=int(np.sum((labels == 1) & (predictions == 0))),
+            tp=int(np.count_nonzero(pos & called_pos)),
+            fp=int(np.count_nonzero(neg & called_pos)),
+            tn=int(np.count_nonzero(neg & called_neg)),
+            fn=int(np.count_nonzero(pos & called_neg)),
         )
 
     @property
@@ -77,40 +86,38 @@ def auc(scores, labels) -> Optional[float]:
     labels = np.asarray(labels)
     if scores.shape != labels.shape or scores.ndim != 1:
         raise InputShapeError("scores and labels must be equal-length 1-D arrays")
-    n_pos = int(np.sum(labels == 1))
-    n_neg = int(np.sum(labels == 0))
+    positive = labels == 1
+    n_pos = int(np.count_nonzero(positive))
+    n_neg = int(np.count_nonzero(labels == 0))
     if n_pos == 0 or n_neg == 0:
         return None
 
-    order = np.argsort(scores, kind="mergesort")
-    ranks = np.empty(scores.shape[0], dtype=np.float64)
+    order = scores.argsort(kind="mergesort")
     sorted_scores = scores[order]
-    i = 0
-    while i < sorted_scores.shape[0]:
-        j = i
-        while j + 1 < sorted_scores.shape[0] and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0  # average 1-based rank
-        i = j + 1
-    rank_sum = ranks[labels == 1].sum()
+    # tie groups are runs of equal sorted scores, bounded by the positions
+    # where the score changes; a NaN equals nothing, so each NaN is a group
+    changes = (sorted_scores[1:] != sorted_scores[:-1]).nonzero()[0] + 1
+    bounds = np.concatenate(([0], changes, [sorted_scores.shape[0]]))
+    group_rank = 0.5 * (bounds[:-1] + bounds[1:] - 1) + 1.0  # average 1-based rank
+    rank_sum = np.repeat(group_rank, bounds[1:] - bounds[:-1])[positive[order]].sum()
     u = rank_sum - n_pos * (n_pos + 1) / 2.0
     return float(u / (n_pos * n_neg))
 
 
 def _roc_points(scores, labels):
     """Empirical ROC polyline from (0,0) to (1,1); ties produce diagonal segments."""
-    order = np.argsort(-scores, kind="mergesort")
-    sorted_labels = labels[order]
+    order = (-scores).argsort(kind="mergesort")
     sorted_scores = scores[order]
+    sorted_labels = labels[order]
     # group boundaries at distinct score values
-    distinct = np.nonzero(np.diff(sorted_scores))[0]
-    ends = np.concatenate([distinct, [scores.shape[0] - 1]])
-    tps = np.cumsum(sorted_labels == 1)[ends]
-    fps = np.cumsum(sorted_labels == 0)[ends]
-    n_pos = tps[-1]
-    n_neg = fps[-1]
-    tpr = np.concatenate([[0.0], tps / n_pos])
-    fpr = np.concatenate([[0.0], fps / n_neg])
+    distinct = (sorted_scores[1:] - sorted_scores[:-1]).nonzero()[0]
+    ends = np.concatenate((distinct, [scores.shape[0] - 1]))
+    tps = (sorted_labels == 1).cumsum()[ends]
+    fps = (sorted_labels == 0).cumsum()[ends]
+    tpr = np.zeros(ends.shape[0] + 1)
+    fpr = np.zeros(ends.shape[0] + 1)
+    np.divide(tps, tps[-1], out=tpr[1:])
+    np.divide(fps, fps[-1], out=fpr[1:])
     return fpr, tpr
 
 
@@ -123,18 +130,20 @@ def pauc(scores, labels, band: float = PAUC_BAND) -> Optional[float]:
     labels = np.asarray(labels)
     if scores.shape != labels.shape or scores.ndim != 1:
         raise InputShapeError("scores and labels must be equal-length 1-D arrays")
-    if np.sum(labels == 1) == 0 or np.sum(labels == 0) == 0:
+    if not band > 0.0:
+        raise ConfigError(f"pAUC band must be positive, got {band}")
+    if not (labels == 1).any() or not (labels == 0).any():
         return None
 
     fpr, tpr = _roc_points(scores, labels)
-    inside = fpr <= band
-    fpr_clip = fpr[inside]
-    tpr_clip = tpr[inside]
+    # fpr never decreases, so the points inside the band are a prefix
+    inside = np.count_nonzero(fpr <= band)
+    fpr_clip, tpr_clip = fpr[:inside], tpr[:inside]
     if fpr_clip[-1] < band:
-        tpr_at_band = np.interp(band, fpr, tpr)
-        fpr_clip = np.append(fpr_clip, band)
-        tpr_clip = np.append(tpr_clip, tpr_at_band)
-    area = np.trapezoid(tpr_clip, fpr_clip)
+        fpr_clip = np.concatenate((fpr_clip, [band]))
+        tpr_clip = np.concatenate((tpr_clip, [np.interp(band, fpr, tpr)]))
+    # the trapezoid rule, in the operation order of np.trapezoid
+    area = ((fpr_clip[1:] - fpr_clip[:-1]) * (tpr_clip[1:] + tpr_clip[:-1]) / 2.0).sum()
     return float(area / band)
 
 
@@ -176,21 +185,24 @@ def deferral_curve_point(decisions, labels, scores=None) -> CurvePoint:
 
     total = decisions.shape[0]
     deferred = decisions == DEFER
-    rate = float(deferred.sum() / total)
+    n_deferred = int(np.count_nonzero(deferred))
+    rate = n_deferred / total
 
-    n_pos = int(np.sum(labels == 1))
-    frac_pos = float(np.sum(deferred & (labels == 1)) / n_pos) if n_pos > 0 else None
+    positive = labels == 1
+    n_pos = int(np.count_nonzero(positive))
+    frac_pos = int(np.count_nonzero(deferred & positive)) / n_pos if n_pos > 0 else None
 
-    kept = ~deferred
     bacc = acc0 = acc1 = auc_v = pauc_v = None
-    if kept.any():
-        counts = ConfusionCounts.from_predictions(labels[kept], decisions[kept])
+    if n_deferred < total:
+        kept = ~deferred
+        kept_labels = labels[kept]
+        counts = ConfusionCounts.from_predictions(kept_labels, decisions[kept])
         bacc = balanced_accuracy(counts)
         acc0, acc1 = per_class_accuracy(counts)
         if scores is not None:
-            scores = np.asarray(scores, dtype=np.float64)
-            auc_v = auc(scores[kept], labels[kept])
-            pauc_v = pauc(scores[kept], labels[kept])
+            kept_scores = np.asarray(scores, dtype=np.float64)[kept]
+            auc_v = auc(kept_scores, kept_labels)
+            pauc_v = pauc(kept_scores, kept_labels)
 
     return CurvePoint(
         deferral_rate=rate,

@@ -80,6 +80,8 @@ class NetConfig:
             )
         except KeyError as exc:
             raise FormatError(f"missing NetConfig field {exc}") from exc
+        except (ValueError, ConfigError) as exc:
+            raise FormatError(f"bad NetConfig field: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -365,33 +367,68 @@ def write_checkpoint(path, config: NetConfig, params: np.ndarray, sections=None)
                 fh.write(payload.ravel().tobytes())
 
 
+class _ByteReader:
+    """Bounds-checked little-endian reads from an in-memory file image."""
+
+    def __init__(self, blob: bytes, path):
+        self.blob = blob
+        self.path = path
+        self.pos = 0
+
+    def take(self, size: int, what: str) -> bytes:
+        if size > len(self.blob) - self.pos:
+            raise FormatError(f"{self.path}: truncated {what}")
+        chunk = self.blob[self.pos : self.pos + size]
+        self.pos += size
+        return chunk
+
+    def uint(self, size: int, what: str) -> int:
+        return int.from_bytes(self.take(size, what), "little")
+
+    def text(self, size: int, what: str) -> str:
+        try:
+            return self.take(size, what).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{self.path}: {what} is not UTF-8") from exc
+
+    def float64s(self, count: int, what: str) -> np.ndarray:
+        return np.frombuffer(self.take(count * 8, what), dtype="<f8").copy()
+
+    @property
+    def at_end(self) -> bool:
+        return self.pos == len(self.blob)
+
+
 def read_checkpoint(path):
-    """Returns (NetConfig, params, sections) where sections maps name -> 1-D array."""
+    """Returns (NetConfig, params, sections) where sections maps name -> 1-D array.
+
+    Damaged input (a short file or header, text that is not UTF-8, a bad
+    NetConfig field, a repeated section or trailing bytes) raises FormatError.
+    """
     with open(path, "rb") as fh:
-        if fh.read(4) != _MAGIC:
-            raise FormatError(f"{path}: bad magic, not a DFB1 checkpoint")
-        (version,) = struct.unpack("<I", fh.read(4))
-        if version != _VERSION:
-            raise FormatError(f"{path}: unsupported DFB1 version {version}")
-        (count,) = struct.unpack("<Q", fh.read(8))
-        (config_len,) = struct.unpack("<I", fh.read(4))
-        config = NetConfig.from_text(fh.read(config_len).decode("utf-8"))
-        raw = fh.read(count * 8)
-        if len(raw) != count * 8:
-            raise FormatError(f"{path}: truncated parameter payload")
-        params = np.frombuffer(raw, dtype="<f8").copy()
-        sections = {}
-        head = fh.read(4)
-        if head:
-            (n_sections,) = struct.unpack("<I", head)
-            for _ in range(n_sections):
-                (name_len,) = struct.unpack("<I", fh.read(4))
-                name = fh.read(name_len).decode("utf-8")
-                (size,) = struct.unpack("<Q", fh.read(8))
-                payload = fh.read(size * 8)
-                if len(payload) != size * 8:
-                    raise FormatError(f"{path}: truncated section {name!r}")
-                sections[name] = np.frombuffer(payload, dtype="<f8").copy()
+        reader = _ByteReader(fh.read(), path)
+    if reader.take(4, "header") != _MAGIC:
+        raise FormatError(f"{path}: bad magic, not a DFB1 checkpoint")
+    version = reader.uint(4, "header")
+    if version != _VERSION:
+        raise FormatError(f"{path}: unsupported DFB1 version {version}")
+    count = reader.uint(8, "header")
+    config_len = reader.uint(4, "header")
+    try:
+        config = NetConfig.from_text(reader.text(config_len, "config text"))
+    except FormatError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
+    params = reader.float64s(count, "parameter payload")
+    sections = {}
+    if not reader.at_end:
+        for _ in range(reader.uint(4, "section count")):
+            name = reader.text(reader.uint(4, "section header"), "section name")
+            if name in sections:
+                raise FormatError(f"{path}: repeated section {name!r}")
+            size = reader.uint(8, f"section {name!r} header")
+            sections[name] = reader.float64s(size, f"section {name!r}")
+    if not reader.at_end:
+        raise FormatError(f"{path}: trailing bytes after the last section")
     return config, params, sections
 
 

@@ -253,10 +253,15 @@ def uq_sweep(scores, uncertainty, labels, steps: int) -> list:
         point.status = "degenerate"
         return [point]
 
+    if not np.all(np.isfinite(uncertainty)):
+        raise InputShapeError("uncertainty values must be finite")
+    # the classifier's decisions do not depend on the threshold; each step
+    # only marks the samples at or above it as deferred
+    predicted = decisions_from_scores(scores, np.zeros(scores.shape, dtype=bool))
     points = []
     for tau in np.linspace(hi, lo, steps):
-        mask = uq.defer_by_threshold(uncertainty, float(tau), inclusive=True)
-        point = deferral_curve_point(decisions_from_scores(scores, mask), labels, scores)
+        decisions = np.where(uncertainty >= tau, DEFER, predicted)
+        point = deferral_curve_point(decisions, labels, scores)
         point.param_kind = "threshold"
         point.param_value = float(tau)
         if point.bacc is None:
@@ -689,10 +694,11 @@ def _worker(cfg, seed_index, method, out_dir, member_payload, data_path):
     return run_method(cfg, data, seed_index, method, _seed_dir(out_dir, seed_index), members)
 
 
-def _failure_rows(cfg, seed_index, method, exc):
+def _failure_result(cfg, seed_index, method, exc) -> MethodResult:
+    """One marker row per condition in both tables, so every cell is accounted for."""
     status = f"failed:{type(exc).__name__}"
     param_kind = {"one_stage": "alpha", "two_stage": "beta"}.get(method, "threshold")
-    points = []
+    points, classification = [], []
     for cond in plan_conditions(cfg):
         point = CurvePoint(
             deferral_rate=None, bacc=None, frac_positives_deferred=None, status=status
@@ -700,7 +706,21 @@ def _failure_rows(cfg, seed_index, method, exc):
         point.param_kind = param_kind
         _tag([point], method=method, condition=cond, seed=seed_index)
         points.append(point)
-    return points
+        classification.append(
+            ClassificationRow(
+                method=method,
+                condition=cond.kind,
+                level=cond.level,
+                seed=seed_index,
+                auc=None,
+                pauc=None,
+                bacc=None,
+                acc0=None,
+                acc1=None,
+                status=status,
+            )
+        )
+    return MethodResult(method, seed_index, points, classification)
 
 
 def run_plan(
@@ -722,9 +742,7 @@ def run_plan(
 
     def record_failure(seed_index, method, exc):
         failures.append(f"seed {seed_index} {method}: {type(exc).__name__}: {exc}")
-        results[(seed_index, method)] = MethodResult(
-            method, seed_index, _failure_rows(cfg, seed_index, method, exc), []
-        )
+        results[(seed_index, method)] = _failure_result(cfg, seed_index, method, exc)
 
     if cfg.jobs > 1:
         first = [(s, m) for s, m in plan if m != "two_stage"]

@@ -104,6 +104,54 @@ def test_generate_missing_directory_is_usage_error(ini_path, tmp_path, capsys):
 # run
 # ---------------------------------------------------------------------------
 
+# All 7 methods on the tiny data. The hashes below were recorded from this
+# config; a change that keeps every output byte keeps them. A change that
+# alters output bytes on purpose says which bytes and why, and re-records.
+FROZEN_INI = """\
+[run]
+n_seeds = 1
+
+[data]
+n_samples = 600
+positive_fraction = 0.05
+spatial_shape = 8,8,1
+
+[net]
+hidden_dims = 8
+
+[sgd]
+learning_rate = 0.05
+weight_decay = 0.0
+epochs = 3
+
+[uq]
+n_members = 2
+n_samples = 3
+threshold_steps = 20
+
+[sweep]
+alpha_grid = 1.0,0.8
+beta_grid = 1.0,0.5
+head_hidden_dims = 4
+
+[corruption]
+levels = 1
+"""
+
+FROZEN_SHA256 = {
+    "results.csv": "59bc394dfe5e951184d5446bbc0e40d5d38b71198c8626619269a9a2597761b5",
+    "classification.csv": "6e4b10decac8a1ba47e2022f97089da1d5bda1a3a1730a20b5d26182f4b672e5",
+    "dataset.dfd1": "c030fbe38957ea54b94e6c0fcb926bd430ab5e65ef9cbcccbc514b886df9e6eb",
+}
+
+
+def test_run_output_bytes_are_frozen(tmp_path):
+    ini = tmp_path / "frozen.ini"
+    ini.write_text(FROZEN_INI)
+    out = tmp_path / "run"
+    assert cli.main(["run", "--config", str(ini), "--out", str(out)]) == 0
+    assert {name: sha(out / name) for name in FROZEN_SHA256} == FROZEN_SHA256
+
 
 def test_run_writes_expected_artifacts(run_dir, ini_path):
     echoed = (run_dir / "config.ini").read_text()
@@ -177,6 +225,34 @@ def test_run_failure_exits_one_and_marks_rows(ini_path, tmp_path, capsys):
     points = sweep.read_results_csv(out / "results.csv")
     assert len(points) == 3  # one marker row per condition
     assert all(p.status == "failed:CollectionError" for p in points)
+
+
+def test_failed_method_keeps_every_cell_in_both_tables(tmp_path, capsys):
+    # one epoch leaves SWAG a single snapshot after burn-in, so swag fails
+    # with CollectionError while the other six methods succeed
+    ini = tmp_path / "one_epoch.ini"
+    ini.write_text(
+        FROZEN_INI.replace("n_seeds = 1", "n_seeds = 2").replace("epochs = 3", "epochs = 1")
+    )
+    out = tmp_path / "run"
+    assert cli.main(["run", "--config", str(ini), "--out", str(out)]) == 1
+    assert "CollectionError" in capsys.readouterr().err
+
+    cfg = load_config(ini)
+    cells = {
+        (m, c.kind, c.level, s)
+        for s in range(cfg.n_seeds)
+        for m in cfg.methods
+        for c in sweep.plan_conditions(cfg)
+    }
+    points = sweep.read_results_csv(out / "results.csv")
+    rows = sweep.read_classification_csv(out / "classification.csv")
+    assert {(p.method, p.condition, p.level, p.seed) for p in points} == cells
+    keys = [(r.method, r.condition, r.level, r.seed) for r in rows]
+    assert len(keys) == len(cells) and set(keys) == cells
+    failed = {r.method for r in rows if r.status.startswith("failed")}
+    assert failed == {"swag"}
+    assert all(r.status == "failed:CollectionError" for r in rows if r.method == "swag")
 
 
 def test_unknown_config_key_is_usage_error(tmp_path, capsys):
@@ -327,3 +403,10 @@ def test_inspect_missing_and_bare_directory(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "no such file" in err
     assert "manifest.txt" in err
+
+
+def test_inspect_damaged_checkpoint_is_an_error_not_a_traceback(tmp_path, capsys):
+    path = tmp_path / "short.dfb1"
+    path.write_bytes(b"DFB1\x01\x00\x00\x00\x05\x00")
+    assert cli.main(["inspect", str(path)]) == 1
+    assert "error:" in capsys.readouterr().err

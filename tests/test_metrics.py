@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from deferbench.errors import InputShapeError
+from deferbench.errors import ConfigError, InputShapeError
 from deferbench.metrics import (
     DEFER,
     ConfusionCounts,
@@ -95,6 +95,58 @@ def test_auc_matches_pairwise_count_with_ties():
         )
 
 
+def loop_auc(scores, labels):
+    """Reference: average ranks assigned one tie group at a time."""
+    scores = np.asarray(scores, dtype=np.float64)
+    labels = np.asarray(labels)
+    n_pos = int(np.sum(labels == 1))
+    n_neg = int(np.sum(labels == 0))
+    if n_pos == 0 or n_neg == 0:
+        return None
+    order = np.argsort(scores, kind="mergesort")
+    ranks = np.empty(scores.shape[0], dtype=np.float64)
+    sorted_scores = scores[order]
+    i = 0
+    while i < sorted_scores.shape[0]:
+        j = i
+        while j + 1 < sorted_scores.shape[0] and sorted_scores[j + 1] == sorted_scores[i]:
+            j += 1
+        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    rank_sum = ranks[labels == 1].sum()
+    u = rank_sum - n_pos * (n_pos + 1) / 2.0
+    return float(u / (n_pos * n_neg))
+
+
+@given(
+    st.lists(
+        st.tuples(st.floats(0.0, 1.0, allow_nan=False), st.integers(0, 1)),
+        min_size=1,
+        max_size=300,
+    ),
+    st.integers(0, 3),
+)
+@settings(max_examples=300, deadline=None)
+def test_auc_equals_loop_reference_exactly(rows, decimals):
+    # rounding to 0-3 decimals makes tie groups of every size; one-class and
+    # length-1 inputs come out of the same strategy
+    scores = np.round(np.array([s for s, _ in rows]), decimals)
+    labels = np.array([lbl for _, lbl in rows])
+    assert auc(scores, labels) == loop_auc(scores, labels)
+
+
+def test_auc_equals_loop_reference_on_edge_inputs():
+    for scores, labels in (
+        ([0.5], [1]),
+        ([0.5], [0]),
+        ([0.2, 0.2, 0.2], [1, 1, 1]),
+        ([0.0, 0.0, 1.0, 1.0], [0, 1, 0, 1]),
+        ([np.nan, 0.3, np.nan, 0.3, 0.1], [1, 0, 0, 1, 0]),
+        ([-0.0, 0.0, 0.0, -0.0], [1, 0, 1, 0]),
+    ):
+        assert auc(scores, labels) == loop_auc(scores, labels)
+
+
 def test_auc_rejects_bad_shapes():
     with pytest.raises(InputShapeError):
         auc([[0.1, 0.2]], [[0, 1]])
@@ -169,6 +221,30 @@ def test_pauc_none_without_both_classes():
     assert pauc([0.4, 0.6], [1, 1]) is None
 
 
+def test_pauc_rejects_empty_band():
+    for band in (0.0, -0.1, float("nan")):
+        with pytest.raises(ConfigError):
+            pauc([0.4, 0.6], [0, 1], band=band)
+
+
+def test_pauc_frozen_values_on_tied_inputs():
+    # exact values, so a change in the order of float operations shows
+    scores = [
+        0.6, 0.9, 0.8, 0.2, 0.3, 0.9, 0.0, 0.8, 0.8, 0.5, 0.3, 0.3, 0.3, 0.4, 0.5,
+        0.6, 1.0, 0.8, 0.6, 1.0, 0.2, 0.2, 0.6, 0.0, 0.0, 0.5, 0.5, 0.9, 0.6, 0.5,
+    ]
+    labels = [
+        0, 1, 1, 1, 0, 1, 0, 1, 0, 1, 1, 0, 0, 0, 0,
+        0, 1, 0, 0, 0, 0, 0, 1, 0, 0, 1, 0, 0, 0, 0,
+    ]
+    assert pauc(scores, labels) == 0.12500000000000003
+    assert auc(scores, labels) == 0.68
+    scores = [0.3, 0.3, 0.7, 0.7, 0.7, 0.1, 0.9, 0.3, 0.5, 0.5, 0.1, 0.7]
+    labels = [0, 1, 1, 0, 1, 0, 1, 0, 0, 1, 0, 0]
+    assert pauc(scores, labels) == 0.27
+    assert auc(scores, labels) == 0.7571428571428571
+
+
 # ---------------------------------------------------------------------------
 # deferral curve points
 # ---------------------------------------------------------------------------
@@ -198,6 +274,29 @@ def test_curve_point_scores_feed_rank_metrics():
     point = deferral_curve_point(decisions, labels, scores)
     assert point.auc == auc(scores[:4], labels[:4])
     assert point.pauc == pauc(scores[:4], labels[:4])
+
+
+def test_curve_point_frozen_values_on_tied_inputs():
+    scores = np.array([
+        0.1, 0.5, 0.6, 0.0, 0.1, 0.9, 0.1, 0.1, 0.9, 0.6, 0.4, 0.5,
+        0.7, 0.3, 0.1, 0.8, 0.7, 0.5, 0.8, 0.5, 1.0, 0.2, 0.6, 0.5,
+    ])
+    labels = np.array([0, 0, 1, 0, 0, 1, 0, 1, 1, 0, 0, 1, 0, 1, 0, 1, 1, 1, 1, 0, 0, 0, 1, 1])
+    deferred = np.array([1, 3, 6, 13, 16, 20, 22])
+    decisions = (scores >= 0.5).astype(np.int64)
+    decisions[deferred] = DEFER
+    point = deferral_curve_point(decisions, labels, scores)
+    assert point.deferral_rate == 0.2916666666666667
+    assert point.frac_positives_deferred == 0.25
+    assert point.bacc == 0.7569444444444444
+    assert point.acc0 == 0.625
+    assert point.acc1 == 0.8888888888888888
+    assert point.auc == 0.7847222222222222
+    assert point.pauc == 0.4444444444444444
+    # the CSV layer writes repr(value), which differs for numpy scalars
+    fields = (point.deferral_rate, point.frac_positives_deferred, point.bacc, point.acc0,
+              point.acc1, point.auc, point.pauc)
+    assert all(type(value) is float for value in fields)
 
 
 def test_curve_point_rejects_empty():

@@ -376,3 +376,66 @@ def test_checkpoint_bad_magic_and_truncation(tmp_path):
     clipped.write_bytes(good.read_bytes()[:-16])
     with pytest.raises(FormatError, match="truncated"):
         nnet.read_checkpoint(clipped)
+
+
+def _checkpoint_bytes(tmp_path, sections=None):
+    net = tiny_net(seed=66)
+    path = tmp_path / "source.dfb1"
+    nnet.write_checkpoint(path, net.config, nnet.get_params(net), sections)
+    return path.read_bytes(), net.parameter_count
+
+
+def test_checkpoint_every_truncation_is_a_format_error(tmp_path):
+    blob, n_params = _checkpoint_bytes(tmp_path, {"aux": np.array([1.5, -2.25])})
+    config_len = int.from_bytes(blob[16:20], "little")
+    params_end = 20 + config_len + 8 * n_params
+    path = tmp_path / "cut.dfb1"
+    for size in range(len(blob)):
+        path.write_bytes(blob[:size])
+        if size == params_end:
+            # a cut right after the parameters is a valid file without sections
+            assert nnet.read_checkpoint(path)[2] == {}
+            continue
+        with pytest.raises(FormatError):
+            nnet.read_checkpoint(path)
+
+
+def test_checkpoint_bit_flips_raise_only_format_errors(tmp_path):
+    blob, n_params = _checkpoint_bytes(tmp_path, {"aux": np.array([1.5, -2.25])})
+    config_len = int.from_bytes(blob[16:20], "little")
+    params = range(8 * (20 + config_len), 8 * (20 + config_len + 8 * n_params))
+    path = tmp_path / "flipped.dfb1"
+    # a flip inside the parameter payload only changes a weight, so skip it
+    for bit in (b for b in range(8 * len(blob)) if b not in params):
+        damaged = bytearray(blob)
+        damaged[bit // 8] ^= 1 << (bit % 8)
+        path.write_bytes(bytes(damaged))
+        try:
+            nnet.read_checkpoint(path)
+        except FormatError:
+            pass
+
+
+def test_checkpoint_damaged_headers_and_config(tmp_path):
+    blob, _ = _checkpoint_bytes(tmp_path)
+    config_len = int.from_bytes(blob[16:20], "little")
+    text = blob[20 : 20 + config_len]
+    rest = blob[20 + config_len :]
+
+    def with_config(new_text):
+        return blob[:16] + len(new_text).to_bytes(4, "little") + new_text + rest
+
+    cases = [
+        (b"DFB1\x01\x00\x00\x00\x05\x00", "truncated header"),
+        (with_config(b"\xff" + text[1:]), "not UTF-8"),
+        (with_config(text.replace(b"input_dim=4", b"input_dim=four")), "bad NetConfig field"),
+        (with_config(text.replace(b"input_dim=4\n", b"")), "missing NetConfig field"),
+        (with_config(text.replace(b"output_dim=2", b"output_dim=1")), "bad NetConfig field"),
+        (blob + b"\x01\x00\x00\x00\x03\x00", "truncated section header"),
+        (blob + b"\x00\x00\x00\x00\x00", "trailing bytes"),
+    ]
+    path = tmp_path / "damaged.dfb1"
+    for data, message in cases:
+        path.write_bytes(data)
+        with pytest.raises(FormatError, match=message):
+            nnet.read_checkpoint(path)

@@ -164,6 +164,11 @@ def test_uq_sweep_validation():
         sweep.uq_sweep(scores, uncertainty[:-1], labels, 5)
     with pytest.raises(InputShapeError):
         sweep.uq_sweep(np.array([]), np.array([]), np.array([]), 5)
+    for bad in (np.nan, np.inf):
+        damaged = uncertainty.copy()
+        damaged[3] = bad
+        with pytest.raises(InputShapeError, match="finite"):
+            sweep.uq_sweep(scores, damaged, labels, 5)
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +343,16 @@ def test_failed_method_keeps_the_plan_running(tiny_cfg, eval_data):
 
     softmax_points = [p for p in result.points if p.method == "softmax"]
     assert len(softmax_points) == 15
-    assert all(r.method == "softmax" for r in result.classification)
+    # the failed method keeps one classification row per condition too
+    conditions = [(c.kind, c.level) for c in sweep.plan_conditions(cfg)]
+    for method, status in (("swag", "failed:CollectionError"), ("softmax", "ok")):
+        rows = [r for r in result.classification if r.method == method]
+        assert [(r.condition, r.level) for r in rows] == conditions
+        assert all(r.status == status for r in rows)
+    swag_rows = [r for r in result.classification if r.method == "swag"]
+    assert all(
+        value is None for r in swag_rows for value in (r.auc, r.pauc, r.bacc, r.acc0, r.acc1)
+    )
 
 
 def test_run_method_rejects_unknown_method(tiny_cfg, eval_data):
@@ -364,9 +378,9 @@ def test_results_columns_are_frozen():
 
 
 def test_results_csv_roundtrip_is_exact(softmax_plan, tiny_cfg, tmp_path):
-    points = list(softmax_plan.points) + sweep._failure_rows(
+    points = list(softmax_plan.points) + sweep._failure_result(
         tiny_cfg, 4, "one_stage", ConfigError("boom")
-    )
+    ).points
     path = tmp_path / "results.csv"
     sweep.write_results_csv(path, points)
     back = sweep.read_results_csv(path)
@@ -399,11 +413,14 @@ def test_results_csv_rejects_bad_input(tmp_path):
         sweep.read_results_csv(path)
 
 
-def test_classification_csv_roundtrip(softmax_plan, tmp_path):
+def test_classification_csv_roundtrip(softmax_plan, tiny_cfg, tmp_path):
+    rows = list(softmax_plan.classification) + sweep._failure_result(
+        tiny_cfg, 4, "one_stage", ConfigError("boom")
+    ).classification
     path = tmp_path / "classification.csv"
-    sweep.write_classification_csv(path, softmax_plan.classification)
+    sweep.write_classification_csv(path, rows)
     back = sweep.read_classification_csv(path)
-    assert back == softmax_plan.classification
+    assert back == rows
 
     path.write_text("method,seed\n")
     with pytest.raises(FormatError, match="unexpected classification header"):
