@@ -15,12 +15,14 @@ Two generator modes stand in for the real imaging data:
 from __future__ import annotations
 
 import csv as _csv
+import os
 import struct
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
+from deferbench.atomic import atomic_open
 from deferbench.errors import (
     ConfigError,
     FormatError,
@@ -383,14 +385,22 @@ def write_dataset(path, dataset: Dataset) -> None:
     s, d = dataset.features.shape
     h, w, c = dataset.spatial_shape if dataset.spatial_shape is not None else (0, 0, 0)
     label_offset = _HEADER.size + s * d * 4
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(_HEADER.pack(_MAGIC, _VERSION, s, d, h, w, c, label_offset))
         fh.write(np.ascontiguousarray(dataset.features, dtype="<f4").tobytes())
         fh.write(dataset.labels.astype(np.uint8).tobytes())
 
 
 def read_dataset(path) -> Dataset:
+    """Read a DFD1 file, checking every size in the header against the file.
+
+    Damaged input (a short header, counts that disagree with the file length,
+    a label offset that does not follow the features, a spatial shape that
+    does not match the feature count, labels that are not 0/1) raises
+    FormatError before anything sized by the header is read.
+    """
     with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
         header = fh.read(_HEADER.size)
         if len(header) != _HEADER.size:
             raise FormatError(f"{path}: truncated header")
@@ -399,13 +409,22 @@ def read_dataset(path) -> Dataset:
             raise FormatError(f"{path}: bad magic, not a DFD1 dataset")
         if version != _VERSION:
             raise FormatError(f"{path}: unsupported DFD1 version {version}")
+        if label_offset != _HEADER.size + s * d * 4:
+            raise FormatError(f"{path}: label offset {label_offset} does not follow "
+                              f"{s} x {d} float32 features")
+        if label_offset + s > size:
+            raise FormatError(f"{path}: truncated, header declares {label_offset + s} bytes "
+                              f"and the file has {size}")
+        if label_offset + s < size:
+            raise FormatError(f"{path}: trailing bytes after the labels")
+        if (h, w, c) != (0, 0, 0) and h * w * c != d:
+            raise FormatError(f"{path}: spatial shape {(h, w, c)} does not match {d} features")
         raw = fh.read(s * d * 4)
-        if len(raw) != s * d * 4:
-            raise FormatError(f"{path}: truncated feature payload")
-        fh.seek(label_offset)
         labels = np.frombuffer(fh.read(s), dtype=np.uint8)
-        if labels.shape[0] != s:
-            raise FormatError(f"{path}: truncated labels")
+    if len(raw) != s * d * 4 or labels.shape[0] != s:
+        raise FormatError(f"{path}: truncated while reading")  # file changed under us
+    if np.any(labels > 1):
+        raise FormatError(f"{path}: labels must be 0 or 1")
     features = np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(s, d)
     spatial = (h, w, c) if h * w * c > 0 else None
     return Dataset(

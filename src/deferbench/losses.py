@@ -87,27 +87,82 @@ def _as_targets(targets, batch, width, allow_defer=False):
     return targets, squeeze
 
 
-def _log_softmax(logits):
+def _softmax_parts(logits):
+    """Row-max-shifted logits, their exponentials and the row sums (keepdims)."""
     shifted = logits - logits.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    e = np.exp(shifted)
+    return shifted, e, e.sum(axis=1, keepdims=True)
 
 
 def softmax(logits) -> np.ndarray:
     """Row-wise stabilized softmax."""
     logits, squeeze = _as_batch(logits)
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    p = e / e.sum(axis=1, keepdims=True)
+    _, e, total = _softmax_parts(logits)
+    p = e / total
     return p[0] if squeeze else p
+
+
+# Unchecked kernels: (per-sample loss, d loss / d logits) from one softmax.
+# They expect finite float64 (B, K) logits and int64 targets already in range;
+# the public loss_* / grad_* functions and the trainers check that first.
+
+
+def _kernel_cross_entropy(logits, targets):
+    rows = np.arange(logits.shape[0])
+    shifted, e, total = _softmax_parts(logits)
+    out = -(shifted[rows, targets] - np.log(total[:, 0]))
+    g = e / total
+    g[rows, targets] -= 1.0
+    return out, g
+
+
+def _kernel_one_stage(logits, targets, alpha):
+    b, width = logits.shape
+    rows = np.arange(b)
+    d = width - 1
+    shifted, e, total = _softmax_parts(logits)
+    lse = np.log(total[:, 0])  # log-sum-exp minus row max
+    z_y = shifted[rows, targets]
+    pair_lse = np.logaddexp(z_y, shifted[:, d])
+    out = -alpha * (z_y - lse) - (1.0 - alpha) * (pair_lse - lse)
+
+    g = e / total
+    g[rows, targets] -= alpha
+    # the {y, d} pair softmax uses the raw logits: the shifted ones round differently
+    raw_y = logits[rows, targets]
+    raw_d = logits[:, d]
+    m = np.maximum(raw_y, raw_d)
+    e_y = np.exp(raw_y - m)
+    e_d = np.exp(raw_d - m)
+    denom = e_y + e_d
+    g[rows, targets] -= (1.0 - alpha) * e_y / denom
+    g[rows, d] -= (1.0 - alpha) * e_d / denom
+    return out, g
+
+
+def _kernel_two_stage(logits, targets, beta):
+    b, width = logits.shape
+    rows = np.arange(b)
+    d = width - 1
+    shifted, e, total = _softmax_parts(logits)
+    log_total = np.log(total[:, 0])
+    out = -(shifted[rows, targets] - log_total) - beta * (shifted[:, d] - log_total)
+    g = (1.0 + beta) * (e / total)
+    g[rows, targets] -= 1.0
+    g[:, d] -= beta
+    return out, g
+
+
+def _checked(kernel, logits, targets, allow_defer, *cost):
+    logits, squeeze = _as_batch(logits)
+    targets, _ = _as_targets(targets, logits.shape[0], logits.shape[1], allow_defer)
+    out, g = kernel(logits, targets, *cost)
+    return (out[0], g[0]) if squeeze else (out, g)
 
 
 def loss_cross_entropy(logits, targets) -> np.ndarray:
     """Negative log softmax of the target class."""
-    logits, squeeze = _as_batch(logits)
-    targets, _ = _as_targets(targets, logits.shape[0], logits.shape[1], allow_defer=True)
-    logp = _log_softmax(logits)
-    out = -logp[np.arange(logits.shape[0]), targets]
-    return out[0] if squeeze else out
+    return _checked(_kernel_cross_entropy, logits, targets, True)[0]
 
 
 def loss_one_stage(logits, targets, alpha: float) -> np.ndarray:
@@ -123,20 +178,7 @@ def loss_one_stage(logits, targets, alpha: float) -> np.ndarray:
     the extended space.
     """
     OneStageCost(alpha)
-    logits, squeeze = _as_batch(logits)
-    b, width = logits.shape
-    targets, _ = _as_targets(targets, b, width)
-    rows = np.arange(b)
-    d = width - 1
-
-    zmax = logits.max(axis=1, keepdims=True)
-    shifted = logits - zmax
-    lse = np.log(np.exp(shifted).sum(axis=1))  # log-sum-exp minus row max
-    z_y = shifted[rows, targets]
-    z_d = shifted[:, d]
-    pair_lse = np.logaddexp(z_y, z_d)
-    out = -alpha * (z_y - lse) - (1.0 - alpha) * (pair_lse - lse)
-    return out[0] if squeeze else out
+    return _checked(_kernel_one_stage, logits, targets, False, alpha)[0]
 
 
 def loss_two_stage(logits, targets, beta: float) -> np.ndarray:
@@ -145,22 +187,12 @@ def loss_two_stage(logits, targets, beta: float) -> np.ndarray:
     Per row: ``-logp[y] - beta * logp[d]`` with d the deferral index.
     """
     TwoStageCost(beta)
-    logits, squeeze = _as_batch(logits)
-    b, width = logits.shape
-    targets, _ = _as_targets(targets, b, width)
-    logp = _log_softmax(logits)
-    rows = np.arange(b)
-    out = -logp[rows, targets] - beta * logp[:, width - 1]
-    return out[0] if squeeze else out
+    return _checked(_kernel_two_stage, logits, targets, False, beta)[0]
 
 
 def grad_cross_entropy(logits, targets) -> np.ndarray:
     """d loss / d logits for ``loss_cross_entropy``: softmax minus one-hot."""
-    logits, squeeze = _as_batch(logits)
-    targets, _ = _as_targets(targets, logits.shape[0], logits.shape[1], allow_defer=True)
-    g = softmax(logits)
-    g[np.arange(logits.shape[0]), targets] -= 1.0
-    return g[0] if squeeze else g
+    return _checked(_kernel_cross_entropy, logits, targets, True)[1]
 
 
 def grad_one_stage(logits, targets, alpha: float) -> np.ndarray:
@@ -170,37 +202,13 @@ def grad_one_stage(logits, targets, alpha: float) -> np.ndarray:
     restricted to {y, d} (zero elsewhere).
     """
     OneStageCost(alpha)
-    logits, squeeze = _as_batch(logits)
-    b, width = logits.shape
-    targets, _ = _as_targets(targets, b, width)
-    rows = np.arange(b)
-    d = width - 1
-
-    g = softmax(logits)
-    g[rows, targets] -= alpha
-
-    z_y = logits[rows, targets]
-    z_d = logits[:, d]
-    m = np.maximum(z_y, z_d)
-    e_y = np.exp(z_y - m)
-    e_d = np.exp(z_d - m)
-    denom = e_y + e_d
-    g[rows, targets] -= (1.0 - alpha) * e_y / denom
-    g[rows, d] -= (1.0 - alpha) * e_d / denom
-    return g[0] if squeeze else g
+    return _checked(_kernel_one_stage, logits, targets, False, alpha)[1]
 
 
 def grad_two_stage(logits, targets, beta: float) -> np.ndarray:
     """d loss / d logits for ``loss_two_stage``: ``(1+beta) p - onehot(y) - beta onehot(d)``."""
     TwoStageCost(beta)
-    logits, squeeze = _as_batch(logits)
-    b, width = logits.shape
-    targets, _ = _as_targets(targets, b, width)
-    rows = np.arange(b)
-    g = (1.0 + beta) * softmax(logits)
-    g[rows, targets] -= 1.0
-    g[:, width - 1] -= beta
-    return g[0] if squeeze else g
+    return _checked(_kernel_two_stage, logits, targets, False, beta)[1]
 
 
 @dataclass(frozen=True)
@@ -237,3 +245,29 @@ class LossSpec:
         if self.kind == "one_stage":
             return grad_one_stage(logits, targets, self.alpha)
         return grad_two_stage(logits, targets, self.beta)
+
+    def check_targets(self, targets, width: int) -> np.ndarray:
+        """int64 targets, raising LabelError unless each is valid for ``width`` logits.
+
+        Cross-entropy accepts every index below ``width``; the deferral
+        surrogates reserve the last one for the deferral class.
+        """
+        targets = np.asarray(targets, dtype=np.int64)
+        if targets.ndim != 1:
+            raise LabelError(f"targets must be 1-D, got shape {targets.shape}")
+        allow_defer = self.kind == "cross_entropy"
+        return _as_targets(targets, targets.shape[0], width, allow_defer)[0]
+
+    def unchecked_loss_and_grad(self, logits, targets):
+        """(per-sample loss, d loss / d logits) from one softmax, bit-identical to
+        ``(loss(...), grad(...))``.
+
+        Validates nothing: ``logits`` must be finite float64 (B, K) rows and
+        ``targets`` must have passed ``check_targets``. The trainers check once
+        at entry and call this on every step.
+        """
+        if self.kind == "cross_entropy":
+            return _kernel_cross_entropy(logits, targets)
+        if self.kind == "one_stage":
+            return _kernel_one_stage(logits, targets, self.alpha)
+        return _kernel_two_stage(logits, targets, self.beta)

@@ -146,6 +146,16 @@ def get_params(net: Network) -> np.ndarray:
     return np.concatenate(parts)
 
 
+def _param_views(net: Network, flat: np.ndarray) -> list:
+    """(weight, bias) views into a flat vector laid out as ``get_params`` lays it out."""
+    views, offset = [], 0
+    for w, b in zip(net.weights, net.biases):
+        end = offset + w.size
+        views.append((flat[offset:end].reshape(w.shape), flat[end : end + b.size]))
+        offset = end + b.size
+    return views
+
+
 def set_params(net: Network, flat: np.ndarray) -> None:
     """Load a flat vector back into the network (in place)."""
     flat = np.asarray(flat, dtype=np.float64)
@@ -153,12 +163,22 @@ def set_params(net: Network, flat: np.ndarray) -> None:
         raise InputShapeError(
             f"expected {net.parameter_count} parameters, got shape {flat.shape}"
         )
-    offset = 0
-    for w, b in zip(net.weights, net.biases):
-        w[...] = flat[offset : offset + w.size].reshape(w.shape)
-        offset += w.size
-        b[...] = flat[offset : offset + b.size]
-        offset += b.size
+    for w, b, (flat_w, flat_b) in zip(net.weights, net.biases, _param_views(net, flat)):
+        w[...] = flat_w
+        b[...] = flat_b
+
+
+def bind_params(net: Network) -> np.ndarray:
+    """Move the parameters into one flat buffer and rebind the layers as views of it.
+
+    Returns the buffer, laid out as ``get_params`` lays it out; updating it in
+    place updates the network, with no ``set_params`` copy.
+    """
+    flat = get_params(net)
+    views = _param_views(net, flat)
+    net.weights = [w for w, _ in views]
+    net.biases = [b for _, b in views]
+    return flat
 
 
 def with_params(net: Network, flat: np.ndarray) -> Network:
@@ -215,30 +235,31 @@ def forward(net: Network, batch, dropout_on: bool = False, rng=None) -> np.ndarr
     return logits
 
 
-def _backward_cached(net: Network, cache, dlogits: np.ndarray) -> np.ndarray:
-    """Gradient of the (already reduced) loss w.r.t. the flat parameter vector."""
+def _gradient_buffer(net: Network):
+    """A flat gradient vector and its per-layer views, for ``_backward_cached``."""
+    flat = np.empty(net.parameter_count)
+    return flat, _param_views(net, flat)
+
+
+def _backward_cached(net: Network, cache, dlogits: np.ndarray, grad_views) -> None:
+    """Write the gradient of the (already reduced) loss into ``grad_views``,
+    the per-layer views of a flat vector from ``_gradient_buffer``."""
     activations, last_input, dropout_mask = cache
     n_layers = len(net.weights)
-    grads_w = [None] * n_layers
-    grads_b = [None] * n_layers
 
     delta = dlogits
-    grads_w[-1] = last_input.T @ delta
-    grads_b[-1] = delta.sum(axis=0)
+    grad_w, grad_b = grad_views[-1]
+    np.matmul(last_input.T, delta, out=grad_w)
+    delta.sum(axis=0, out=grad_b)
 
     for i in range(n_layers - 2, -1, -1):
         delta = delta @ net.weights[i + 1].T
         if i == n_layers - 2 and dropout_mask is not None:
             delta = delta * dropout_mask
         delta = delta * (activations[i + 1] > 0.0)
-        grads_w[i] = activations[i].T @ delta
-        grads_b[i] = delta.sum(axis=0)
-
-    parts = []
-    for gw, gb in zip(grads_w, grads_b):
-        parts.append(gw.ravel())
-        parts.append(gb)
-    return np.concatenate(parts)
+        grad_w, grad_b = grad_views[i]
+        np.matmul(activations[i].T, delta, out=grad_w)
+        delta.sum(axis=0, out=grad_b)
 
 
 def backward(net: Network, batch, targets, loss: LossSpec, dropout_mask=None) -> np.ndarray:
@@ -249,7 +270,9 @@ def backward(net: Network, batch, targets, loss: LossSpec, dropout_mask=None) ->
         raise LabelError(f"expected {batch.shape[0]} targets, got shape {targets.shape}")
     logits, cache = _forward_cached(net, batch, dropout_mask)
     dlogits = loss.grad(logits, targets) / batch.shape[0]
-    return _backward_cached(net, cache, dlogits)
+    grad, grad_views = _gradient_buffer(net)
+    _backward_cached(net, cache, dlogits, grad_views)
+    return grad
 
 
 def mean_loss(net: Network, batch, targets, loss: LossSpec) -> float:
@@ -259,12 +282,34 @@ def mean_loss(net: Network, batch, targets, loss: LossSpec) -> float:
     return float(loss.loss(logits, np.asarray(targets, dtype=np.int64)).mean())
 
 
+def sampling_cdf(sample_weights, n: int) -> np.ndarray:
+    """Checked cumulative distribution of ``n`` sample weights (None: uniform).
+
+    Built as ``Generator.choice`` builds it from ``p = weights / weights.sum()``,
+    so ``draw_minibatch_indices(rng, cdf, b)`` draws what
+    ``rng.choice(n, b, p=p)`` draws from the same generator state. Raises
+    InputShapeError unless there is one weight per sample, and ConfigError
+    unless every weight is positive and finite with a finite sum.
+    """
+    weights = np.ones(n) if sample_weights is None else sample_weights
+    weights = np.asarray(weights, dtype=np.float64)
+    if n < 1 or weights.shape != (n,):
+        raise InputShapeError(f"expected {n} sample weights, got shape {weights.shape}")
+    with np.errstate(over="ignore"):  # an overflowing sum is rejected below
+        total = weights.sum()
+    if not (np.all(weights > 0.0) and np.isfinite(total)):
+        raise ConfigError("sample weights must all be positive and finite, with a finite sum")
+    cdf = (weights / total).cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
 def draw_minibatch_indices(
-    rng: np.random.Generator, weights: np.ndarray, batch_size: int
+    rng: np.random.Generator, cdf: np.ndarray, batch_size: int
 ) -> np.ndarray:
-    """Weighted sampling with replacement; this is the oversampling mechanism."""
-    p = weights / weights.sum()
-    return rng.choice(weights.shape[0], size=batch_size, replace=True, p=p)
+    """Weighted sampling with replacement from a ``sampling_cdf``; this is the
+    oversampling mechanism."""
+    return cdf.searchsorted(rng.random(batch_size), side="right")
 
 
 @dataclass
@@ -285,6 +330,7 @@ def train(
     """Momentum SGD with weighted minibatch sampling; one checkpoint per epoch.
 
     The update is v = momentum*v + (grad + weight_decay*theta); theta -= lr*v.
+    Targets and sample weights are checked once, here (see ``sampling_cdf``).
     Raises DivergenceError naming the epoch if any batch loss goes non-finite.
     """
     x = _check_batch(net, batch)
@@ -292,13 +338,8 @@ def train(
     n = x.shape[0]
     if y.shape != (n,):
         raise LabelError(f"expected {n} targets, got shape {y.shape}")
-    if sample_weights is None:
-        sample_weights = np.ones(n)
-    sample_weights = np.asarray(sample_weights, dtype=np.float64)
-    if sample_weights.shape != (n,):
-        raise InputShapeError(f"expected {n} sample weights, got {sample_weights.shape}")
-    if np.any(sample_weights <= 0.0):
-        raise ConfigError("sample weights must all be positive")
+    y = loss.check_targets(y, net.config.output_dim)
+    cdf = sampling_cdf(sample_weights, n)
 
     net = net.copy()
     rng_batches = child_rng(sgd.seed, "batches")
@@ -306,7 +347,8 @@ def train(
     rate = net.config.dropout_rate
     use_dropout = rate > 0.0 and len(net.weights) > 1
 
-    params = get_params(net)
+    params = bind_params(net)
+    grad, grad_views = _gradient_buffer(net)
     velocity = np.zeros_like(params)
     steps_per_epoch = max(1, -(-n // sgd.batch_size))
     checkpoints, epoch_losses = [], []
@@ -314,7 +356,7 @@ def train(
     for epoch in range(1, sgd.epochs + 1):
         loss_sum = 0.0
         for _ in range(steps_per_epoch):
-            idx = draw_minibatch_indices(rng_batches, sample_weights, sgd.batch_size)
+            idx = draw_minibatch_indices(rng_batches, cdf, sgd.batch_size)
             xb, yb = x[idx], y[idx]
             mask = None
             if use_dropout:
@@ -324,15 +366,16 @@ def train(
             logits, cache = _forward_cached(net, xb, mask)
             if not np.all(np.isfinite(logits)):
                 raise DivergenceError(f"training diverged at epoch {epoch}: non-finite logits")
-            batch_loss = float(loss.loss(logits, yb).mean())
+            sample_loss, dlogits = loss.unchecked_loss_and_grad(logits, yb)
+            batch_loss = float(sample_loss.mean())
             if not np.isfinite(batch_loss):
                 raise DivergenceError(f"training diverged at epoch {epoch}: loss={batch_loss}")
             loss_sum += batch_loss
-            grad = _backward_cached(net, cache, loss.grad(logits, yb) / xb.shape[0])
+            _backward_cached(net, cache, dlogits / xb.shape[0], grad_views)
             grad += sgd.weight_decay * params
-            velocity = sgd.momentum * velocity + grad
-            params = params - sgd.learning_rate * velocity
-            set_params(net, params)
+            velocity *= sgd.momentum
+            velocity += grad
+            params -= sgd.learning_rate * velocity  # the layers are views of params
         checkpoints.append(params.copy())
         epoch_losses.append(loss_sum / steps_per_epoch)
 

@@ -21,6 +21,7 @@ import numpy as np
 
 from deferbench import data as data_mod
 from deferbench import nnet, uq
+from deferbench.atomic import atomic_open
 from deferbench.config import RunConfig
 from deferbench.errors import ConfigError, FormatError, InputShapeError
 from deferbench.losses import LossSpec
@@ -812,7 +813,7 @@ def _cell(value) -> str:
 
 
 def write_results_csv(path, points) -> None:
-    with open(path, "w", newline="") as fh:
+    with atomic_open(path, "w", newline="") as fh:
         writer = _csv.writer(fh, lineterminator="\n")
         writer.writerow(RESULTS_COLUMNS)
         for p in points:
@@ -874,7 +875,7 @@ def read_results_csv(path) -> list:
 
 
 def write_classification_csv(path, rows) -> None:
-    with open(path, "w", newline="") as fh:
+    with atomic_open(path, "w", newline="") as fh:
         writer = _csv.writer(fh, lineterminator="\n")
         writer.writerow(CLASSIFICATION_COLUMNS)
         for r in rows:

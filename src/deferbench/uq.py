@@ -257,13 +257,15 @@ def bnn_train(
     noise from its own stream, so collapsing the posterior (kl_weight 0,
     stddev underflowing to 0) reproduces the deterministic trajectory.
     The SGD weight_decay setting is ignored: the prior already shrinks means.
+    Targets and sample weights are checked once, as ``nnet.train`` checks them.
     """
     batch = nnet._check_batch(net, batch)
     n = batch.shape[0]
-    if targets.shape[0] != n:
+    targets = np.asarray(targets, dtype=np.int64)
+    if targets.shape != (n,):
         raise InputShapeError("targets must match batch rows")
-    if sample_weights is None:
-        sample_weights = np.ones(n)
+    targets = loss.check_targets(targets, net.config.output_dim)
+    cdf = nnet.sampling_cdf(sample_weights, n)
     rng_batches = child_rng(sgd.seed, "batches")
     rng_weights = child_rng(sgd.seed, "weights")
     steps_per_epoch = max(1, -(-n // sgd.batch_size))
@@ -275,28 +277,33 @@ def bnn_train(
     v_mean = np.zeros_like(mean)
     v_log = np.zeros_like(log_std)
     work = net.copy()
+    theta = nnet.bind_params(work)  # the sampled weights; work's layers view it
+    g, grad_views = nnet._gradient_buffer(work)
     epoch_losses = []
 
     for epoch in range(sgd.epochs):
         total = 0.0
         for _ in range(steps_per_epoch):
-            idx = nnet.draw_minibatch_indices(rng_batches, sample_weights, sgd.batch_size)
+            idx = nnet.draw_minibatch_indices(rng_batches, cdf, sgd.batch_size)
             std = np.exp(log_std)
             eps = rng_weights.standard_normal(mean.shape[0])
-            nnet.set_params(work, mean + std * eps)
+            np.add(mean, std * eps, out=theta)
             xb, yb = batch[idx], targets[idx]
             kl = (np.log(bnn.prior_stddev) - log_std + (std**2 + mean**2) / (2.0 * p2) - 0.5).sum()
             logits, cache = nnet._forward_cached(work, xb, None)
             if not np.all(np.isfinite(logits)):
                 raise DivergenceError(f"training diverged at epoch {epoch}: non-finite logits")
-            step_loss = float(loss.loss(logits, yb).mean()) + kl_w * kl
+            sample_loss, dlogits = loss.unchecked_loss_and_grad(logits, yb)
+            step_loss = float(sample_loss.mean()) + kl_w * kl
             if not np.isfinite(step_loss):
                 raise DivergenceError(f"training diverged at epoch {epoch}: loss={step_loss}")
-            g = nnet._backward_cached(work, cache, loss.grad(logits, yb) / xb.shape[0])
+            nnet._backward_cached(work, cache, dlogits / xb.shape[0], grad_views)
             g_mean = g + kl_w * mean / p2
             g_log = g * eps * std + kl_w * (std**2 / p2 - 1.0)
-            v_mean = sgd.momentum * v_mean + g_mean
-            v_log = sgd.momentum * v_log + g_log
+            v_mean *= sgd.momentum
+            v_mean += g_mean
+            v_log *= sgd.momentum
+            v_log += g_log
             mean -= sgd.learning_rate * v_mean
             log_std -= sgd.learning_rate * v_log
             total += step_loss

@@ -1,7 +1,11 @@
 """End-to-end command line behavior on a small configuration."""
 
 import hashlib
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -150,6 +154,54 @@ def test_run_output_bytes_are_frozen(tmp_path):
     ini.write_text(FROZEN_INI)
     out = tmp_path / "run"
     assert cli.main(["run", "--config", str(ini), "--out", str(out)]) == 0
+    assert {name: sha(out / name) for name in FROZEN_SHA256} == FROZEN_SHA256
+
+
+THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def fresh_process_env(**thread_variables) -> dict:
+    """Environment for a new interpreter: ``src`` importable, only the given
+    BLAS / OpenMP thread variables set."""
+    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARIABLES}
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    env.update(thread_variables)
+    return env
+
+
+def test_import_pins_blas_to_one_thread_unless_the_caller_chose():
+    probe = "import os, deferbench; print(os.environ.get('OPENBLAS_NUM_THREADS'))"
+
+    def seen(**thread_variables) -> str:
+        return subprocess.run(
+            [sys.executable, "-c", probe], env=fresh_process_env(**thread_variables),
+            capture_output=True, text=True, check=True, timeout=60,
+        ).stdout.strip()
+
+    assert seen() == "1"
+    assert seen(OMP_NUM_THREADS="3") == "None"
+    assert seen(OPENBLAS_NUM_THREADS="2") == "2"
+
+
+# The pin must not change a byte: BLAS thread counts and --jobs only change
+# how the work is spread. Each case is a fresh process, because OpenBLAS
+# reads its thread variable once, when numpy loads it.
+@pytest.mark.parametrize(
+    "jobs, thread_variables",
+    [("1", {"OPENBLAS_NUM_THREADS": "2"}), ("1", {}), ("2", {})],
+    ids=["jobs1-blas2", "jobs1-default", "jobs2-default"],
+)
+def test_run_output_bytes_are_frozen_across_blas_threads_and_jobs(tmp_path, jobs, thread_variables):
+    ini = tmp_path / "frozen.ini"
+    ini.write_text(FROZEN_INI)
+    out = tmp_path / "run"
+    subprocess.run(
+        [sys.executable, "-m", "deferbench.cli", "run", "--config", str(ini),
+         "--out", str(out), "--jobs", jobs],
+        env=fresh_process_env(**thread_variables), capture_output=True, check=True,
+        timeout=300,
+    )
     assert {name: sha(out / name) for name in FROZEN_SHA256} == FROZEN_SHA256
 
 
@@ -410,3 +462,14 @@ def test_inspect_damaged_checkpoint_is_an_error_not_a_traceback(tmp_path, capsys
     path.write_bytes(b"DFB1\x01\x00\x00\x00\x05\x00")
     assert cli.main(["inspect", str(path)]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_inspect_damaged_dataset_is_an_error_not_a_traceback(dataset_path, tmp_path, capsys):
+    blob = dataset_path.read_bytes()
+    flipped = bytearray(blob)
+    flipped[8 + 5] ^= 1  # bit 40 of the sample count, which starts at byte 8
+    path = tmp_path / "damaged.dfd1"
+    for damaged in (blob[:100], blob[:-1], bytes(flipped)):
+        path.write_bytes(damaged)
+        assert cli.main(["inspect", str(path)]) == 1
+        assert "error:" in capsys.readouterr().err

@@ -332,6 +332,78 @@ def test_dataset_file_errors(tmp_path):
         data.read_dataset(clipped)
 
 
+def _tiny_dataset_bytes(tmp_path, spatial_shape=(2, 2, 1)):
+    rng = np.random.default_rng(5)
+    ds = data.Dataset(features=rng.random((5, 4)), labels=[0, 1, 0, 1, 1],
+                      spatial_shape=spatial_shape)
+    path = tmp_path / "source.dfd1"
+    data.write_dataset(path, ds)
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("spatial_shape", [(2, 2, 1), None])
+def test_dataset_every_truncation_is_a_format_error(tmp_path, spatial_shape):
+    blob = _tiny_dataset_bytes(tmp_path, spatial_shape)
+    path = tmp_path / "cut.dfd1"
+    for size in range(len(blob)):
+        path.write_bytes(blob[:size])
+        with pytest.raises(FormatError):
+            data.read_dataset(path)
+
+
+def test_dataset_bit_flips_raise_only_format_errors(tmp_path):
+    blob = _tiny_dataset_bytes(tmp_path)
+    header = data._HEADER.size
+    labels = len(blob) - 5
+    path = tmp_path / "flipped.dfd1"
+    # a flip in the feature payload only changes a value, and bit 0 of a label
+    # byte swaps the class, so every other bit makes the file invalid
+    bits = [*range(8 * header), *(8 * byte + k for byte in range(labels, len(blob))
+                                  for k in range(1, 8))]
+    for bit in bits:
+        damaged = bytearray(blob)
+        damaged[bit // 8] ^= 1 << (bit % 8)
+        path.write_bytes(bytes(damaged))
+        with pytest.raises(FormatError):
+            data.read_dataset(path)
+
+
+def test_dataset_damaged_headers(tmp_path):
+    blob = _tiny_dataset_bytes(tmp_path)
+    fields = list(data._HEADER.unpack(blob[: data._HEADER.size]))
+    body = blob[data._HEADER.size :]
+
+    def with_field(index, value):
+        changed = list(fields)
+        changed[index] = value
+        return data._HEADER.pack(*changed) + body
+
+    cases = [
+        # one flipped bit (bit 40) in the sample count once made the reader
+        # ask for a petabyte before any size check
+        (with_field(2, fields[2] | 1 << 40), "label offset"),
+        (with_field(7, fields[7] + 1), "label offset"),
+        (with_field(6, 2), "spatial shape"),
+        (with_field(4, 0), "spatial shape"),
+        (blob[:-1], "truncated"),
+        (blob + b"\x00", "trailing bytes"),
+        (blob[:-1] + b"\x02", "labels must be 0 or 1"),
+    ]
+    path = tmp_path / "damaged.dfd1"
+    for content, message in cases:
+        path.write_bytes(content)
+        with pytest.raises(FormatError, match=message):
+            data.read_dataset(path)
+
+
+def test_write_dataset_failure_leaves_no_file(tmp_path):
+    ds = data.Dataset(features=np.zeros((3, 2)), labels=[0, 1, 0])
+    ds.labels = None  # fails after the header and the features are written
+    with pytest.raises(AttributeError):
+        data.write_dataset(tmp_path / "ds.dfd1", ds)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_csv_import(tmp_path):
     path = tmp_path / "ds.csv"
     path.write_text("f0,f1,label\n0.5,0.25,1\n0.1,0.9,0\n")

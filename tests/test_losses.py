@@ -264,3 +264,93 @@ def test_loss_spec_dispatch():
         LossSpec("one_stage", alpha=0.0)
     with pytest.raises(ConfigError):
         LossSpec("two_stage", beta=-1.0)
+
+
+# ---------------------------------------------------------------------------
+# fused kernels: the trainers' one-softmax (loss, grad) step against the
+# separate formulas it replaced, kept here as the reference
+# ---------------------------------------------------------------------------
+
+
+def _reference_log_softmax(logits):
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+
+
+def _reference_softmax(logits):
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def reference_loss(spec, logits, targets):
+    rows, d = np.arange(logits.shape[0]), logits.shape[1] - 1
+    if spec.kind == "cross_entropy":
+        return -_reference_log_softmax(logits)[rows, targets]
+    if spec.kind == "two_stage":
+        logp = _reference_log_softmax(logits)
+        return -logp[rows, targets] - spec.beta * logp[:, d]
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    lse = np.log(np.exp(shifted).sum(axis=1))
+    z_y = shifted[rows, targets]
+    pair_lse = np.logaddexp(z_y, shifted[:, d])
+    return -spec.alpha * (z_y - lse) - (1.0 - spec.alpha) * (pair_lse - lse)
+
+
+def reference_grad(spec, logits, targets):
+    rows, d = np.arange(logits.shape[0]), logits.shape[1] - 1
+    if spec.kind == "cross_entropy":
+        g = _reference_softmax(logits)
+        g[rows, targets] -= 1.0
+        return g
+    if spec.kind == "two_stage":
+        g = (1.0 + spec.beta) * _reference_softmax(logits)
+        g[rows, targets] -= 1.0
+        g[:, d] -= spec.beta
+        return g
+    g = _reference_softmax(logits)
+    g[rows, targets] -= spec.alpha
+    z_y, z_d = logits[rows, targets], logits[:, d]
+    m = np.maximum(z_y, z_d)
+    e_y, e_d = np.exp(z_y - m), np.exp(z_d - m)
+    denom = e_y + e_d
+    g[rows, targets] -= (1.0 - spec.alpha) * e_y / denom
+    g[rows, d] -= (1.0 - spec.alpha) * e_d / denom
+    return g
+
+
+wide_logits = hnp.arrays(
+    np.float64,
+    shape=st.tuples(st.integers(1, 40), st.integers(2, 5)),
+    elements=st.floats(-700.0, 700.0),
+)
+
+
+@given(wide_logits, st.sampled_from(["cross_entropy", "one_stage", "two_stage"]),
+       st.floats(0.01, 1.0), st.floats(0.0, 5.0), st.data())
+@settings(max_examples=300, deadline=None)
+def test_fused_kernel_is_bit_identical_to_separate_loss_and_grad(logits, kind, alpha, beta, data):
+    if kind != "cross_entropy" and logits.shape[1] < 3:
+        logits = np.hstack([logits, logits[:, :1]])
+    spec = LossSpec(kind, alpha=alpha, beta=beta)
+    top = logits.shape[1] if kind == "cross_entropy" else logits.shape[1] - 1
+    targets = np.asarray(
+        data.draw(st.lists(st.integers(0, top - 1), min_size=logits.shape[0],
+                           max_size=logits.shape[0])),
+        dtype=np.int64,
+    )
+    loss, grad = spec.unchecked_loss_and_grad(logits, spec.check_targets(targets, logits.shape[1]))
+    assert np.array_equal(loss, reference_loss(spec, logits, targets))
+    assert np.array_equal(grad, reference_grad(spec, logits, targets))
+    assert np.array_equal(loss, spec.loss(logits, targets))
+    assert np.array_equal(grad, spec.grad(logits, targets))
+
+
+def test_check_targets_reserves_the_deferral_index_for_the_surrogates():
+    assert LossSpec("cross_entropy").check_targets([0, 2], 3).dtype == np.int64
+    for spec in (LossSpec("one_stage", alpha=0.5), LossSpec("two_stage", beta=1.0)):
+        np.testing.assert_array_equal(spec.check_targets([0, 1], 3), [0, 1])
+        with pytest.raises(LabelError):
+            spec.check_targets([0, 2], 3)
+    for bad in ([-1, 0], [[0, 1]], 0):
+        with pytest.raises(LabelError):
+            LossSpec("cross_entropy").check_targets(bad, 3)

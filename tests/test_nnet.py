@@ -1,11 +1,19 @@
 """Network engine: forward math, backprop vs finite differences, SGD training,
 dropout and sampling statistics, and the weight container format."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
-from deferbench import nnet
-from deferbench.errors import ConfigError, DivergenceError, FormatError, InputShapeError
+from deferbench import nnet, uq
+from deferbench.errors import (
+    ConfigError,
+    DivergenceError,
+    FormatError,
+    InputShapeError,
+    LabelError,
+)
 from deferbench.losses import LossSpec
 
 CE = LossSpec("cross_entropy")
@@ -142,7 +150,7 @@ def test_dropout_mask_values_and_mean():
 def test_minibatch_sampling_frequencies_follow_weights():
     rng = np.random.default_rng(22)
     weights = np.array([1.0, 1.0, 2.0])
-    idx = nnet.draw_minibatch_indices(rng, weights, 200_000)
+    idx = nnet.draw_minibatch_indices(rng, nnet.sampling_cdf(weights, 3), 200_000)
     freq = np.bincount(idx, minlength=3) / idx.shape[0]
     np.testing.assert_allclose(freq, [0.25, 0.25, 0.5], rtol=0.02)
 
@@ -272,7 +280,8 @@ def test_train_weighted_sampling_upweights_the_rare_class():
     rng = np.random.default_rng(54)
     y = (rng.random(1000) < 0.05).astype(np.int64)
     weights = np.where(y == 1, 1.0 / max(y.sum(), 1), 1.0 / (y.shape[0] - y.sum()))
-    idx = nnet.draw_minibatch_indices(np.random.default_rng(55), weights, 100_000)
+    cdf = nnet.sampling_cdf(weights, y.shape[0])
+    idx = nnet.draw_minibatch_indices(np.random.default_rng(55), cdf, 100_000)
     assert abs(y[idx].mean() - 0.5) < 0.01
 
 
@@ -284,6 +293,122 @@ def test_train_validates_inputs():
         nnet.train(net, x, y, CE, sgd, sample_weights=np.ones(31))
     with pytest.raises(ConfigError):
         nnet.train(net, x, y, CE, sgd, sample_weights=np.zeros(32))
+
+
+def _bnn(net, x, y, loss, sgd, sample_weights=None):
+    return uq.bnn_train(net, x, y, loss, sgd, sample_weights=sample_weights)
+
+
+TRAINERS = {"train": nnet.train, "bnn_train": _bnn}
+
+
+@pytest.mark.parametrize("trainer", list(TRAINERS))
+@pytest.mark.parametrize(
+    "weights, error",
+    [
+        (np.ones(9), InputShapeError),  # 9 weights for 10 rows
+        (np.ones((10, 1)), InputShapeError),
+        (np.r_[np.ones(9), np.nan], ConfigError),
+        (np.r_[np.ones(9), np.inf], ConfigError),
+        (np.r_[np.ones(9), -1.0], ConfigError),
+        (np.r_[np.ones(9), 0.0], ConfigError),
+        (np.full(10, 1e308), ConfigError),  # every weight finite, the sum is not
+    ],
+)
+def test_trainers_reject_bad_sample_weights_at_entry(trainer, weights, error):
+    net = tiny_net()
+    x, y = toy_problem(n=10)
+    sgd = nnet.SgdConfig(learning_rate=0.1, batch_size=4, epochs=1, seed=0)
+    with pytest.raises(error):
+        TRAINERS[trainer](net, x, y, CE, sgd, sample_weights=weights)
+
+
+@pytest.mark.parametrize("trainer", list(TRAINERS))
+def test_trainers_check_every_target_once_at_entry(trainer):
+    # out-of-range labels are rejected even where no minibatch would draw them
+    net = tiny_net(output_dim=3)
+    x, y = toy_problem(n=40)
+    sgd = nnet.SgdConfig(learning_rate=0.1, batch_size=4, epochs=1, seed=0)
+    weights = np.r_[np.ones(39), 1e-300]
+    bad = y.copy()
+    bad[-1] = 2  # the deferral index, which the surrogates never take as a target
+    one_stage = LossSpec("one_stage", alpha=0.5)
+    with pytest.raises(LabelError):
+        TRAINERS[trainer](net, x, bad, one_stage, sgd, sample_weights=weights)
+    TRAINERS[trainer](net, x, bad, CE, sgd, sample_weights=weights)  # valid for plain CE
+    bad[-1] = -1
+    with pytest.raises(LabelError):
+        TRAINERS[trainer](net, x, bad, CE, sgd, sample_weights=weights)
+    with pytest.raises(LabelError if trainer == "train" else InputShapeError):
+        TRAINERS[trainer](net, x, y[:-1], CE, sgd)
+
+
+def test_cdf_draws_equal_weighted_choice():
+    weights = np.random.default_rng(3).gamma(0.5, size=777) + 1e-3
+    cdf = nnet.sampling_cdf(weights, weights.shape[0])
+    ours, numpys = np.random.default_rng(4), np.random.default_rng(4)
+    p = weights / weights.sum()
+    for step in range(2000):
+        size = 1 + step % 130
+        expected = numpys.choice(weights.shape[0], size=size, replace=True, p=p)
+        assert np.array_equal(nnet.draw_minibatch_indices(ours, cdf, size), expected)
+
+
+# Trajectories recorded before training moved to one sampling CDF per run, the
+# fused loss kernels, in-place updates of a flat parameter buffer and backprop
+# into a preallocated gradient: every checkpoint and loss must keep its bytes.
+LOSSES = {
+    "cross_entropy": LossSpec("cross_entropy"),
+    "one_stage": LossSpec("one_stage", alpha=0.7),
+    "two_stage": LossSpec("two_stage", beta=0.4),
+}
+FROZEN_TRAJECTORIES = {
+    ("train", "cross_entropy"): "a20675e15cc1667de4d9f2ec70a584316b480930690f862f8c5dc7c45469a7d9",
+    ("train", "one_stage"): "5f426d3d378fa64705698f7149ef1c2c372fd5def12b1294e9605a68a23a6f50",
+    ("train", "two_stage"): "80c983d39f93dc3483da8a3236a3db6254dcab53f54c341f6c3b6a705721b8fd",
+    ("bnn_train", "cross_entropy"): "3407932407ac49424727ffec64cc8bb41db020ff968d7f8b498f1bb16c89270a",
+    ("bnn_train", "one_stage"): "d5dbf43f41792180ae12ec7455c0c76362733edbf13c91fd5117f7b4b9e88d2c",
+    ("bnn_train", "two_stage"): "52dd21d11805052fe79d661bdf5001d1536aa42e8827063d5d364be967ae9988",
+}
+
+
+def _digest(*arrays) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("trainer, kind", sorted(FROZEN_TRAJECTORIES))
+def test_training_trajectories_are_frozen(trainer, kind):
+    rng = np.random.default_rng(71)
+    x = rng.standard_normal((300, 6))
+    y = (x[:, 0] + 0.5 * x[:, 1] > 0.8).astype(np.int64)
+    weights = np.where(y == 1, 1.0 / y.sum(), 1.0 / (y.shape[0] - y.sum()))
+    net = nnet.init_network(nnet.NetConfig(6, (10, 7), 3, dropout_rate=0.25, seed=3))
+    sgd = nnet.SgdConfig(learning_rate=0.05, momentum=0.9, weight_decay=1e-3,
+                         batch_size=32, epochs=3, seed=11)
+    if trainer == "train":
+        result = nnet.train(net, x, y, LOSSES[kind], sgd, sample_weights=weights)
+        got = _digest(*result.checkpoints, nnet.get_params(result.network), result.epoch_losses)
+    else:
+        result = uq.bnn_train(net, x, y, LOSSES[kind], sgd, sample_weights=weights)
+        posterior = result.posterior
+        got = _digest(posterior.mean, posterior.log_stddev, result.epoch_losses)
+    assert got == FROZEN_TRAJECTORIES[(trainer, kind)]
+
+
+def test_bind_params_makes_the_layers_views_of_one_buffer():
+    net = tiny_net(seed=8)
+    before = nnet.get_params(net)
+    flat = nnet.bind_params(net)
+    np.testing.assert_array_equal(flat, before)
+    flat += 1.0
+    np.testing.assert_array_equal(nnet.get_params(net), before + 1.0)
+    rebuilt = tiny_net(seed=8)
+    nnet.set_params(rebuilt, before + 1.0)
+    x, _ = toy_problem(n=5)
+    np.testing.assert_array_equal(nnet.forward(net, x), nnet.forward(rebuilt, x))
 
 
 # ---------------------------------------------------------------------------

@@ -425,3 +425,26 @@ def test_classification_csv_roundtrip(softmax_plan, tiny_cfg, tmp_path):
     path.write_text("method,seed\n")
     with pytest.raises(FormatError, match="unexpected classification header"):
         sweep.read_classification_csv(path)
+
+
+@pytest.mark.parametrize("writer, table", [
+    (sweep.write_results_csv, "points"),
+    (sweep.write_classification_csv, "classification"),
+])
+def test_csv_writer_failure_leaves_no_partial_file(softmax_plan, tmp_path, writer, table):
+    # many good rows first, so the failure comes after data reached the disk
+    rows = list(getattr(softmax_plan, table)) * 200 + [None]
+    fresh = tmp_path / "fresh"
+    fresh.mkdir()
+    with pytest.raises(AttributeError):
+        writer(fresh / "table.csv", rows)
+    assert list(fresh.iterdir()) == []
+
+    kept = tmp_path / "kept"
+    kept.mkdir()
+    writer(kept / "table.csv", rows[:-1])
+    before = (kept / "table.csv").read_bytes()
+    with pytest.raises(AttributeError):
+        writer(kept / "table.csv", rows)
+    assert [p.name for p in kept.iterdir()] == ["table.csv"]
+    assert (kept / "table.csv").read_bytes() == before
