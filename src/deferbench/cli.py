@@ -15,9 +15,11 @@ from pathlib import Path
 
 from deferbench import data as data_mod
 from deferbench import report, sweep
+from deferbench.atomic import atomic_open
 from deferbench.config import RunConfig, emit_config, load_config
 from deferbench.errors import ConfigError, DeferBenchError, FormatError, UsageError
 from deferbench.nnet import read_checkpoint
+from deferbench.pipelines import MANIFEST_NAME, read_manifest
 from deferbench.rng import child_seed
 
 
@@ -54,7 +56,7 @@ def cmd_run(args) -> int:
     cfg = _load_run_config(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "config.ini", "w") as fh:
+    with atomic_open(out / "config.ini", "w", encoding="utf-8") as fh:
         fh.write(emit_config(cfg))
 
     data_path = args.data
@@ -158,13 +160,13 @@ def _inspect_results(path: Path) -> None:
 def cmd_inspect(args) -> int:
     path = Path(args.path)
     if path.is_dir():
-        manifest = path / "manifest.txt"
+        manifest = path / MANIFEST_NAME
         if not manifest.exists():
-            raise UsageError(f"{path}: directory has no manifest.txt")
+            raise UsageError(f"{path}: directory has no {MANIFEST_NAME}")
+        entries = read_manifest(manifest)
         print("kind=bundle")
-        with open(manifest) as fh:
-            for line in fh:
-                print(line.rstrip("\n"))
+        for key, value in entries.items():
+            print(f"{key}={value}")
         return 0
     if not path.exists():
         raise UsageError(f"{path}: no such file")

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import configparser
 import io
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from deferbench.data import BLUR_SIGMAS, NOISE_SIGMAS, SynthSpec
 from deferbench.errors import ConfigError
@@ -17,8 +17,6 @@ from deferbench.nnet import SgdConfig
 from deferbench.uq import BnnConfig, SwagCollectConfig
 
 METHODS = ("softmax", "ensemble", "swag", "mc_dropout", "bnn", "one_stage", "two_stage")
-UQ_METHODS = ("softmax", "ensemble", "swag", "mc_dropout", "bnn")
-LEARNED_METHODS = ("one_stage", "two_stage")
 
 ALPHA_GRID = (1.0, 0.95, 0.9, 0.85, 0.8, 0.75, 0.7, 0.65, 0.6, 0.55)
 BETA_GRID = (2.0, 1.5, 1.2, 1.0, 0.8, 0.6, 0.5, 0.4, 0.3, 0.2)
@@ -343,9 +341,9 @@ def parse_config(text: str, defaults: RunConfig | None = None) -> RunConfig:
 
 
 def load_config(path, defaults: RunConfig | None = None) -> RunConfig:
-    with open(path) as fh:
-        return parse_config(fh.read(), defaults=defaults)
-
-
-def with_seed(cfg: RunConfig, seed: int) -> RunConfig:
-    return replace(cfg, seed=seed)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc}") from exc
+    return parse_config(text, defaults=defaults)

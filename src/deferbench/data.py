@@ -14,7 +14,6 @@ Two generator modes stand in for the real imaging data:
 
 from __future__ import annotations
 
-import csv as _csv
 import os
 import struct
 from dataclasses import dataclass
@@ -376,7 +375,7 @@ def corrupt(dataset: Dataset, spec: CorruptionSpec, seed: int) -> Dataset:
 
 
 # ---------------------------------------------------------------------------
-# Dataset container ("DFD1") and CSV import
+# Dataset container ("DFD1")
 # ---------------------------------------------------------------------------
 
 
@@ -431,32 +430,5 @@ def read_dataset(path) -> Dataset:
         features=features,
         labels=labels.astype(np.int64),
         spatial_shape=spatial,
-        provenance=str(path),
-    )
-
-
-def read_csv_dataset(path) -> Dataset:
-    """External data as CSV with columns f0..f{D-1},label."""
-    with open(path, newline="") as fh:
-        reader = _csv.reader(fh)
-        header = next(reader, None)
-        if not header or header[-1] != "label" or not all(
-            name == f"f{i}" for i, name in enumerate(header[:-1])
-        ):
-            raise FormatError(f"{path}: expected header f0..fD-1,label")
-        rows, labels = [], []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise FormatError(f"{path}: row {lineno} has {len(row)} fields")
-            try:
-                rows.append([float(v) for v in row[:-1]])
-                labels.append(int(row[-1]))
-            except ValueError as exc:
-                raise FormatError(f"{path}: row {lineno}: {exc}") from exc
-    if not rows:
-        raise FormatError(f"{path}: no data rows")
-    return Dataset(
-        features=np.asarray(rows, dtype=np.float64),
-        labels=np.asarray(labels, dtype=np.int64),
         provenance=str(path),
     )

@@ -16,32 +16,6 @@ from deferbench.errors import ConfigError, LabelError, NumericError
 
 
 @dataclass(frozen=True)
-class LabelSpace:
-    """Real label space of ``n`` classes, optionally extended by a deferral class.
-
-    The deferral class sits at index ``n`` (0-based). Real targets must never
-    equal it.
-    """
-
-    n: int
-    extended: bool = True
-
-    def __post_init__(self):
-        if self.n < 2:
-            raise ConfigError(f"need at least 2 real classes, got n={self.n}")
-
-    @property
-    def defer_index(self) -> int:
-        if not self.extended:
-            raise ConfigError("label space has no deferral class")
-        return self.n
-
-    @property
-    def width(self) -> int:
-        return self.n + 1 if self.extended else self.n
-
-
-@dataclass(frozen=True)
 class OneStageCost:
     """Cost of non-deferral for the one-stage surrogate; alpha in (0, 1]."""
 

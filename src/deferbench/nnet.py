@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from deferbench.atomic import atomic_open
 from deferbench.errors import (
     ConfigError,
     DivergenceError,
@@ -392,7 +393,7 @@ def train(
 def write_checkpoint(path, config: NetConfig, params: np.ndarray, sections=None) -> None:
     params = np.ascontiguousarray(params, dtype="<f8")
     config_text = config.to_text().encode("utf-8")
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<I", _VERSION))
         fh.write(struct.pack("<Q", params.size))

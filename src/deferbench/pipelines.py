@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from deferbench import nnet
+from deferbench.atomic import atomic_open
 from deferbench.errors import ConfigError, FormatError, InputShapeError, StratificationError
 from deferbench.losses import LossSpec, softmax
 from deferbench.metrics import DEFER, pauc
@@ -29,13 +30,9 @@ class SelectedModel:
 
     network: nnet.Network
     epoch: int  # 0-based index of the chosen checkpoint
-    criterion: str  # "pauc" | "loss" | "final"
+    criterion: str  # "pauc" | "loss"
     val_curve: list  # per-epoch validation metric driving the choice
     train_result: nnet.TrainResult
-
-
-def _mean_val_loss(net, x_val, y_val, loss: LossSpec) -> float:
-    return nnet.mean_loss(net, x_val, y_val, loss)
 
 
 def train_classifier(
@@ -54,33 +51,27 @@ def train_classifier(
 
     select="pauc" keeps the epoch with the largest partial AUC of the
     positive-class score (earliest on ties); "loss" keeps the smallest mean
-    validation loss; "final" keeps the last epoch.
+    validation loss.
     """
-    if select not in ("pauc", "loss", "final"):
+    if select not in ("pauc", "loss"):
         raise ConfigError(f"unknown selection rule {select!r}")
     net = nnet.init_network(config)
     result = nnet.train(net, x_train, y_train, loss, sgd, sample_weights=sample_weights)
 
     probe = result.network.copy()
     val_curve = []
-    if select == "final":
-        epoch = len(result.checkpoints) - 1
-    else:
-        for params in result.checkpoints:
-            nnet.set_params(probe, params)
-            if select == "pauc":
-                value = pauc(positive_probability(probe, x_val), y_val)
-                if value is None:
-                    raise StratificationError(
-                        "validation split must contain both classes for checkpoint selection"
-                    )
-                val_curve.append(value)
-            else:
-                val_curve.append(_mean_val_loss(probe, x_val, y_val, loss))
-        if select == "pauc":
-            epoch = int(np.argmax(val_curve))
-        else:
-            epoch = int(np.argmin(val_curve))
+    for params in result.checkpoints:
+        nnet.set_params(probe, params)
+        if select == "loss":
+            val_curve.append(nnet.mean_loss(probe, x_val, y_val, loss))
+            continue
+        value = pauc(positive_probability(probe, x_val), y_val)
+        if value is None:
+            raise StratificationError(
+                "validation split must contain both classes for checkpoint selection"
+            )
+        val_curve.append(value)
+    epoch = int(np.argmax(val_curve) if select == "pauc" else np.argmin(val_curve))
 
     chosen = result.network.copy()
     nnet.set_params(chosen, result.checkpoints[epoch])
@@ -223,21 +214,29 @@ def write_manifest(path, entries: dict) -> None:
         if "=" in key or "\n" in key or "\n" in value:
             raise FormatError(f"manifest entry {key!r} contains a delimiter")
         lines.append(f"{key}={value}\n")
-    with open(path, "w") as fh:
+    with atomic_open(path, "w", encoding="utf-8") as fh:
         fh.writelines(lines)
+
+
+def _read_lines(path) -> list:
+    """Lines of a UTF-8 text file; bytes that do not decode are a FormatError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text: {exc}") from exc
 
 
 def read_manifest(path) -> dict:
     entries = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            if "=" not in line:
-                raise FormatError(f"{path}: line {lineno} is not key=value")
-            key, value = line.split("=", 1)
-            entries[key] = value
+    for lineno, line in enumerate(_read_lines(path), start=1):
+        line = line.rstrip("\n")
+        if not line:
+            continue
+        if "=" not in line:
+            raise FormatError(f"{path}: line {lineno} is not key=value")
+        key, value = line.split("=", 1)
+        entries[key] = value
     return entries
 
 
@@ -260,15 +259,14 @@ def save_ensemble(dirpath, members, manifest: dict) -> None:
         name = f"member_{i:02d}.dfb1"
         nnet.write_checkpoint(dirpath / name, member.config, nnet.get_params(member))
         names.append(name)
-    with open(dirpath / ENSEMBLE_INDEX_NAME, "w") as fh:
+    with atomic_open(dirpath / ENSEMBLE_INDEX_NAME, "w", encoding="utf-8") as fh:
         fh.write("".join(f"{n}\n" for n in names))
     write_manifest(dirpath / MANIFEST_NAME, manifest)
 
 
 def load_ensemble(dirpath):
     index = dirpath / ENSEMBLE_INDEX_NAME
-    with open(index) as fh:
-        names = [line.strip() for line in fh if line.strip()]
+    names = [line.strip() for line in _read_lines(index) if line.strip()]
     if not names:
         raise FormatError(f"{index}: empty committee index")
     members = [nnet.load_network(dirpath / name) for name in names]

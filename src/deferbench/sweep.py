@@ -2,17 +2,25 @@
 
 One run generates an imbalanced dataset, splits it 70/20/10, trains every
 requested method per replication seed, and evaluates on the in-distribution
-test split plus noise- and blur-corrupted copies of it. Threshold methods
-trace their curve by sweeping the deferral threshold over the observed
-uncertainty range; learned methods trace theirs with one retrained model per
-cost value. Rows land in results.csv; a zero-deferral classification table
-lands in classification.csv.
+test split plus noise- and blur-corrupted copies of it. Rows land in
+results.csv; a zero-deferral classification table lands in classification.csv.
+
+Each method is one row of the ``_METHODS`` table: its curve parameter kind
+and a ``fit`` function. A threshold method's fit returns a predictor
+``x -> (scores, uncertainty)``, a bundle writer and, for the committee, its
+parameters; the shared evaluator sweeps the deferral threshold over the
+observed uncertainty range. A learned method's fit returns a per-cost
+trainer and the featurizer of its inputs; the shared evaluator retrains once
+per value of the cost grid named by the parameter kind. Adding a method
+means adding one table row and one fit function (and its name to
+config.METHODS).
 """
 
 from __future__ import annotations
 
 import csv as _csv
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional
@@ -36,6 +44,8 @@ from deferbench.metrics import (
     per_class_accuracy,
 )
 from deferbench.pipelines import (
+    MANIFEST_NAME,
+    POSTERIOR_NAME,
     predict_extended,
     save_ensemble,
     save_single_model,
@@ -57,35 +67,42 @@ from deferbench.uq import (
 RESULTS_NAME = "results.csv"
 CLASSIFICATION_NAME = "classification.csv"
 
-RESULTS_COLUMNS = (
-    "method",
-    "condition",
-    "level",
-    "seed",
-    "param_kind",
-    "param_value",
-    "deferral_rate",
-    "bacc",
-    "auc",
-    "pauc",
-    "acc0",
-    "acc1",
-    "frac_pos_deferred",
-    "status",
-)
 
-CLASSIFICATION_COLUMNS = (
-    "method",
-    "condition",
-    "level",
-    "seed",
-    "auc",
-    "pauc",
-    "bacc",
-    "acc0",
-    "acc1",
-    "status",
+def _parse_cell(raw: str) -> Optional[float]:
+    return None if raw == "" else float(raw)
+
+
+# (column, attribute, parser) per column of each table, in file order
+_RESULTS_TABLE = (
+    ("method", "method", str),
+    ("condition", "condition", str),
+    ("level", "level", int),
+    ("seed", "seed", int),
+    ("param_kind", "param_kind", str),
+    ("param_value", "param_value", _parse_cell),
+    ("deferral_rate", "deferral_rate", _parse_cell),
+    ("bacc", "bacc", _parse_cell),
+    ("auc", "auc", _parse_cell),
+    ("pauc", "pauc", _parse_cell),
+    ("acc0", "acc0", _parse_cell),
+    ("acc1", "acc1", _parse_cell),
+    ("frac_pos_deferred", "frac_positives_deferred", _parse_cell),
+    ("status", "status", str),
 )
+_CLASSIFICATION_TABLE = (
+    ("method", "method", str),
+    ("condition", "condition", str),
+    ("level", "level", int),
+    ("seed", "seed", int),
+    ("auc", "auc", _parse_cell),
+    ("pauc", "pauc", _parse_cell),
+    ("bacc", "bacc", _parse_cell),
+    ("acc0", "acc0", _parse_cell),
+    ("acc1", "acc1", _parse_cell),
+    ("status", "status", str),
+)
+RESULTS_COLUMNS = tuple(column for column, _, _ in _RESULTS_TABLE)
+CLASSIFICATION_COLUMNS = tuple(column for column, _, _ in _CLASSIFICATION_TABLE)
 
 
 @dataclass(frozen=True)
@@ -127,11 +144,11 @@ class ClassificationRow:
     condition: str
     level: int
     seed: int
-    auc: Optional[float]
-    pauc: Optional[float]
-    bacc: Optional[float]
-    acc0: Optional[float]
-    acc1: Optional[float]
+    auc: Optional[float] = None
+    pauc: Optional[float] = None
+    bacc: Optional[float] = None
+    acc0: Optional[float] = None
+    acc1: Optional[float] = None
     status: str = "ok"
 
 
@@ -303,7 +320,7 @@ def _tag(points, *, method, condition: Condition, seed) -> list:
 
 
 # ---------------------------------------------------------------------------
-# Per-method runners
+# Methods: one table row and one fit function each
 # ---------------------------------------------------------------------------
 
 
@@ -314,16 +331,6 @@ class MethodResult:
     points: list
     classification: list
     member_params: Optional[list] = None  # (NetConfig, flat params) in committee order
-
-
-def _net_config(cfg: RunConfig, input_dim, outputs, *, dropout, seed) -> nnet.NetConfig:
-    return nnet.NetConfig(
-        input_dim=input_dim,
-        hidden_dims=cfg.hidden_dims,
-        output_dim=outputs,
-        dropout_rate=dropout,
-        seed=seed,
-    )
 
 
 def _sgd_for(cfg: RunConfig, seed_index, method, k=0) -> nnet.SgdConfig:
@@ -338,54 +345,46 @@ def _predict_seed(cfg: RunConfig, seed_index, method) -> int:
     return child_seed(cfg.seed, "predict", seed_index, method)
 
 
-def _sampler_eval(cfg, data, seed_index, method, predict_fn):
-    """Threshold sweep + zero-deferral row per condition for a sampling method.
-
-    predict_fn(features) -> (mean scores, variance); the variance is the
-    deferral uncertainty.
-    """
-    points, rows = [], []
-    for cond in plan_conditions(cfg):
-        scores, variance = predict_fn(data.x_tests[cond])
-        pts = uq_sweep(scores, variance, data.y_test, cfg.uq.threshold_steps)
-        points.extend(_tag(pts, method=method, condition=cond, seed=seed_index))
-        rows.append(
-            classification_row(scores, data.y_test, method=method, condition=cond, seed=seed_index)
-        )
-    return points, rows
-
-
-def _run_softmax(cfg, data, seed_index, models_dir):
-    method = "softmax"
-    config = _net_config(
-        cfg, data.input_dim, 2, dropout=0.0, seed=_init_seed(cfg, seed_index, method)
+def _net_config(cfg, data, seed_index, method, k=0, *, outputs=2, dropout=0.0):
+    return nnet.NetConfig(
+        input_dim=data.input_dim,
+        hidden_dims=cfg.hidden_dims,
+        output_dim=outputs,
+        dropout_rate=dropout,
+        seed=_init_seed(cfg, seed_index, method, k),
     )
-    sel = train_classifier(
+
+
+def _classifier(cfg, data, seed_index, method, k=0, dropout=0.0):
+    """A two-class network trained from scratch, kept at its best validation pAUC."""
+    config = _net_config(cfg, data, seed_index, method, k, dropout=dropout)
+    return train_classifier(
         data.x_train,
         data.y_train,
         data.x_val,
         data.y_val,
         config,
-        _sgd_for(cfg, seed_index, method),
+        _sgd_for(cfg, seed_index, method, k),
         sample_weights=data.sample_weights,
         select="pauc",
     )
-    if models_dir is not None:
-        save_single_model(
-            models_dir / method,
-            sel.network,
-            {"method": method, "criterion": sel.criterion, "selected_epoch": sel.epoch},
-        )
 
-    points, rows = [], []
-    for cond in plan_conditions(cfg):
-        scores = positive_probability(sel.network, data.x_tests[cond])
-        pts = uq_sweep(scores, softmax_uncertainty(scores), data.y_test, cfg.uq.threshold_steps)
-        points.extend(_tag(pts, method=method, condition=cond, seed=seed_index))
-        rows.append(
-            classification_row(scores, data.y_test, method=method, condition=cond, seed=seed_index)
-        )
-    return MethodResult(method, seed_index, points, rows)
+
+def _saver(sel, manifest):
+    """Bundle writer for one selected network."""
+    manifest = {"criterion": sel.criterion, "selected_epoch": sel.epoch, **manifest}
+    return lambda bundle: save_single_model(bundle, sel.network, manifest)
+
+
+def _posterior_saver(write, posterior, manifest):
+    """Bundle writer for a weight posterior: its container plus a manifest."""
+
+    def save(bundle):
+        bundle.mkdir(parents=True, exist_ok=True)
+        write(bundle / POSTERIOR_NAME, posterior)
+        write_manifest(bundle / MANIFEST_NAME, manifest)
+
+    return save
 
 
 def _train_members(cfg, data, seed_index):
@@ -394,161 +393,184 @@ def _train_members(cfg, data, seed_index):
     Seed tags are fixed to the committee role, so the members are identical
     whether or not the plain ensemble method is also being run.
     """
-    members = []
-    for k in range(cfg.uq.n_members):
-        config = _net_config(
-            cfg, data.input_dim, 2, dropout=0.0, seed=_init_seed(cfg, seed_index, "ensemble", k)
-        )
-        sel = train_classifier(
+    return [
+        _classifier(cfg, data, seed_index, "ensemble", k).network for k in range(cfg.uq.n_members)
+    ]
+
+
+def _members(member_params) -> Optional[list]:
+    """Committee networks rebuilt from (NetConfig, flat params) pairs."""
+    if member_params is None:
+        return None
+    return [nnet.with_params(nnet.init_network(c), p) for c, p in member_params]
+
+
+# Threshold methods: fit(cfg, data, seed_index, members) returns
+# (predict(x) -> (scores, uncertainty), save(bundle_dir), member_params).
+
+
+def _fit_softmax(cfg, data, seed_index, members):
+    sel = _classifier(cfg, data, seed_index, "softmax")
+
+    def predict(x):
+        scores = positive_probability(sel.network, x)
+        return scores, softmax_uncertainty(scores)
+
+    return predict, _saver(sel, {"method": "softmax"}), None
+
+
+def _fit_ensemble(cfg, data, seed_index, members):
+    committee = _train_members(cfg, data, seed_index)
+    manifest = {"method": "ensemble", "n_members": cfg.uq.n_members}
+    return (
+        lambda x: ensemble_predict(committee, x)[:2],
+        lambda bundle: save_ensemble(bundle, committee, manifest),
+        [(m.config, nnet.get_params(m)) for m in committee],
+    )
+
+
+def _fit_swag(cfg, data, seed_index, members):
+    config = _net_config(cfg, data, seed_index, "swag")
+    result = nnet.train(
+        nnet.init_network(config),
+        data.x_train,
+        data.y_train,
+        LossSpec("cross_entropy"),
+        _sgd_for(cfg, seed_index, "swag"),
+        sample_weights=data.sample_weights,
+    )
+    posterior = uq.swag_collect(result.checkpoints, config, cfg.swag)
+    seed = _predict_seed(cfg, seed_index, "swag")
+    manifest = {"method": "swag", "rank": posterior.rank, "collected": posterior.collected}
+    return (
+        lambda x: uq.swag_predict(posterior, x, cfg.uq.n_samples, seed)[:2],
+        _posterior_saver(uq.save_swag_posterior, posterior, manifest),
+        None,
+    )
+
+
+def _fit_mc_dropout(cfg, data, seed_index, members):
+    rate = cfg.uq.dropout_rate
+    sel = _classifier(cfg, data, seed_index, "mc_dropout", dropout=rate)
+    seed = _predict_seed(cfg, seed_index, "mc_dropout")
+    return (
+        lambda x: mc_dropout_predict(sel.network, x, cfg.uq.n_samples, seed)[:2],
+        _saver(sel, {"method": "mc_dropout", "dropout_rate": rate}),
+        None,
+    )
+
+
+def _fit_bnn(cfg, data, seed_index, members):
+    config = _net_config(cfg, data, seed_index, "bnn")
+    posterior = uq.bnn_train(
+        nnet.init_network(config),
+        data.x_train,
+        data.y_train,
+        LossSpec("cross_entropy"),
+        _sgd_for(cfg, seed_index, "bnn"),
+        cfg.bnn,
+        sample_weights=data.sample_weights,
+    ).posterior
+    seed = _predict_seed(cfg, seed_index, "bnn")
+    manifest = {"method": "bnn", "prior_stddev": cfg.bnn.prior_stddev}
+    return (
+        lambda x: uq.bnn_predict(posterior, x, cfg.uq.n_samples, seed)[:2],
+        _posterior_saver(uq.save_bnn_posterior, posterior, manifest),
+        None,
+    )
+
+
+# Learned methods: fit(cfg, data, seed_index, members) returns
+# (fit_one(grid_index, cost) -> SelectedModel, featurize(x) -> head inputs).
+
+
+def _fit_one_stage(cfg, data, seed_index, members):
+    def fit_one(gi, alpha):
+        config = _net_config(cfg, data, seed_index, "one_stage", gi, outputs=3)
+        return train_one_stage(
             data.x_train,
             data.y_train,
             data.x_val,
             data.y_val,
             config,
-            _sgd_for(cfg, seed_index, "ensemble", k),
+            _sgd_for(cfg, seed_index, "one_stage", gi),
+            alpha,
             sample_weights=data.sample_weights,
-            select="pauc",
         )
-        members.append(sel.network)
-    return members
+
+    return fit_one, lambda x: x
 
 
-def _run_ensemble(cfg, data, seed_index, models_dir):
-    method = "ensemble"
-    members = _train_members(cfg, data, seed_index)
-    if models_dir is not None:
-        save_ensemble(
-            models_dir / method, members, {"method": method, "n_members": cfg.uq.n_members}
+def _fit_two_stage(cfg, data, seed_index, members):
+    if members is None:
+        members = _train_members(cfg, data, seed_index)
+
+    def fit_one(gi, beta):
+        head_config = nnet.NetConfig(
+            input_dim=len(members) + 2,
+            hidden_dims=cfg.sweep.head_hidden_dims,
+            output_dim=3,
+            dropout_rate=0.0,
+            seed=_init_seed(cfg, seed_index, "two_stage", gi),
         )
-    points, rows = _sampler_eval(
-        cfg, data, seed_index, method, lambda x: ensemble_predict(members, x)[:2]
-    )
-    params = [(m.config, nnet.get_params(m)) for m in members]
-    return MethodResult(method, seed_index, points, rows, member_params=params)
-
-
-def _run_swag(cfg, data, seed_index, models_dir):
-    method = "swag"
-    config = _net_config(
-        cfg, data.input_dim, 2, dropout=0.0, seed=_init_seed(cfg, seed_index, method)
-    )
-    net = nnet.init_network(config)
-    result = nnet.train(
-        net,
-        data.x_train,
-        data.y_train,
-        LossSpec("cross_entropy"),
-        _sgd_for(cfg, seed_index, method),
-        sample_weights=data.sample_weights,
-    )
-    posterior = uq.swag_collect(result.checkpoints, config, cfg.swag)
-    if models_dir is not None:
-        bundle = models_dir / method
-        bundle.mkdir(parents=True, exist_ok=True)
-        uq.save_swag_posterior(bundle / "posterior.dfb1", posterior)
-        write_manifest(
-            bundle / "manifest.txt",
-            {"method": method, "rank": posterior.rank, "collected": posterior.collected},
+        return train_two_stage_head(
+            members,
+            data.x_train,
+            data.y_train,
+            data.x_val,
+            data.y_val,
+            head_config,
+            _sgd_for(cfg, seed_index, "two_stage", gi),
+            beta,
+            sample_weights=data.sample_weights,
         )
-    predict_seed = _predict_seed(cfg, seed_index, method)
-    points, rows = _sampler_eval(
-        cfg,
-        data,
-        seed_index,
-        method,
-        lambda x: uq.swag_predict(posterior, x, cfg.uq.n_samples, predict_seed)[:2],
-    )
-    return MethodResult(method, seed_index, points, rows)
+
+    return fit_one, lambda x: two_stage_features(members, x)
 
 
-def _run_mc_dropout(cfg, data, seed_index, models_dir):
-    method = "mc_dropout"
-    config = _net_config(
-        cfg,
-        data.input_dim,
-        2,
-        dropout=cfg.uq.dropout_rate,
-        seed=_init_seed(cfg, seed_index, method),
-    )
-    sel = train_classifier(
-        data.x_train,
-        data.y_train,
-        data.x_val,
-        data.y_val,
-        config,
-        _sgd_for(cfg, seed_index, method),
-        sample_weights=data.sample_weights,
-        select="pauc",
-    )
-    if models_dir is not None:
-        save_single_model(
-            models_dir / method,
-            sel.network,
-            {
-                "method": method,
-                "criterion": sel.criterion,
-                "selected_epoch": sel.epoch,
-                "dropout_rate": cfg.uq.dropout_rate,
-            },
+# method -> (param_kind, fit). A threshold method's curve parameter is the
+# uncertainty threshold; a learned method's is its cost, swept over the
+# config's "<param_kind>_grid".
+_METHODS = {
+    "softmax": ("threshold", _fit_softmax),
+    "ensemble": ("threshold", _fit_ensemble),
+    "swag": ("threshold", _fit_swag),
+    "mc_dropout": ("threshold", _fit_mc_dropout),
+    "bnn": ("threshold", _fit_bnn),
+    "one_stage": ("alpha", _fit_one_stage),
+    "two_stage": ("beta", _fit_two_stage),
+}
+
+
+def _threshold_eval(cfg, data, seed_index, method, predict):
+    """Threshold sweep + zero-deferral row per condition.
+
+    predict(features) -> (scores, uncertainty); the uncertainty is swept.
+    """
+    points, rows = [], []
+    for cond in plan_conditions(cfg):
+        scores, uncertainty = predict(data.x_tests[cond])
+        pts = uq_sweep(scores, uncertainty, data.y_test, cfg.uq.threshold_steps)
+        points.extend(_tag(pts, method=method, condition=cond, seed=seed_index))
+        rows.append(
+            classification_row(scores, data.y_test, method=method, condition=cond, seed=seed_index)
         )
-    predict_seed = _predict_seed(cfg, seed_index, method)
-    points, rows = _sampler_eval(
-        cfg,
-        data,
-        seed_index,
-        method,
-        lambda x: mc_dropout_predict(sel.network, x, cfg.uq.n_samples, predict_seed)[:2],
-    )
-    return MethodResult(method, seed_index, points, rows)
+    return points, rows
 
 
-def _run_bnn(cfg, data, seed_index, models_dir):
-    method = "bnn"
-    config = _net_config(
-        cfg, data.input_dim, 2, dropout=0.0, seed=_init_seed(cfg, seed_index, method)
-    )
-    net = nnet.init_network(config)
-    result = uq.bnn_train(
-        net,
-        data.x_train,
-        data.y_train,
-        LossSpec("cross_entropy"),
-        _sgd_for(cfg, seed_index, method),
-        cfg.bnn,
-        sample_weights=data.sample_weights,
-    )
-    if models_dir is not None:
-        bundle = models_dir / method
-        bundle.mkdir(parents=True, exist_ok=True)
-        uq.save_bnn_posterior(bundle / "posterior.dfb1", result.posterior)
-        write_manifest(
-            bundle / "manifest.txt",
-            {"method": method, "prior_stddev": cfg.bnn.prior_stddev},
-        )
-    predict_seed = _predict_seed(cfg, seed_index, method)
-    points, rows = _sampler_eval(
-        cfg,
-        data,
-        seed_index,
-        method,
-        lambda x: uq.bnn_predict(result.posterior, x, cfg.uq.n_samples, predict_seed)[:2],
-    )
-    return MethodResult(method, seed_index, points, rows)
-
-
-def _learned_eval(cfg, data, seed_index, method, grid, param_kind, fit, featurize):
+def _learned_eval(cfg, data, seed_index, method, param_kind, fit_one, featurize, bundle):
     """One retrained model per cost value; each contributes one curve point.
 
     The zero-deferral classification row comes from the grid model with the
     smallest validation deferral rate (ties broken toward the cost value that
     discourages deferral hardest), read out with its defer output disabled.
+    Each grid model is saved as bundle/cost_NN once everything is evaluated.
     """
     models = []
-    for gi, value in enumerate(grid):
-        sel = fit(gi, value)
+    for gi, value in enumerate(getattr(cfg.sweep, f"{param_kind}_grid")):
+        sel = fit_one(gi, value)
         pred_val = predict_extended(sel.network, featurize(data.x_val))
-        val_rate = float(np.mean(pred_val.decisions == DEFER))
-        models.append((sel, value, val_rate))
+        models.append((sel, value, float(np.mean(pred_val.decisions == DEFER))))
 
     points = []
     for sel, value, _ in models:
@@ -559,111 +581,45 @@ def _learned_eval(cfg, data, seed_index, method, grid, param_kind, fit, featuriz
             point.param_value = value
             if point.bacc is None:
                 point.status = "absent"
-            _tag([point], method=method, condition=cond, seed=seed_index)
-            points.append(point)
+            points.extend(_tag([point], method=method, condition=cond, seed=seed_index))
 
     # large alpha and small beta both discourage deferral
     sign = -1.0 if param_kind == "alpha" else 1.0
-    best = min(models, key=lambda m: (m[2], sign * m[1]))
+    best = min(models, key=lambda m: (m[2], sign * m[1]))[0]
     rows = []
     for cond in plan_conditions(cfg):
-        pred = predict_extended(best[0].network, featurize(data.x_tests[cond]))
+        scores = predict_extended(best.network, featurize(data.x_tests[cond])).scores
         rows.append(
-            classification_row(
-                pred.scores, data.y_test, method=method, condition=cond, seed=seed_index
-            )
+            classification_row(scores, data.y_test, method=method, condition=cond, seed=seed_index)
         )
-    return points, rows, models
-
-
-def _run_one_stage(cfg, data, seed_index, models_dir):
-    method = "one_stage"
-
-    def fit(gi, alpha):
-        config = _net_config(
-            cfg, data.input_dim, 3, dropout=0.0, seed=_init_seed(cfg, seed_index, method, gi)
-        )
-        return train_one_stage(
-            data.x_train,
-            data.y_train,
-            data.x_val,
-            data.y_val,
-            config,
-            _sgd_for(cfg, seed_index, method, gi),
-            alpha,
-            sample_weights=data.sample_weights,
-        )
-
-    points, rows, models = _learned_eval(
-        cfg, data, seed_index, method, cfg.sweep.alpha_grid, "alpha", fit, lambda x: x
-    )
-    if models_dir is not None:
+    if bundle is not None:
         for gi, (sel, value, _) in enumerate(models):
             save_single_model(
-                models_dir / method / f"cost_{gi:02d}",
+                bundle / f"cost_{gi:02d}",
                 sel.network,
-                {"method": method, "alpha": value, "selected_epoch": sel.epoch},
+                {"method": method, param_kind: value, "selected_epoch": sel.epoch},
             )
     return MethodResult(method, seed_index, points, rows)
-
-
-def _run_two_stage(cfg, data, seed_index, models_dir, members=None):
-    method = "two_stage"
-    if members is None:
-        members = _train_members(cfg, data, seed_index)
-
-    def featurize(x):
-        return two_stage_features(members, x)
-
-    def fit(gi, beta):
-        head_config = nnet.NetConfig(
-            input_dim=len(members) + 2,
-            hidden_dims=cfg.sweep.head_hidden_dims,
-            output_dim=3,
-            dropout_rate=0.0,
-            seed=_init_seed(cfg, seed_index, method, gi),
-        )
-        return train_two_stage_head(
-            members,
-            data.x_train,
-            data.y_train,
-            data.x_val,
-            data.y_val,
-            head_config,
-            _sgd_for(cfg, seed_index, method, gi),
-            beta,
-            sample_weights=data.sample_weights,
-        )
-
-    points, rows, models = _learned_eval(
-        cfg, data, seed_index, method, cfg.sweep.beta_grid, "beta", fit, featurize
-    )
-    if models_dir is not None:
-        for gi, (sel, value, _) in enumerate(models):
-            save_single_model(
-                models_dir / method / f"cost_{gi:02d}",
-                sel.network,
-                {"method": method, "beta": value, "selected_epoch": sel.epoch},
-            )
-    return MethodResult(method, seed_index, points, rows)
-
-
-_RUNNERS = {
-    "softmax": _run_softmax,
-    "ensemble": _run_ensemble,
-    "swag": _run_swag,
-    "mc_dropout": _run_mc_dropout,
-    "bnn": _run_bnn,
-    "one_stage": _run_one_stage,
-}
 
 
 def run_method(cfg, data, seed_index, method, models_dir=None, members=None) -> MethodResult:
-    if method == "two_stage":
-        return _run_two_stage(cfg, data, seed_index, models_dir, members=members)
-    if method not in _RUNNERS:
+    """Train and evaluate one method for one replication seed.
+
+    members, when given, is the committee the deferral head builds on;
+    without it the head trains its own.
+    """
+    if method not in _METHODS:
         raise ConfigError(f"unknown method {method!r}")
-    return _RUNNERS[method](cfg, data, seed_index, models_dir)
+    param_kind, fit = _METHODS[method]
+    bundle = None if models_dir is None else models_dir / method
+    if param_kind != "threshold":
+        fit_one, featurize = fit(cfg, data, seed_index, members)
+        return _learned_eval(cfg, data, seed_index, method, param_kind, fit_one, featurize, bundle)
+    predict, save, member_params = fit(cfg, data, seed_index, members)
+    if bundle is not None:
+        save(bundle)
+    points, rows = _threshold_eval(cfg, data, seed_index, method, predict)
+    return MethodResult(method, seed_index, points, rows, member_params)
 
 
 # ---------------------------------------------------------------------------
@@ -686,40 +642,23 @@ def _seed_dir(out_dir, seed_index) -> Optional[Path]:
     return path
 
 
-def _worker(cfg, seed_index, method, out_dir, member_payload, data_path):
+def _worker(cfg, seed_index, method, out_dir, member_params, data_path):
     """Process-pool entry: rebuilds the (deterministic) data in the worker."""
     data = build_eval_data(cfg, data_path)
-    members = None
-    if member_payload is not None:
-        members = [nnet.with_params(nnet.init_network(c), p) for c, p in member_payload]
-    return run_method(cfg, data, seed_index, method, _seed_dir(out_dir, seed_index), members)
+    return run_method(
+        cfg, data, seed_index, method, _seed_dir(out_dir, seed_index), _members(member_params)
+    )
 
 
 def _failure_result(cfg, seed_index, method, exc) -> MethodResult:
     """One marker row per condition in both tables, so every cell is accounted for."""
     status = f"failed:{type(exc).__name__}"
-    param_kind = {"one_stage": "alpha", "two_stage": "beta"}.get(method, "threshold")
     points, classification = [], []
     for cond in plan_conditions(cfg):
-        point = CurvePoint(
-            deferral_rate=None, bacc=None, frac_positives_deferred=None, status=status
-        )
-        point.param_kind = param_kind
-        _tag([point], method=method, condition=cond, seed=seed_index)
-        points.append(point)
+        point = CurvePoint(None, None, None, param_kind=_METHODS[method][0], status=status)
+        points.extend(_tag([point], method=method, condition=cond, seed=seed_index))
         classification.append(
-            ClassificationRow(
-                method=method,
-                condition=cond.kind,
-                level=cond.level,
-                seed=seed_index,
-                auc=None,
-                pauc=None,
-                bacc=None,
-                acc0=None,
-                acc1=None,
-                status=status,
-            )
+            ClassificationRow(method, cond.kind, cond.level, seed_index, status=status)
         )
     return MethodResult(method, seed_index, points, classification)
 
@@ -729,73 +668,55 @@ def run_plan(
 ) -> PlanResult:
     """Train and evaluate every (seed, method) pair of the plan.
 
-    Results are merged in plan order (seeds outer, methods in configuration
-    order), so the output is independent of scheduling. The committee backing
-    the deferral head is trained once per seed and shared with the ensemble
-    method when both are requested. data_path, when given, names the dataset
-    file that parallel workers should reload instead of regenerating.
+    Two phases: every method but the deferral head, then the deferral head,
+    which takes the committee the ensemble trained for its seed (or trains
+    its own when the ensemble is not requested). Each task is a result
+    getter: a deferred in-process call with --jobs 1, a process-pool future
+    otherwise. Results are merged in plan order (seeds outer, methods in
+    configuration order), so the output is independent of scheduling.
+    data_path, when given, names the dataset file that pool workers reload
+    instead of regenerating.
     """
     if data is None:
         data = build_eval_data(cfg, data_path)
     plan = [(s, m) for s in range(cfg.n_seeds) for m in cfg.methods]
+    phases = [[k for k in plan if k[1] != "two_stage"], [k for k in plan if k[1] == "two_stage"]]
     results: dict = {}
     failures = []
+    member_params: dict = {}  # seed -> committee, from the ensemble's result
 
-    def record_failure(seed_index, method, exc):
-        failures.append(f"seed {seed_index} {method}: {type(exc).__name__}: {exc}")
-        results[(seed_index, method)] = _failure_result(cfg, seed_index, method, exc)
+    with ExitStack() as stack:
+        if cfg.jobs > 1:
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=cfg.jobs))
 
-    if cfg.jobs > 1:
-        first = [(s, m) for s, m in plan if m != "two_stage"]
-        second = [(s, m) for s, m in plan if m == "two_stage"]
-        member_payloads: dict = {}
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            futures = {
-                (s, m): pool.submit(_worker, cfg, s, m, out_dir, None, data_path)
-                for s, m in first
-            }
-            for key, fut in futures.items():
+            def start(s, m):
+                args = (cfg, s, m, out_dir, member_params.get(s), data_path)
+                return pool.submit(_worker, *args).result
+
+        else:
+
+            def start(s, m):
+                committee = member_params.get(s)
+                return lambda: run_method(
+                    cfg, data, s, m, _seed_dir(out_dir, s), _members(committee)
+                )
+
+        for phase in phases:
+            getters = {key: start(*key) for key in phase}
+            for key, get in getters.items():
                 try:
-                    result = fut.result()
-                    results[key] = result
-                    if result.member_params is not None:
-                        member_payloads[key[0]] = result.member_params
+                    result = get()
                 except Exception as exc:  # noqa: BLE001 - isolate per-task failures
-                    record_failure(*key, exc)
-            futures = {
-                (s, m): pool.submit(
-                    _worker, cfg, s, m, out_dir, member_payloads.get(s), data_path
-                )
-                for s, m in second
-            }
-            for key, fut in futures.items():
-                try:
-                    results[key] = fut.result()
-                except Exception as exc:  # noqa: BLE001
-                    record_failure(*key, exc)
-    else:
-        members_by_seed: dict = {}
-        ordered = [(s, m) for s, m in plan if m != "two_stage"] + [
-            (s, m) for s, m in plan if m == "two_stage"
-        ]
-        for s, m in ordered:
-            try:
-                result = run_method(
-                    cfg, data, s, m, _seed_dir(out_dir, s), members=members_by_seed.get(s)
-                )
-                results[(s, m)] = result
+                    failures.append(f"seed {key[0]} {key[1]}: {type(exc).__name__}: {exc}")
+                    result = _failure_result(cfg, *key, exc)
+                results[key] = result
                 if result.member_params is not None:
-                    members_by_seed[s] = [
-                        nnet.with_params(nnet.init_network(c), p) for c, p in result.member_params
-                    ]
-            except Exception as exc:  # noqa: BLE001
-                record_failure(s, m, exc)
+                    member_params[key[0]] = result.member_params
 
     points, classification = [], []
     for key in plan:
-        result = results[key]
-        points.extend(result.points)
-        classification.extend(result.classification)
+        points.extend(results[key].points)
+        classification.extend(results[key].classification)
     return PlanResult(points=points, classification=classification, failures=failures)
 
 
@@ -812,111 +733,46 @@ def _cell(value) -> str:
     return str(value)
 
 
-def write_results_csv(path, points) -> None:
-    with atomic_open(path, "w", newline="") as fh:
+def _write_table(path, table, records) -> None:
+    with atomic_open(path, "w", newline="", encoding="utf-8") as fh:
         writer = _csv.writer(fh, lineterminator="\n")
-        writer.writerow(RESULTS_COLUMNS)
-        for p in points:
-            writer.writerow(
-                [
-                    p.method,
-                    p.condition,
-                    p.level,
-                    p.seed,
-                    p.param_kind,
-                    _cell(p.param_value),
-                    _cell(p.deferral_rate),
-                    _cell(p.bacc),
-                    _cell(p.auc),
-                    _cell(p.pauc),
-                    _cell(p.acc0),
-                    _cell(p.acc1),
-                    _cell(p.frac_positives_deferred),
-                    p.status,
-                ]
-            )
+        writer.writerow([column for column, _, _ in table])
+        for record in records:
+            writer.writerow([_cell(getattr(record, attr)) for _, attr, _ in table])
 
 
-def _parse_cell(raw: str) -> Optional[float]:
-    return None if raw == "" else float(raw)
+def _read_table(path, table, make, what) -> list:
+    """Records from a table file; any damage is a FormatError naming the file."""
+    records = []
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = _csv.reader(fh)
+            if next(reader, None) != [column for column, _, _ in table]:
+                raise FormatError(f"{path}: unexpected {what} header")
+            for lineno, row in enumerate(reader, start=2):
+                if len(row) != len(table):
+                    raise FormatError(f"{path}: row {lineno} has {len(row)} fields")
+                try:
+                    fields = {attr: parse(raw) for (_, attr, parse), raw in zip(table, row)}
+                except ValueError as exc:
+                    raise FormatError(f"{path}: row {lineno}: {exc}") from exc
+                records.append(make(**fields))
+    except (UnicodeDecodeError, _csv.Error) as exc:
+        raise FormatError(f"{path}: {exc}") from exc
+    return records
+
+
+def write_results_csv(path, points) -> None:
+    _write_table(path, _RESULTS_TABLE, points)
 
 
 def read_results_csv(path) -> list:
-    points = []
-    with open(path, newline="") as fh:
-        reader = _csv.reader(fh)
-        header = next(reader, None)
-        if header != list(RESULTS_COLUMNS):
-            raise FormatError(f"{path}: unexpected results header")
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(RESULTS_COLUMNS):
-                raise FormatError(f"{path}: row {lineno} has {len(row)} fields")
-            try:
-                point = CurvePoint(
-                    deferral_rate=_parse_cell(row[6]),
-                    bacc=_parse_cell(row[7]),
-                    frac_positives_deferred=_parse_cell(row[12]),
-                    auc=_parse_cell(row[8]),
-                    pauc=_parse_cell(row[9]),
-                    acc0=_parse_cell(row[10]),
-                    acc1=_parse_cell(row[11]),
-                    method=row[0],
-                    condition=row[1],
-                    level=int(row[2]),
-                    seed=int(row[3]),
-                    param_kind=row[4],
-                    param_value=_parse_cell(row[5]),
-                    status=row[13],
-                )
-            except ValueError as exc:
-                raise FormatError(f"{path}: row {lineno}: {exc}") from exc
-            points.append(point)
-    return points
+    return _read_table(path, _RESULTS_TABLE, CurvePoint, "results")
 
 
 def write_classification_csv(path, rows) -> None:
-    with atomic_open(path, "w", newline="") as fh:
-        writer = _csv.writer(fh, lineterminator="\n")
-        writer.writerow(CLASSIFICATION_COLUMNS)
-        for r in rows:
-            writer.writerow(
-                [
-                    r.method,
-                    r.condition,
-                    r.level,
-                    r.seed,
-                    _cell(r.auc),
-                    _cell(r.pauc),
-                    _cell(r.bacc),
-                    _cell(r.acc0),
-                    _cell(r.acc1),
-                    r.status,
-                ]
-            )
+    _write_table(path, _CLASSIFICATION_TABLE, rows)
 
 
 def read_classification_csv(path) -> list:
-    rows = []
-    with open(path, newline="") as fh:
-        reader = _csv.reader(fh)
-        header = next(reader, None)
-        if header != list(CLASSIFICATION_COLUMNS):
-            raise FormatError(f"{path}: unexpected classification header")
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(CLASSIFICATION_COLUMNS):
-                raise FormatError(f"{path}: row {lineno} has {len(row)} fields")
-            rows.append(
-                ClassificationRow(
-                    method=row[0],
-                    condition=row[1],
-                    level=int(row[2]),
-                    seed=int(row[3]),
-                    auc=_parse_cell(row[4]),
-                    pauc=_parse_cell(row[5]),
-                    bacc=_parse_cell(row[6]),
-                    acc0=_parse_cell(row[7]),
-                    acc1=_parse_cell(row[8]),
-                    status=row[9],
-                )
-            )
-    return rows
+    return _read_table(path, _CLASSIFICATION_TABLE, ClassificationRow, "classification")

@@ -335,18 +335,6 @@ def bnn_predict(posterior: BnnPosterior, batch: np.ndarray, n_samples: int, seed
 # ---------------------------------------------------------------------------
 
 
-def defer_by_threshold(uncertainty, tau: float, inclusive: bool = False) -> np.ndarray:
-    """Boolean defer mask: uncertainty above tau (or at it, when inclusive).
-
-    With the strict default, tau at or above the maximum defers nothing and
-    tau below the minimum defers everything.
-    """
-    uncertainty = np.asarray(uncertainty, dtype=np.float64)
-    if not np.all(np.isfinite(uncertainty)):
-        raise InputShapeError("uncertainty values must be finite")
-    return uncertainty >= tau if inclusive else uncertainty > tau
-
-
 def decisions_from_scores(scores, defer_mask) -> np.ndarray:
     """Predicted class (score >= 0.5) with deferred positions set to DEFER."""
     scores = np.asarray(scores, dtype=np.float64)

@@ -147,6 +147,15 @@ FROZEN_SHA256 = {
     "classification.csv": "6e4b10decac8a1ba47e2022f97089da1d5bda1a3a1730a20b5d26182f4b672e5",
     "dataset.dfd1": "c030fbe38957ea54b94e6c0fcb926bd430ab5e65ef9cbcccbc514b886df9e6eb",
 }
+FROZEN_MODELS_SHA256 = "9b6926090c7aa5465861d41548991a384e84394c384490bec7fc11a314088fe0"
+
+
+def tree_sha(root) -> str:
+    """One SHA-256 over a directory: a "relative-path file-sha256" line per
+    file, in sorted relative-path order."""
+    files = sorted(p for p in root.rglob("*") if p.is_file())
+    lines = "".join(f"{p.relative_to(root).as_posix()} {sha(p)}\n" for p in files)
+    return hashlib.sha256(lines.encode()).hexdigest()
 
 
 def test_run_output_bytes_are_frozen(tmp_path):
@@ -155,6 +164,7 @@ def test_run_output_bytes_are_frozen(tmp_path):
     out = tmp_path / "run"
     assert cli.main(["run", "--config", str(ini), "--out", str(out)]) == 0
     assert {name: sha(out / name) for name in FROZEN_SHA256} == FROZEN_SHA256
+    assert tree_sha(out / "models") == FROZEN_MODELS_SHA256
 
 
 THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -203,6 +213,7 @@ def test_run_output_bytes_are_frozen_across_blas_threads_and_jobs(tmp_path, jobs
         timeout=300,
     )
     assert {name: sha(out / name) for name in FROZEN_SHA256} == FROZEN_SHA256
+    assert tree_sha(out / "models") == FROZEN_MODELS_SHA256
 
 
 def test_run_writes_expected_artifacts(run_dir, ini_path):

@@ -137,10 +137,9 @@ def test_settings_validation(factory):
         factory()
 
 
-def test_load_config_and_with_seed(tmp_path):
+def test_load_config(tmp_path):
     path = tmp_path / "run.ini"
     path.write_text("[run]\nn_seeds = 2\n")
     cfg = config.load_config(path)
     assert cfg.n_seeds == 2
-    assert config.with_seed(cfg, 9).seed == 9
-    assert cfg.seed == 0  # original untouched
+    assert cfg.seed == 0

@@ -1,0 +1,217 @@
+"""Damaged text files and interrupted writes.
+
+Every reader of a text format (results and classification CSV, bundle
+manifest, INI configuration) must turn truncated or bit-flipped input into a
+``DeferBenchError``, never a raw traceback. Every bundle writer and the
+configuration echo must leave either the complete file or no file.
+"""
+
+import os
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from deferbench import atomic, cli, config, nnet, pipelines, sweep
+from deferbench.errors import ConfigError, DeferBenchError, FormatError
+from deferbench.metrics import CurvePoint
+
+# ---------------------------------------------------------------------------
+# one well-formed file per text format
+# ---------------------------------------------------------------------------
+
+POINTS = [
+    CurvePoint(0.25, 0.8125, 0.5, 0.9, 0.0625, 0.75, 0.875, "softmax", "noise", 1, 0,
+               "threshold", 0.5),
+    CurvePoint(1.0, None, 1.0, None, None, None, None, "one_stage", "id", 0, 2, "alpha", 0.8,
+               "absent"),
+    CurvePoint(None, None, None, method="swag", condition="blur", level=3, seed=1,
+               param_kind="threshold", status="failed:CollectionError"),
+]
+ROWS = [
+    sweep.ClassificationRow("softmax", "id", 0, 0, 0.875, 0.0625, 0.75, 0.5, 1.0),
+    sweep.ClassificationRow("bnn", "blur", 5, 4, status="failed:DivergenceError"),
+]
+MANIFEST = {"method": "mc_dropout", "criterion": "pauc", "selected_epoch": 7,
+            "dropout_rate": 0.2}
+
+
+def _write_results(path):
+    sweep.write_results_csv(path, POINTS)
+
+
+def _write_classification(path):
+    sweep.write_classification_csv(path, ROWS)
+
+
+def _write_manifest(path):
+    pipelines.write_manifest(path, MANIFEST)
+
+
+def _write_ini(path):
+    path.write_text(config.emit_config(config.RunConfig(n_seeds=2, methods=("bnn", "softmax"))))
+
+
+FORMATS = {
+    "results": (_write_results, sweep.read_results_csv),
+    "classification": (_write_classification, sweep.read_classification_csv),
+    "manifest": (_write_manifest, pipelines.read_manifest),
+    "ini": (_write_ini, config.load_config),
+}
+
+
+@pytest.fixture(scope="module")
+def blobs(tmp_path_factory) -> dict:
+    root = tmp_path_factory.mktemp("formats")
+    out = {}
+    for name, (write, read) in FORMATS.items():
+        path = root / name
+        write(path)
+        read(path)  # the undamaged file parses
+        out[name] = path.read_bytes()
+    return out
+
+
+@pytest.fixture(scope="module")
+def scratch(tmp_path_factory) -> Path:
+    return tmp_path_factory.mktemp("damaged") / "file"
+
+
+def _read_only_deferbench_errors(name, blob, path):
+    path.write_bytes(blob)
+    try:
+        FORMATS[name][1](path)
+    except DeferBenchError:
+        pass
+
+
+@pytest.mark.parametrize("name", list(FORMATS))
+def test_every_truncation_is_read_or_rejected(blobs, scratch, name):
+    blob = blobs[name]
+    for size in range(len(blob)):
+        _read_only_deferbench_errors(name, blob[:size], scratch)
+
+
+@pytest.mark.parametrize("name", list(FORMATS))
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_bit_flips_are_read_or_rejected(blobs, scratch, name, data):
+    damaged = bytearray(blobs[name])
+    bits = data.draw(st.lists(st.integers(0, 8 * len(damaged) - 1), min_size=1, max_size=4))
+    for bit in bits:
+        damaged[bit // 8] ^= 1 << (bit % 8)
+    _read_only_deferbench_errors(name, bytes(damaged), scratch)
+
+
+@pytest.mark.parametrize("name, error", [
+    ("results", FormatError), ("classification", FormatError), ("manifest", FormatError),
+    ("ini", ConfigError),
+])
+def test_bytes_that_are_not_utf8_are_named(blobs, tmp_path, name, error):
+    path = tmp_path / name
+    path.write_bytes(blobs[name][:20] + b"\xff" + blobs[name][20:])
+    with pytest.raises(error, match="UTF-8|utf-8"):
+        FORMATS[name][1](path)
+
+
+def test_field_over_the_csv_size_limit_is_a_format_error(tmp_path):
+    path = tmp_path / "results.csv"
+    path.write_text(",".join(sweep.RESULTS_COLUMNS) + "\n" + "x" * 200_000 + "\n")
+    with pytest.raises(FormatError, match="field limit"):
+        sweep.read_results_csv(path)
+
+
+def test_classification_level_that_is_not_an_integer_names_the_row(tmp_path):
+    path = tmp_path / "classification.csv"
+    path.write_text(",".join(sweep.CLASSIFICATION_COLUMNS) + "\nsoftmax,id,x,0,,,,,,ok\n")
+    with pytest.raises(FormatError, match="row 2"):
+        sweep.read_classification_csv(path)
+
+
+# ---------------------------------------------------------------------------
+# the command line reports damaged text as an error, exit code 1 or 2
+# ---------------------------------------------------------------------------
+
+
+def test_cli_reports_undecodable_results(blobs, tmp_path, capsys):
+    results = tmp_path / "results.csv"
+    results.write_bytes(blobs["results"] + b"\xff\n")
+    assert cli.main(["inspect", str(results)]) == 1
+    assert cli.main(["report", "--out", str(tmp_path), "--results", str(results)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("error:") == 2 and "Traceback" not in err
+
+
+def test_cli_reports_undecodable_config(blobs, tmp_path, capsys):
+    ini = tmp_path / "bad.ini"
+    ini.write_bytes(b"\xff" + blobs["ini"])
+    assert cli.main(["run", "--config", str(ini), "--out", str(tmp_path / "run")]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_cli_reports_undecodable_manifest(blobs, tmp_path, capsys):
+    (tmp_path / pipelines.MANIFEST_NAME).write_bytes(blobs["manifest"] + b"note=\xff\n")
+    assert cli.main(["inspect", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert "error:" in captured.err and "kind=bundle" not in captured.out
+
+
+# ---------------------------------------------------------------------------
+# bundle writers and the configuration echo are atomic
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def failing_replace(monkeypatch):
+    """Make the final rename of every atomic write to a file of the given name fail."""
+    real = os.replace
+    failing = set()
+
+    def replace(src, dst):
+        if Path(dst).name in failing:
+            raise OSError(f"injected failure renaming onto {dst}")
+        return real(src, dst)
+
+    monkeypatch.setattr(atomic.os, "replace", replace)
+    return failing
+
+
+def assert_no_trace_of(directory: Path, name: str):
+    assert not (directory / name).exists()
+    assert not [p for p in directory.iterdir() if p.name.startswith(f".{name}.")]
+
+
+def test_checkpoint_writer_failure_leaves_no_file(tmp_path):
+    config_ = nnet.NetConfig(input_dim=3, hidden_dims=(2,), output_dim=2, seed=0)
+    params = nnet.get_params(nnet.init_network(config_))
+    # the section payload fails after the header and parameters are written
+    with pytest.raises(TypeError):
+        nnet.write_checkpoint(tmp_path / "m.dfb1", config_, params, {"bad": object()})
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_manifest_writer_failure_leaves_no_file(tmp_path, failing_replace):
+    failing_replace.add(pipelines.MANIFEST_NAME)
+    with pytest.raises(OSError, match="injected"):
+        pipelines.write_manifest(tmp_path / pipelines.MANIFEST_NAME, MANIFEST)
+    assert_no_trace_of(tmp_path, pipelines.MANIFEST_NAME)
+
+
+def test_ensemble_index_writer_failure_leaves_no_index(tmp_path, failing_replace):
+    failing_replace.add(pipelines.ENSEMBLE_INDEX_NAME)
+    config_ = nnet.NetConfig(input_dim=3, hidden_dims=(2,), output_dim=2, seed=0)
+    members = [nnet.init_network(config_) for _ in range(2)]
+    with pytest.raises(OSError, match="injected"):
+        pipelines.save_ensemble(tmp_path / "ensemble", members, {"method": "ensemble"})
+    assert_no_trace_of(tmp_path / "ensemble", pipelines.ENSEMBLE_INDEX_NAME)
+    assert not (tmp_path / "ensemble" / pipelines.MANIFEST_NAME).exists()
+
+
+def test_config_echo_failure_leaves_no_file(tmp_path, failing_replace):
+    failing_replace.add("config.ini")
+    out = tmp_path / "run"
+    with pytest.raises(OSError, match="injected"):
+        cli.main(["run", "--out", str(out)])
+    assert_no_trace_of(out, "config.ini")
+

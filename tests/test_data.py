@@ -404,30 +404,6 @@ def test_write_dataset_failure_leaves_no_file(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_csv_import(tmp_path):
-    path = tmp_path / "ds.csv"
-    path.write_text("f0,f1,label\n0.5,0.25,1\n0.1,0.9,0\n")
-    ds = data.read_csv_dataset(path)
-    np.testing.assert_array_equal(ds.features, [[0.5, 0.25], [0.1, 0.9]])
-    np.testing.assert_array_equal(ds.labels, [1, 0])
-
-
-@pytest.mark.parametrize(
-    "text,match",
-    [
-        ("a,b,label\n0.5,0.25,1\n", "header"),
-        ("f0,f1,label\n0.5,1\n", "row 2"),
-        ("f0,f1,label\n0.5,x,1\n", "row 2"),
-        ("f0,f1,label\n", "no data"),
-    ],
-)
-def test_csv_import_errors(tmp_path, text, match):
-    path = tmp_path / "ds.csv"
-    path.write_text(text)
-    with pytest.raises(FormatError, match=match):
-        data.read_csv_dataset(path)
-
-
 def test_dataset_validation():
     with pytest.raises(ConfigError):
         data.Dataset(features=np.zeros((4, 2)), labels=np.array([0, 1, 2, 0]))

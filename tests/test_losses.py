@@ -8,7 +8,6 @@ from hypothesis.extra import numpy as hnp
 
 from deferbench.errors import ConfigError, LabelError, NumericError
 from deferbench.losses import (
-    LabelSpace,
     LossSpec,
     OneStageCost,
     TwoStageCost,
@@ -209,17 +208,6 @@ def test_large_logits_stay_finite():
 # ---------------------------------------------------------------------------
 # validation
 # ---------------------------------------------------------------------------
-
-
-def test_label_space():
-    space = LabelSpace(n=2)
-    assert space.defer_index == 2
-    assert space.width == 3
-    assert LabelSpace(n=2, extended=False).width == 2
-    with pytest.raises(ConfigError):
-        LabelSpace(n=1)
-    with pytest.raises(ConfigError):
-        _ = LabelSpace(n=2, extended=False).defer_index
 
 
 @pytest.mark.parametrize("alpha", [0.0, -0.1, 1.5])

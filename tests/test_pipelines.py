@@ -100,19 +100,6 @@ def test_select_by_loss_takes_argmin():
     assert selected.epoch == int(np.argmin(curve))
 
 
-def test_select_final_keeps_last_checkpoint():
-    x_train, y_train, x_val, y_val, config, sgd = selection_setup(seed=4)
-    selected = pipelines.train_classifier(
-        x_train, y_train, x_val, y_val, config, sgd, select="final"
-    )
-    assert selected.epoch == sgd.epochs - 1
-    assert selected.val_curve == []
-    np.testing.assert_array_equal(
-        nnet.get_params(selected.network),
-        selected.train_result.checkpoints[-1],
-    )
-
-
 def test_unknown_selection_rule_rejected():
     x_train, y_train, x_val, y_val, config, sgd = selection_setup()
     with pytest.raises(ConfigError, match="selection rule"):

@@ -329,17 +329,6 @@ def test_bnn_config_validation():
 # ---------------------------------------------------------------------------
 
 
-def test_defer_by_threshold_strict_and_inclusive():
-    u = np.array([0.1, 0.5, 0.9])
-    np.testing.assert_array_equal(uq.defer_by_threshold(u, 0.9), [False, False, False])
-    np.testing.assert_array_equal(
-        uq.defer_by_threshold(u, 0.9, inclusive=True), [False, False, True]
-    )
-    np.testing.assert_array_equal(uq.defer_by_threshold(u, 0.05), [True, True, True])
-    with pytest.raises(InputShapeError):
-        uq.defer_by_threshold(np.array([np.nan]), 0.5)
-
-
 def test_decisions_from_scores():
     scores = np.array([0.2, 0.5, 0.8, 0.4])
     mask = np.array([False, False, True, True])
