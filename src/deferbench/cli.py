@@ -62,12 +62,14 @@ def cmd_run(args) -> int:
     data_path = args.data
     if data_path is not None and not Path(data_path).is_file():
         raise UsageError(f"{data_path}: no such dataset file")
+    ds = None
     if data_path is None:
         ds = sweep.prepare_dataset(cfg)
-        data_mod.write_dataset(out / "dataset.dfd1", ds)
-        data = sweep.split_eval_data(cfg, ds)
-    else:
-        data = sweep.build_eval_data(cfg, data_path)
+        data_path = out / "dataset.dfd1"
+        data_mod.write_dataset(data_path, ds)
+    # without data, a serial plan loads the dataset file once; pool workers
+    # each load it themselves
+    data = sweep.split_eval_data(cfg, ds) if ds is not None and cfg.jobs <= 1 else None
 
     result = sweep.run_plan(cfg, out_dir=out, data=data, data_path=data_path)
     sweep.write_results_csv(out / sweep.RESULTS_NAME, result.points)

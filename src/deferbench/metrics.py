@@ -2,18 +2,27 @@
 
 Balanced accuracy, per-class accuracy, AUC (Mann-Whitney, ties get half
 credit), partial AUC over the high-specificity band (FPR in [0, 0.1],
-normalized by the band width), and per-threshold deferral curve points.
+normalized by the band width), per-threshold deferral curve points, and the
+curve of a whole threshold sweep.
 
 Metrics that are undefined on the evaluated subset (a class missing, or
 everything deferred) return None rather than raising; the CSV layer writes
 those as empty fields.
 
-Every curve point is scored on its own kept subset, so these functions run
-once per threshold and are kept free of per-element Python loops. AUC gives
-each tie group its average rank in one vectorized pass. That is exact: an
-average rank is a half-integer, and a sum of half-integers below 2**52 is
-exact in float64 in any order, so the result equals the one-group-at-a-time
-loop bit for bit (the tests keep that loop as the reference).
+A threshold sweep scores the samples each threshold keeps. The kept sets of
+one sweep share their work in ``threshold_curve``: one kept-mask matrix
+gives every deferral rate and confusion count, and one descending sort of
+the scores gives every kept set's ROC polyline, because a kept set's sorted
+order, tie groups and cumulative counts are those of the full sort
+restricted to it. The result is exact, not approximate: the counts are
+integers, and each point's pAUC runs the same divisions and the same band
+clip, interpolation and trapezoid sum (one shared ``_band_area``) on the
+same arrays as ``pauc`` on that kept set. AUC is still computed once per
+kept set by ``auc``. AUC gives each tie group its average rank in one
+vectorized pass. That is exact: an average rank is a half-integer, and a sum
+of half-integers below 2**52 is exact in float64 in any order, so the result
+equals the one-group-at-a-time loop bit for bit (the tests keep that loop as
+the reference).
 """
 
 from __future__ import annotations
@@ -104,14 +113,22 @@ def auc(scores, labels) -> Optional[float]:
     return float(u / (n_pos * n_neg))
 
 
-def _roc_points(scores, labels):
-    """Empirical ROC polyline from (0,0) to (1,1); ties produce diagonal segments."""
+def _tie_groups(scores):
+    """Descending stable order of scores, and the sorted position ending each tie group.
+
+    Two neighbours share a group when their difference is zero, so every NaN
+    and every infinite score ends its own group.
+    """
     order = (-scores).argsort(kind="mergesort")
     sorted_scores = scores[order]
-    sorted_labels = labels[order]
-    # group boundaries at distinct score values
     distinct = (sorted_scores[1:] - sorted_scores[:-1]).nonzero()[0]
-    ends = np.concatenate((distinct, [scores.shape[0] - 1]))
+    return order, np.concatenate((distinct, [scores.shape[0] - 1]))
+
+
+def _roc_points(scores, labels):
+    """Empirical ROC polyline from (0,0) to (1,1); ties produce diagonal segments."""
+    order, ends = _tie_groups(scores)
+    sorted_labels = labels[order]
     tps = (sorted_labels == 1).cumsum()[ends]
     fps = (sorted_labels == 0).cumsum()[ends]
     tpr = np.zeros(ends.shape[0] + 1)
@@ -135,7 +152,11 @@ def pauc(scores, labels, band: float = PAUC_BAND) -> Optional[float]:
     if not (labels == 1).any() or not (labels == 0).any():
         return None
 
-    fpr, tpr = _roc_points(scores, labels)
+    return _band_area(*_roc_points(scores, labels), band)
+
+
+def _band_area(fpr, tpr, band: float) -> float:
+    """Area under the ROC polyline (fpr, tpr) over FPR in [0, band], divided by band."""
     # fpr never decreases, so the points inside the band are a prefix
     inside = np.count_nonzero(fpr <= band)
     fpr_clip, tpr_clip = fpr[:inside], tpr[:inside]
@@ -213,3 +234,75 @@ def deferral_curve_point(decisions, labels, scores=None) -> CurvePoint:
         acc0=acc0,
         acc1=acc1,
     )
+
+
+def threshold_curve(predicted, labels, scores, uncertainty, taus) -> list:
+    """One curve point per threshold in taus, scored in one pass.
+
+    Point i is ``deferral_curve_point(np.where(uncertainty >= taus[i], DEFER,
+    predicted), labels, scores)`` bit for bit, where predicted holds the
+    classifier's 0/1 decision per sample. One kept-mask matrix (a row per
+    threshold) gives every count, and one descending sort of the scores gives
+    the ROC polyline of every kept set.
+    """
+    predicted = np.asarray(predicted)
+    labels = np.asarray(labels)
+    if predicted.shape != labels.shape or predicted.ndim != 1 or predicted.size == 0:
+        raise InputShapeError("decisions and labels must be equal-length non-empty 1-D arrays")
+    scores = np.asarray(scores, dtype=np.float64)
+    uncertainty = np.asarray(uncertainty, dtype=np.float64)
+    if scores.shape != labels.shape or uncertainty.shape != labels.shape:
+        raise InputShapeError("scores, uncertainty and labels must have the same length")
+    taus = np.asarray(taus, dtype=np.float64)
+
+    total = labels.shape[0]
+    positive, negative = labels == 1, labels == 0
+    called_pos, called_neg = predicted == 1, predicted == 0
+    n_pos = int(np.count_nonzero(positive))
+    kept = ~(uncertainty >= taus[:, None])
+    kept_pos, kept_neg = kept & positive, kept & negative
+    n_kept = np.count_nonzero(kept, axis=1).tolist()
+    tp = np.count_nonzero(kept_pos & called_pos, axis=1).tolist()
+    fp = np.count_nonzero(kept_neg & called_pos, axis=1).tolist()
+    tn = np.count_nonzero(kept_neg & called_neg, axis=1).tolist()
+    fn = np.count_nonzero(kept_pos & called_neg, axis=1).tolist()
+
+    # A kept set sorts in the full order restricted to it, and two of its
+    # neighbours tie exactly when every score between them ties too. So its
+    # ROC polyline runs through the ends of the full tie groups that keep an
+    # element, with the full cumulative counts there. Column 0 of each matrix
+    # below is the origin, column g + 1 the end of tie group g.
+    order, ends = _tie_groups(scores)
+    kept_sorted = kept[:, order]
+    on_curve = np.ones((taus.shape[0], ends.shape[0] + 1), dtype=bool)
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    on_curve[:, 1:] = np.logical_or.reduceat(kept_sorted, starts, axis=1)
+
+    def rates(members):
+        """Each row's share of its kept members at every group end, and their count."""
+        through = (kept_sorted & members[order]).cumsum(axis=1)[:, ends]
+        rate = np.zeros(on_curve.shape)
+        with np.errstate(divide="ignore", invalid="ignore"):  # rows without members go unread
+            np.divide(through, through[:, -1:], out=rate[:, 1:])
+        return rate, through[:, -1].tolist()
+
+    tpr, n_kept_pos = rates(positive)
+    fpr, n_kept_neg = rates(negative)
+
+    points = []
+    for i in range(taus.shape[0]):
+        point = CurvePoint(
+            deferral_rate=(total - n_kept[i]) / total,
+            bacc=None,
+            frac_positives_deferred=(n_pos - n_kept_pos[i]) / n_pos if n_pos > 0 else None,
+        )
+        if n_kept[i] > 0:
+            counts = ConfusionCounts(tp=tp[i], fp=fp[i], tn=tn[i], fn=fn[i])
+            point.bacc = balanced_accuracy(counts)
+            point.acc0, point.acc1 = per_class_accuracy(counts)
+            point.auc = auc(scores[kept[i]], labels[kept[i]])
+            if n_kept_pos[i] > 0 and n_kept_neg[i] > 0:
+                curve = on_curve[i]
+                point.pauc = _band_area(fpr[i][curve], tpr[i][curve], PAUC_BAND)
+        points.append(point)
+    return points

@@ -42,6 +42,7 @@ from deferbench.metrics import (
     deferral_curve_point,
     pauc,
     per_class_accuracy,
+    threshold_curve,
 )
 from deferbench.pipelines import (
     MANIFEST_NAME,
@@ -273,18 +274,14 @@ def uq_sweep(scores, uncertainty, labels, steps: int) -> list:
 
     if not np.all(np.isfinite(uncertainty)):
         raise InputShapeError("uncertainty values must be finite")
-    # the classifier's decisions do not depend on the threshold; each step
-    # only marks the samples at or above it as deferred
+    taus = np.linspace(hi, lo, steps)
     predicted = decisions_from_scores(scores, np.zeros(scores.shape, dtype=bool))
-    points = []
-    for tau in np.linspace(hi, lo, steps):
-        decisions = np.where(uncertainty >= tau, DEFER, predicted)
-        point = deferral_curve_point(decisions, labels, scores)
+    points = threshold_curve(predicted, labels, scores, uncertainty, taus)
+    for point, tau in zip(points, taus.tolist()):
         point.param_kind = "threshold"
-        point.param_value = float(tau)
+        point.param_value = tau
         if point.bacc is None:
             point.status = "absent"
-        points.append(point)
     return points
 
 
@@ -674,11 +671,10 @@ def run_plan(
     getter: a deferred in-process call with --jobs 1, a process-pool future
     otherwise. Results are merged in plan order (seeds outer, methods in
     configuration order), so the output is independent of scheduling.
-    data_path, when given, names the dataset file that pool workers reload
-    instead of regenerating.
+    data_path, when given, names the dataset file that pool workers load
+    instead of regenerating it. Without data, a serial run builds it once;
+    a pool run leaves it to the workers.
     """
-    if data is None:
-        data = build_eval_data(cfg, data_path)
     plan = [(s, m) for s in range(cfg.n_seeds) for m in cfg.methods]
     phases = [[k for k in plan if k[1] != "two_stage"], [k for k in plan if k[1] == "two_stage"]]
     results: dict = {}
@@ -694,6 +690,8 @@ def run_plan(
                 return pool.submit(_worker, *args).result
 
         else:
+            if data is None:
+                data = build_eval_data(cfg, data_path)
 
             def start(s, m):
                 committee = member_params.get(s)

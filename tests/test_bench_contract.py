@@ -1,20 +1,24 @@
-"""The names the benchmark tracer relies on still exist in the package.
+"""The names and counts the benchmark relies on still hold in the package.
 
 ``bench/layertrace.py`` wraps every function listed in its ``LAYERS`` table
 and reads the (seed, method) of each task from fixed argument positions. A
 rename in the package would otherwise only surface when the traced benchmark
-runs, as "trace: no references found".
+runs, as "trace: no references found". ``bench/test_bench.py`` also pins
+how often ``metrics.auc`` runs, which the sweep's per-threshold call rule
+below fixes; those bench tests are slow and run apart from this suite.
 """
 
 import importlib
 import importlib.util
 import inspect
+import sys
 from pathlib import Path
 
 import pytest
 
 import deferbench  # noqa: F401 - loaded before the tracer module imports numpy
-from deferbench import sweep
+import numpy as np
+from deferbench import metrics, sweep
 
 LAYERTRACE = Path(__file__).resolve().parents[1] / "bench" / "layertrace.py"
 
@@ -44,3 +48,35 @@ def test_every_traced_layer_resolves(module_name, attr_path):
 def test_task_entry_points_keep_seed_and_method_positions(name, start):
     params = list(inspect.signature(getattr(sweep, name)).parameters)
     assert params[start : start + 2] == ["seed_index", "method"]
+
+
+def test_uq_sweep_calls_auc_once_per_threshold_that_keeps_samples(monkeypatch):
+    # bench/test_bench.py pins metrics.auc.calls of whole runs; this is the
+    # per-sweep rule behind that count. Every reference to auc is rebound, as
+    # the tracer does, wherever the sweep happens to call it from.
+    original = metrics.auc
+    calls = []
+
+    def counting_auc(scores, labels):
+        calls.append(scores)
+        return original(scores, labels)
+
+    for name, module in sorted(sys.modules.items()):
+        if name.startswith("deferbench"):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counting_auc)
+    assert sweep.auc is counting_auc
+
+    rng = np.random.default_rng(0)
+    scores = rng.random(60)
+    uncertainty = np.round(rng.random(60), 1)  # tied uncertainties repeat kept sets
+    labels = (rng.random(60) < 0.3).astype(np.int64)
+    taus = np.linspace(uncertainty.max(), uncertainty.min(), 40)
+    sweep.uq_sweep(scores, uncertainty, labels, 40)
+
+    kept_sets = [scores[uncertainty < tau] for tau in taus if np.any(uncertainty < tau)]
+    assert 0 < len(kept_sets) < len(taus)
+    assert len(calls) == len(kept_sets)
+    for called, kept in zip(calls, kept_sets):  # each kept subset, in its original order
+        np.testing.assert_array_equal(called, kept)

@@ -262,6 +262,30 @@ def test_run_reports_row_counts(ini_path, tmp_path, capsys):
     assert "classification.csv: 3 rows" in stdout
 
 
+def test_pool_run_loads_the_written_dataset(run_dir, ini_path, tmp_path, monkeypatch):
+    # the pool's workers are forked, so they inherit these wrappers
+    parent = os.getpid()
+    parent_splits = []
+    real_split, real_prepare = sweep.split_eval_data, sweep.prepare_dataset
+
+    def split(*args):
+        if os.getpid() == parent:
+            parent_splits.append(args)
+        return real_split(*args)
+
+    def prepare(cfg):
+        if os.getpid() != parent:
+            raise RuntimeError("a pool worker regenerated the dataset")
+        return real_prepare(cfg)
+
+    monkeypatch.setattr(sweep, "split_eval_data", split)
+    monkeypatch.setattr(sweep, "prepare_dataset", prepare)
+    out = tmp_path / "pool"
+    assert cli.main(["run", "--config", str(ini_path), "--out", str(out), "--jobs", "2"]) == 0
+    assert parent_splits == []
+    assert sha(out / "results.csv") == sha(run_dir / "results.csv")
+
+
 def test_run_missing_dataset_file_is_usage_error(ini_path, tmp_path, capsys):
     out = tmp_path / "run5"
     rc = cli.main(

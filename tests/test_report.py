@@ -171,3 +171,22 @@ def test_write_report_one_file_per_condition(tmp_path):
 def test_write_report_rejects_empty_results(tmp_path):
     with pytest.raises(FormatError, match="no result rows"):
         report.write_report(tmp_path, [])
+
+
+def test_svg_escapes_method_and_condition_text():
+    pts = simple_series(method="soft<max&") + simple_series(method='a"b', seed=1)
+    root = parse(report.render_condition_svg(pts, 'a"b<&', 1))
+    assert root.get("data-condition") == 'a"b<&'
+    texts = [e.text for e in root.iter(f"{SVG_NS}text")]
+    assert "soft<max&" in texts and 'a"b' in texts
+    assert {e.get("data-method") for e in polylines(root)} == {"soft<max&", 'a"b'}
+
+
+def test_write_report_failure_leaves_no_partial_svg(tmp_path):
+    good = [point(r / 4, 0.8, condition="id", level=0) for r in range(5)]
+    unplottable = [point(0.5, None, condition="noise", level=1, status="failed:DivergenceError")]
+    with pytest.raises(FormatError, match="no plottable rows"):
+        report.write_report(tmp_path, good + unplottable)
+    # the first file is complete; the failed one left neither a file nor a temporary
+    assert [p.name for p in (tmp_path / "report").iterdir()] == ["id.svg"]
+    parse((tmp_path / "report" / "id.svg").read_text())

@@ -5,6 +5,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deferbench import data as data_mod
 from deferbench import sweep
@@ -15,10 +17,11 @@ from deferbench.config import (
     UqSettings,
 )
 from deferbench.data import SynthSpec
-from deferbench.errors import ConfigError, FormatError, InputShapeError
+from deferbench.errors import ConfigError, DeferBenchError, FormatError, InputShapeError
+from deferbench.metrics import DEFER, deferral_curve_point
 from deferbench.nnet import SgdConfig
 from deferbench.rng import child_seed
-from deferbench.uq import SwagCollectConfig
+from deferbench.uq import SwagCollectConfig, decisions_from_scores
 
 
 def tiny_config(**overrides):
@@ -154,6 +157,65 @@ def test_uq_sweep_constant_uncertainty_degenerates():
     assert points[0].status == "degenerate"
     assert points[0].deferral_rate == 1.0
     assert points[0].param_value == 0.2
+
+
+def per_threshold_sweep(scores, uncertainty, labels, steps):
+    """The non-degenerate uq_sweep as one deferral_curve_point call per threshold."""
+    predicted = decisions_from_scores(scores, np.zeros(scores.shape, dtype=bool))
+    points = []
+    for tau in np.linspace(uncertainty.max(), uncertainty.min(), steps):
+        point = deferral_curve_point(np.where(uncertainty >= tau, DEFER, predicted), labels, scores)
+        point.param_kind = "threshold"
+        point.param_value = float(tau)
+        if point.bacc is None:
+            point.status = "absent"
+        points.append(point)
+    return points
+
+
+@st.composite
+def sweep_cases(draw):
+    n = draw(st.integers(2, 40))
+    specials = st.sampled_from([np.nan, np.inf, -np.inf])
+    scores = np.array(draw(st.lists(st.one_of(st.floats(0.0, 1.0), specials), min_size=n,
+                                    max_size=n)))
+    scores = np.round(scores, draw(st.integers(0, 3)))  # coarse scores tie
+    classes = draw(st.sampled_from([(0, 1), (0, 1, 2), (0,), (1,)]))
+    n_labels = n + draw(st.sampled_from([0, 0, 0, 0, 0, -1, 1]))  # some are misaligned
+    labels = np.array(draw(st.lists(st.sampled_from(classes), min_size=n_labels,
+                                    max_size=n_labels)), dtype=np.int64)
+    levels = draw(st.integers(1, 8))
+    uncertainty = np.array(draw(st.lists(st.integers(0, levels), min_size=n, max_size=n)))
+    uncertainty = uncertainty / levels  # few levels, so thresholds tie
+    if uncertainty.max() == uncertainty.min():
+        uncertainty[0] += 1.0  # a constant uncertainty takes the degenerate path
+    return scores, uncertainty, labels, draw(st.integers(2, 30))
+
+
+def sweep_outcome(sweep_fn, case):
+    try:
+        return repr(sweep_fn(*case))
+    except DeferBenchError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+@settings(max_examples=300, deadline=None)
+@given(sweep_cases())
+def test_uq_sweep_matches_per_threshold_reference(case):
+    with np.errstate(invalid="ignore"):  # inf - inf when tie groups are found
+        assert sweep_outcome(sweep.uq_sweep, case) == sweep_outcome(per_threshold_sweep, case)
+
+
+def test_uq_sweep_matches_per_threshold_reference_on_long_curves():
+    # hundreds of ROC points inside the pAUC band: the trapezoid sum runs
+    # numpy's pairwise summation, which a single extra or missing point
+    # (a tie group the kept set does not reach) regroups
+    rng = np.random.default_rng(0)
+    labels = rng.integers(0, 2, 1000)
+    scores = np.round(np.clip(0.3 * labels + 0.7 * rng.random(1000), 0.0, 1.0), 3)
+    uncertainty = np.round(rng.random(1000), 2)
+    case = (scores, uncertainty, labels, 50)
+    assert sweep_outcome(sweep.uq_sweep, case) == sweep_outcome(per_threshold_sweep, case)
 
 
 def test_uq_sweep_validation():
