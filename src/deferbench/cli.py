@@ -148,7 +148,7 @@ def _inspect_checkpoint(path: Path) -> None:
 def _inspect_results(path: Path) -> None:
     points = sweep.read_results_csv(path)
     methods = sorted({p.method for p in points})
-    conditions = sorted({report.condition_label(p.condition, p.level) for p in points})
+    conditions = sorted({sweep.Condition(p.condition, p.level).label for p in points})
     seeds = sorted({p.seed for p in points})
     print("kind=results")
     print(f"rows={len(points)}")

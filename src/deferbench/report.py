@@ -14,6 +14,7 @@ from pathlib import Path
 from deferbench.atomic import atomic_open
 from deferbench.errors import FormatError
 from deferbench.metrics import CurvePoint
+from deferbench.sweep import Condition
 
 METHOD_COLORS = {
     "softmax": "#1f77b4",
@@ -216,31 +217,25 @@ def render_condition_svg(points, condition: str, level: int) -> str:
     return "\n".join(parts) + "\n"
 
 
-def condition_label(condition: str, level: int) -> str:
-    return "id" if condition == "id" else f"{condition}{level}"
-
-
 def write_report(out_dir, points) -> list:
-    """One SVG per condition under out_dir/report; returns the written paths."""
+    """One SVG per condition under out_dir/report; returns the written paths.
+
+    File names are Condition labels, so a condition that is not a valid
+    Condition raises ConfigError before anything is written.
+    """
     points = [p for p in points if isinstance(p, CurvePoint)]
     if not points:
         raise FormatError("no result rows to render")
+    groups: dict = {}  # Condition -> its points, in first-seen order
+    for p in points:
+        groups.setdefault(Condition(p.condition, p.level), []).append(p)
     report_dir = Path(out_dir) / "report"
     report_dir.mkdir(parents=True, exist_ok=True)
 
-    groups: dict = {}
-    order = []
-    for p in points:
-        key = (p.condition, p.level)
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(p)
-
     written = []
-    for condition, level in order:
-        path = report_dir / f"{condition_label(condition, level)}.svg"
+    for cond, group in groups.items():
+        path = report_dir / f"{cond.label}.svg"
         with atomic_open(path, "w", encoding="utf-8") as fh:
-            fh.write(render_condition_svg(groups[(condition, level)], condition, level))
+            fh.write(render_condition_svg(group, cond.kind, cond.level))
         written.append(path)
     return written

@@ -19,7 +19,10 @@ config.METHODS).
 from __future__ import annotations
 
 import csv as _csv
-from concurrent.futures import ProcessPoolExecutor
+import sys
+import time
+from collections import deque
+from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from contextlib import ExitStack
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -660,62 +663,93 @@ def _failure_result(cfg, seed_index, method, exc) -> MethodResult:
     return MethodResult(method, seed_index, points, classification)
 
 
+def _settled(call) -> Future:
+    """A finished future holding call()'s result or exception."""
+    future = Future()
+    try:
+        future.set_result(call())
+    except Exception as exc:  # noqa: BLE001 - the plan loop reports it per task
+        future.set_exception(exc)
+    return future
+
+
 def run_plan(
     cfg: RunConfig, out_dir=None, data: Optional[EvalData] = None, data_path=None
 ) -> PlanResult:
     """Train and evaluate every (seed, method) pair of the plan.
 
-    Two phases: every method but the deferral head, then the deferral head,
-    which takes the committee the ensemble trained for its seed (or trains
-    its own when the ensemble is not requested). Each task is a result
-    getter: a deferred in-process call with --jobs 1, a process-pool future
-    otherwise. Results are merged in plan order (seeds outer, methods in
-    configuration order), so the output is independent of scheduling.
-    data_path, when given, names the dataset file that pool workers load
-    instead of regenerating it. Without data, a serial run builds it once;
-    a pool run leaves it to the workers.
+    One loop runs at most --jobs tasks at a time. A deferral head depends on
+    its seed's committee: when the ensemble is planned, the head becomes
+    ready once the ensemble's result (or failure) is in, and takes the
+    committee from it; otherwise it is ready at once and trains its own. A
+    ready head starts before any other task, so it never waits behind work
+    that does not feed it. With --jobs 1 each task runs in-process as it is
+    started; otherwise it goes to a process pool of min(jobs, tasks) workers.
+    One stderr line reports each finished task. Results and failures are
+    merged in plan order (seeds outer, methods in configuration order), so
+    the output is independent of scheduling. data_path, when given, names
+    the dataset file that pool workers load instead of regenerating it.
+    Without data, a serial run builds it once; a pool run leaves it to the
+    workers.
     """
     plan = [(s, m) for s in range(cfg.n_seeds) for m in cfg.methods]
-    phases = [[k for k in plan if k[1] != "two_stage"], [k for k in plan if k[1] == "two_stage"]]
+    waits = "ensemble" in cfg.methods  # does each head wait for its committee?
+    heads = deque(k for k in plan if k[1] == "two_stage" and not waits)
+    rest = deque(k for k in plan if k[1] != "two_stage")
     results: dict = {}
-    failures = []
+    failures: dict = {}
     member_params: dict = {}  # seed -> committee, from the ensemble's result
+    running: dict = {}  # future -> (task, start time)
+    slots = min(cfg.jobs, len(plan))
 
     with ExitStack() as stack:
         if cfg.jobs > 1:
-            pool = stack.enter_context(ProcessPoolExecutor(max_workers=cfg.jobs))
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=slots))
 
-            def start(s, m):
-                args = (cfg, s, m, out_dir, member_params.get(s), data_path)
-                return pool.submit(_worker, *args).result
+            def start(s, m, committee):
+                return pool.submit(_worker, cfg, s, m, out_dir, committee, data_path)
 
         else:
             if data is None:
                 data = build_eval_data(cfg, data_path)
 
-            def start(s, m):
-                committee = member_params.get(s)
-                return lambda: run_method(
-                    cfg, data, s, m, _seed_dir(out_dir, s), _members(committee)
+            def start(s, m, committee):
+                return _settled(
+                    lambda: run_method(cfg, data, s, m, _seed_dir(out_dir, s), _members(committee))
                 )
 
-        for phase in phases:
-            getters = {key: start(*key) for key in phase}
-            for key, get in getters.items():
+        while heads or rest or running:
+            while (heads or rest) and len(running) < slots:
+                key = (heads or rest).popleft()
+                # only the head takes the committee; rebuilding or shipping
+                # it for any other task would be wasted work and memory
+                committee = member_params.get(key[0]) if key[1] == "two_stage" else None
+                t0 = time.perf_counter()
+                running[start(*key, committee)] = (key, t0)
+            done, _ = wait(running, return_when=FIRST_COMPLETED)
+            for future in sorted(done, key=lambda f: plan.index(running[f][0])):
+                key, t0 = running.pop(future)
                 try:
-                    result = get()
+                    result = future.result()
+                    status = "ok"
                 except Exception as exc:  # noqa: BLE001 - isolate per-task failures
-                    failures.append(f"seed {key[0]} {key[1]}: {type(exc).__name__}: {exc}")
+                    failures[key] = f"seed {key[0]} {key[1]}: {type(exc).__name__}: {exc}"
                     result = _failure_result(cfg, *key, exc)
+                    status = f"failed ({type(exc).__name__})"
+                elapsed = time.perf_counter() - t0
+                print(f"seed {key[0]} {key[1]}: {status} in {elapsed:.2f} s", file=sys.stderr)
                 results[key] = result
                 if result.member_params is not None:
                     member_params[key[0]] = result.member_params
+                if key[1] == "ensemble" and "two_stage" in cfg.methods:
+                    heads.append((key[0], "two_stage"))
 
     points, classification = [], []
     for key in plan:
         points.extend(results[key].points)
         classification.extend(results[key].classification)
-    return PlanResult(points=points, classification=classification, failures=failures)
+    failed = [failures[key] for key in plan if key in failures]
+    return PlanResult(points=points, classification=classification, failures=failed)
 
 
 # ---------------------------------------------------------------------------
@@ -740,7 +774,10 @@ def _write_table(path, table, records) -> None:
 
 
 def _read_table(path, table, make, what) -> list:
-    """Records from a table file; any damage is a FormatError naming the file."""
+    """Records from a table file; any damage is a FormatError naming the file.
+
+    Every row's condition and level must form a valid Condition.
+    """
     records = []
     try:
         with open(path, newline="", encoding="utf-8") as fh:
@@ -752,7 +789,8 @@ def _read_table(path, table, make, what) -> list:
                     raise FormatError(f"{path}: row {lineno} has {len(row)} fields")
                 try:
                     fields = {attr: parse(raw) for (_, attr, parse), raw in zip(table, row)}
-                except ValueError as exc:
+                    Condition(fields["condition"], fields["level"])
+                except (ValueError, ConfigError) as exc:
                     raise FormatError(f"{path}: row {lineno}: {exc}") from exc
                 records.append(make(**fields))
     except (UnicodeDecodeError, _csv.Error) as exc:

@@ -262,6 +262,21 @@ def test_run_reports_row_counts(ini_path, tmp_path, capsys):
     assert "classification.csv: 3 rows" in stdout
 
 
+def test_run_reports_progress_on_stderr_only(ini_path, tmp_path, capsys):
+    ini = tmp_path / "two_seeds.ini"
+    ini.write_text(ini_path.read_text().replace("n_seeds = 1", "n_seeds = 2"))
+    out = tmp_path / "progress"
+    assert cli.main(["run", "--config", str(ini), "--out", str(out)]) == 0
+    captured = capsys.readouterr()
+    assert [line.split(": ")[0] for line in captured.out.splitlines()] == [
+        f"wrote {out / 'results.csv'}", f"wrote {out / 'classification.csv'}"
+    ]
+    progress = captured.err.splitlines()
+    assert [line.split(" in ")[0] for line in progress] == [
+        "seed 0 softmax: ok", "seed 1 softmax: ok"
+    ]
+
+
 def test_pool_run_loads_the_written_dataset(run_dir, ini_path, tmp_path, monkeypatch):
     # the pool's workers are forked, so they inherit these wrappers
     parent = os.getpid()
@@ -389,6 +404,17 @@ def test_report_malformed_results_names_the_row(tmp_path, capsys):
     rc = cli.main(["report", "--out", str(tmp_path), "--results", str(results)])
     assert rc == 1
     assert "row 2" in capsys.readouterr().err
+
+
+def test_report_condition_cannot_name_a_file_outside_report(tmp_path, capsys):
+    results = tmp_path / "r.csv"
+    row = "softmax,../../escaped,1,0,threshold,0.5,0.1,0.9,0.9,0.5,0.9,0.9,0.1,ok"
+    results.write_text(",".join(sweep.RESULTS_COLUMNS) + "\n" + row + "\n")
+    out = tmp_path / "a" / "b" / "out"
+    assert cli.main(["report", "--out", str(out), "--results", str(results)]) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "row 2" in err
+    assert [p for p in tmp_path.rglob("*") if p.is_file()] == [results]
 
 
 def test_report_missing_results_is_usage_error(tmp_path, capsys):

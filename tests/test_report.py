@@ -5,7 +5,7 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from deferbench import report
-from deferbench.errors import FormatError
+from deferbench.errors import ConfigError, FormatError
 from deferbench.metrics import CurvePoint
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
@@ -148,11 +148,6 @@ def test_legend_lists_each_method_once():
     assert texts.count("bnn") == 1
 
 
-def test_condition_label():
-    assert report.condition_label("id", 0) == "id"
-    assert report.condition_label("noise", 4) == "noise4"
-
-
 def test_write_report_one_file_per_condition(tmp_path):
     pts = []
     for condition, level in [("id", 0), ("noise", 1), ("noise", 2), ("blur", 1)]:
@@ -171,6 +166,14 @@ def test_write_report_one_file_per_condition(tmp_path):
 def test_write_report_rejects_empty_results(tmp_path):
     with pytest.raises(FormatError, match="no result rows"):
         report.write_report(tmp_path, [])
+
+
+def test_write_report_rejects_an_invalid_condition_before_writing(tmp_path):
+    good = [point(r / 4, 0.8, condition="id", level=0) for r in range(5)]
+    escaping = [point(0.5, 0.8, condition="../../escaped", level=1)]
+    with pytest.raises(ConfigError, match="unknown condition kind"):
+        report.write_report(tmp_path / "out", good + escaping)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_svg_escapes_method_and_condition_text():

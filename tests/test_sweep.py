@@ -2,6 +2,10 @@
 layout, plan execution, and the CSV containers."""
 
 import dataclasses
+import re
+import time
+from concurrent.futures import Future
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -42,13 +46,13 @@ def tiny_config(**overrides):
     return RunConfig(**base)
 
 
-def points_as_csv(points) -> str:
+def points_as_csv(points, write=sweep.write_results_csv) -> str:
     import tempfile, os
 
     fd, path = tempfile.mkstemp(suffix=".csv")
     os.close(fd)
     try:
-        sweep.write_results_csv(path, points)
+        write(path, points)
         with open(path) as fh:
             return fh.read()
     finally:
@@ -417,6 +421,145 @@ def test_failed_method_keeps_the_plan_running(tiny_cfg, eval_data):
     )
 
 
+def tables_as_csv(result) -> tuple:
+    """results.csv and classification.csv text of a plan result."""
+    return (
+        points_as_csv(result.points),
+        points_as_csv(result.classification, sweep.write_classification_csv),
+    )
+
+
+@pytest.mark.parametrize("methods", [("two_stage", "softmax"), ("two_stage", "ensemble")])
+def test_head_first_plans_are_byte_identical_across_jobs(tiny_cfg, tmp_path, methods):
+    # without an ensemble the head is ready at once; listed before the
+    # ensemble, it still waits for that committee
+    cfg = dataclasses.replace(tiny_cfg, methods=methods)
+    path = tmp_path / "dataset.dfd1"
+    data_mod.write_dataset(path, sweep.prepare_dataset(cfg))
+    serial = sweep.run_plan(cfg, data_path=path)
+    parallel = sweep.run_plan(dataclasses.replace(cfg, jobs=2), data_path=path)
+    assert serial.failures == parallel.failures == []
+    assert tables_as_csv(parallel) == tables_as_csv(serial)
+
+
+COMMITTEE = [("config", "params")]  # stands in for the ensemble's member_params
+
+
+def handshake_worker(cfg, seed_index, method, out_dir, member_params, data_path):
+    """Stand-in for sweep._worker: softmax returns only once the deferral head
+    has started, so it fails when the head waits for softmax to finish. Only
+    the head may receive the ensemble's committee."""
+    flag = Path(out_dir) / "head_started"
+    if member_params != (COMMITTEE if method == "two_stage" else None):
+        raise ValueError(f"{method} got member_params {member_params!r}")
+    if method == "two_stage":
+        flag.touch()
+    elif method == "softmax":
+        deadline = time.monotonic() + 20.0
+        while not flag.exists():
+            if time.monotonic() > deadline:
+                raise TimeoutError("the deferral head did not start while softmax ran")
+            time.sleep(0.01)
+    committee = COMMITTEE if method == "ensemble" else None
+    return sweep.MethodResult(method, seed_index, [], [], committee)
+
+
+def test_head_starts_while_an_unrelated_task_runs(tiny_cfg, tmp_path, monkeypatch):
+    # forked workers inherit the patched module global; swag starts after the
+    # ensemble has finished, so it shows that the committee goes to the head only
+    monkeypatch.setattr(sweep, "_worker", handshake_worker)
+    cfg = dataclasses.replace(
+        tiny_cfg, methods=("softmax", "ensemble", "two_stage", "swag"), jobs=2
+    )
+    result = sweep.run_plan(cfg, out_dir=tmp_path)
+    assert result.failures == []
+    assert (tmp_path / "head_started").exists()
+
+
+class InlineExecutor:
+    """Stand-in for ProcessPoolExecutor that records its max_workers and runs
+    each task in-process, so no worker process is ever started."""
+
+    created = []
+
+    def __init__(self, max_workers):
+        self.created.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return False
+
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+
+def instant_worker(cfg, seed_index, method, out_dir, member_params, data_path):
+    return sweep.MethodResult(method, seed_index, [], [])
+
+
+@pytest.mark.parametrize("jobs, workers", [(2, 2), (16, 3)])
+def test_pool_has_at_most_one_worker_per_task(tiny_cfg, monkeypatch, jobs, workers):
+    monkeypatch.setattr(sweep, "ProcessPoolExecutor", InlineExecutor)
+    monkeypatch.setattr(sweep, "_worker", instant_worker)
+    monkeypatch.setattr(InlineExecutor, "created", [])
+    cfg = dataclasses.replace(
+        tiny_cfg, methods=("softmax", "ensemble", "two_stage"), jobs=jobs
+    )
+    assert sweep.run_plan(cfg).failures == []
+    assert InlineExecutor.created == [workers]
+
+
+def slow_failing_fit(cfg, data, seed_index, members):
+    time.sleep(1.0)
+    raise RuntimeError("injected")
+
+
+def test_failures_are_listed_in_plan_order(tiny_cfg, tmp_path, monkeypatch, capsys):
+    # the injected failure comes first in the plan but last from the pool:
+    # swag fails within a fraction of a second (one epoch leaves one
+    # snapshot, which cannot form a posterior)
+    monkeypatch.setitem(sweep._METHODS, "mc_dropout", ("threshold", slow_failing_fit))
+    cfg = dataclasses.replace(
+        tiny_cfg,
+        methods=("mc_dropout", "swag", "softmax"),
+        sgd=dataclasses.replace(tiny_cfg.sgd, epochs=1),
+    )
+    path = tmp_path / "dataset.dfd1"
+    data_mod.write_dataset(path, sweep.prepare_dataset(cfg))
+    serial = sweep.run_plan(cfg, data_path=path)
+    parallel = sweep.run_plan(dataclasses.replace(cfg, jobs=2), data_path=path)
+    assert [failure.split(": ")[:2] for failure in serial.failures] == [
+        ["seed 0 mc_dropout", "RuntimeError"], ["seed 0 swag", "CollectionError"],
+    ]
+    assert parallel.failures == serial.failures
+    assert tables_as_csv(parallel) == tables_as_csv(serial)
+
+    lines = capsys.readouterr().err.splitlines()
+    for line in ("seed 0 mc_dropout: failed (RuntimeError)",
+                 "seed 0 swag: failed (CollectionError)", "seed 0 softmax: ok"):
+        assert sum(entry.startswith(line + " in ") for entry in lines) == 2, line
+
+
+def test_one_progress_line_per_finished_task(tiny_cfg, eval_data, capsys):
+    cfg = dataclasses.replace(tiny_cfg, n_seeds=2, methods=("swag", "softmax"),
+                              swag=SwagCollectConfig(burn_in_frac=0.9, max_rank=20))
+    capsys.readouterr()
+    sweep.run_plan(cfg, data=eval_data)
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    pattern = re.compile(r"seed (\d) (\w+): (ok|failed \((\w+)\)) in \d+\.\d\d s")
+    matches = [pattern.fullmatch(line) for line in captured.err.splitlines()]
+    assert all(matches), captured.err
+    assert sorted((m[1], m[2], m[3]) for m in matches) == [
+        ("0", "softmax", "ok"), ("0", "swag", "failed (CollectionError)"),
+        ("1", "softmax", "ok"), ("1", "swag", "failed (CollectionError)"),
+    ]
+
+
 def test_run_method_rejects_unknown_method(tiny_cfg, eval_data):
     with pytest.raises(ConfigError, match="unknown method"):
         sweep.run_method(tiny_cfg, eval_data, 0, "oracle")
@@ -473,6 +616,13 @@ def test_results_csv_rejects_bad_input(tmp_path):
     path.write_text(header + "\n" + bad + "\n")
     with pytest.raises(FormatError, match="row 2"):
         sweep.read_results_csv(path)
+
+    # condition and level must form a Condition
+    for condition, level in (("../../escaped", "1"), ("id", "2"), ("noise", "0")):
+        bad = good.replace("softmax,id,0,", f"softmax,{condition},{level},")
+        path.write_text(header + "\n" + good + "\n" + bad + "\n")
+        with pytest.raises(FormatError, match="row 3"):
+            sweep.read_results_csv(path)
 
 
 def test_classification_csv_roundtrip(softmax_plan, tiny_cfg, tmp_path):
