@@ -54,14 +54,14 @@ def cmd_generate(args) -> int:
 
 def cmd_run(args) -> int:
     cfg = _load_run_config(args)
+    data_path = args.data
+    if data_path is not None and not Path(data_path).is_file():
+        raise UsageError(f"{data_path}: no such dataset file")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     with atomic_open(out / "config.ini", "w", encoding="utf-8") as fh:
         fh.write(emit_config(cfg))
 
-    data_path = args.data
-    if data_path is not None and not Path(data_path).is_file():
-        raise UsageError(f"{data_path}: no such dataset file")
     ds = None
     if data_path is None:
         ds = sweep.prepare_dataset(cfg)

@@ -1,17 +1,23 @@
 """Run configuration: defaults, INI parsing, and a canonical text form.
 
-The canonical emitter sorts sections and keys so that emitting, parsing, and
-re-emitting is byte-stable; every experiment directory gets this echo of the
-configuration it actually ran with.
+``_LAYOUT`` maps every INI key to a ``RunConfig`` attribute, its parser and
+its word for None; emitting, name checks and parsing all read it, so a new
+setting is one dataclass field plus one row. The emitter sorts sections and
+keys, so emitting, parsing and re-emitting is byte-stable; every experiment
+directory gets this echo of the configuration it actually ran with. Bad
+settings (non-finite numbers, unordered corruption tables, blur conditions the
+images cannot hold) are a ``ConfigError`` at load, before a run writes a file.
 """
 
 from __future__ import annotations
 
 import configparser
 import io
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, replace
+from operator import attrgetter
 
-from deferbench.data import BLUR_SIGMAS, NOISE_SIGMAS, SynthSpec
+from deferbench.data import BLUR_SIGMAS, NOISE_SIGMAS, SynthSpec, blur_radius, check_magnitudes
 from deferbench.errors import ConfigError
 from deferbench.nnet import SgdConfig
 from deferbench.uq import BnnConfig, SwagCollectConfig
@@ -70,6 +76,8 @@ class CorruptionSettings:
             raise ConfigError("levels must be non-negative")
         if self.levels > len(self.noise_sigmas) or self.levels > len(self.blur_sigmas):
             raise ConfigError("levels exceeds the corruption magnitude tables")
+        check_magnitudes("noise_sigmas", self.noise_sigmas)
+        check_magnitudes("blur_sigmas", self.blur_sigmas)
 
 
 @dataclass(frozen=True)
@@ -105,93 +113,16 @@ class RunConfig:
             raise ConfigError("methods must be unique")
         if not self.hidden_dims or not all(h >= 1 for h in self.hidden_dims):
             raise ConfigError("hidden_dims must be positive")
+        levels = self.corruption.levels  # every planned blur condition must be buildable
+        if levels and self.data.spatial_shape is None:
+            raise ConfigError("blob mode (spatial_shape = none) needs [corruption] levels = 0")
+        if levels:
+            blur_radius(self.corruption.blur_sigmas[levels - 1], *self.data.spatial_shape[:2])
 
 
 # ---------------------------------------------------------------------------
 # Canonical text form and parsing
 # ---------------------------------------------------------------------------
-
-
-def _fmt(value) -> str:
-    if isinstance(value, bool):
-        raise ConfigError("boolean settings are not used")
-    if isinstance(value, float):
-        return repr(value)
-    if isinstance(value, tuple):
-        return ",".join(_fmt(v) for v in value)
-    if value is None:
-        return "none"
-    return str(value)
-
-
-def _section_items(cfg: RunConfig) -> dict:
-    d = cfg.data
-    return {
-        "run": {
-            "seed": cfg.seed,
-            "n_seeds": cfg.n_seeds,
-            "jobs": cfg.jobs,
-            "methods": cfg.methods,
-        },
-        "data": {
-            "n_samples": d.n_samples,
-            "positive_fraction": d.positive_fraction,
-            "overlap_scale": d.overlap_scale,
-            "spatial_shape": d.spatial_shape,
-            "n_features": d.n_features,
-            "class_separation": d.class_separation,
-            "family_spread": d.family_spread,
-            "signal_gap": d.signal_gap,
-            "amplitude_jitter": d.amplitude_jitter,
-            "background_amp": d.background_amp,
-            "pixel_noise": d.pixel_noise,
-        },
-        "net": {"hidden_dims": cfg.hidden_dims},
-        "sgd": {
-            "learning_rate": cfg.sgd.learning_rate,
-            "momentum": cfg.sgd.momentum,
-            "weight_decay": cfg.sgd.weight_decay,
-            "batch_size": cfg.sgd.batch_size,
-            "epochs": cfg.sgd.epochs,
-        },
-        "uq": {
-            "n_members": cfg.uq.n_members,
-            "n_samples": cfg.uq.n_samples,
-            "dropout_rate": cfg.uq.dropout_rate,
-            "threshold_steps": cfg.uq.threshold_steps,
-        },
-        "bnn": {
-            "prior_stddev": cfg.bnn.prior_stddev,
-            "kl_weight": "auto" if cfg.bnn.kl_weight is None else cfg.bnn.kl_weight,
-            "init_log_stddev": cfg.bnn.init_log_stddev,
-        },
-        "swag": {
-            "burn_in_frac": cfg.swag.burn_in_frac,
-            "max_rank": cfg.swag.max_rank,
-        },
-        "sweep": {
-            "alpha_grid": cfg.sweep.alpha_grid,
-            "beta_grid": cfg.sweep.beta_grid,
-            "head_hidden_dims": cfg.sweep.head_hidden_dims,
-        },
-        "corruption": {
-            "noise_sigmas": cfg.corruption.noise_sigmas,
-            "blur_sigmas": cfg.corruption.blur_sigmas,
-            "levels": cfg.corruption.levels,
-        },
-    }
-
-
-def emit_config(cfg: RunConfig) -> str:
-    """Byte-stable INI text: sorted sections, sorted keys, 'key = value'."""
-    sections = _section_items(cfg)
-    out = io.StringIO()
-    for name in sorted(sections):
-        out.write(f"[{name}]\n")
-        for key in sorted(sections[name]):
-            out.write(f"{key} = {_fmt(sections[name][key])}\n")
-        out.write("\n")
-    return out.getvalue()
 
 
 def _parse_int(raw: str, where: str) -> int:
@@ -203,147 +134,157 @@ def _parse_int(raw: str, where: str) -> int:
 
 def _parse_float(raw: str, where: str) -> float:
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError as exc:
         raise ConfigError(f"{where}: expected a number, got {raw!r}") from exc
+    if not math.isfinite(value):
+        raise ConfigError(f"{where}: expected a finite number, got {raw!r}")
+    return value
 
 
-def _parse_tuple(raw: str, cast, where: str) -> tuple:
-    parts = [p.strip() for p in raw.split(",") if p.strip()]
-    if not parts:
-        raise ConfigError(f"{where}: expected a comma-separated list, got {raw!r}")
-    return tuple(cast(p, where) for p in parts)
+def _list_of(cast):
+    def parse(raw: str, where: str) -> tuple:
+        parts = [p.strip() for p in raw.split(",") if p.strip()]
+        if not parts:
+            raise ConfigError(f"{where}: expected a comma-separated list, got {raw!r}")
+        return tuple(cast(p, where) for p in parts)
+
+    return parse
 
 
-def _parse_str_tuple(raw: str) -> tuple:
+_parse_ints = _list_of(_parse_int)
+_parse_floats = _list_of(_parse_float)
+
+
+def _parse_shape(raw: str, where: str) -> tuple:
+    shape = _parse_ints(raw, where)
+    if len(shape) != 3:
+        raise ConfigError(f"{where} needs H,W,C, got {raw!r}")
+    return shape
+
+
+def _parse_names(raw: str, where: str) -> tuple:
     return tuple(p.strip() for p in raw.split(",") if p.strip())
 
 
-def parse_config(text: str, defaults: RunConfig | None = None) -> RunConfig:
+# section -> key -> (dotted RunConfig attribute, parser, word that stands for None)
+_LAYOUT = {
+    "run": {
+        "seed": ("seed", _parse_int, None),
+        "n_seeds": ("n_seeds", _parse_int, None),
+        "jobs": ("jobs", _parse_int, None),
+        "methods": ("methods", _parse_names, None),
+    },
+    "data": {
+        "n_samples": ("data.n_samples", _parse_int, None),
+        "positive_fraction": ("data.positive_fraction", _parse_float, None),
+        "overlap_scale": ("data.overlap_scale", _parse_float, None),
+        "spatial_shape": ("data.spatial_shape", _parse_shape, "none"),
+        "n_features": ("data.n_features", _parse_int, None),
+        "class_separation": ("data.class_separation", _parse_float, None),
+        "family_spread": ("data.family_spread", _parse_float, None),
+        "signal_gap": ("data.signal_gap", _parse_float, None),
+        "amplitude_jitter": ("data.amplitude_jitter", _parse_float, None),
+        "background_amp": ("data.background_amp", _parse_float, None),
+        "pixel_noise": ("data.pixel_noise", _parse_float, None),
+    },
+    "net": {"hidden_dims": ("hidden_dims", _parse_ints, None)},
+    "sgd": {
+        "learning_rate": ("sgd.learning_rate", _parse_float, None),
+        "momentum": ("sgd.momentum", _parse_float, None),
+        "weight_decay": ("sgd.weight_decay", _parse_float, None),
+        "batch_size": ("sgd.batch_size", _parse_int, None),
+        "epochs": ("sgd.epochs", _parse_int, None),
+    },
+    "uq": {
+        "n_members": ("uq.n_members", _parse_int, None),
+        "n_samples": ("uq.n_samples", _parse_int, None),
+        "dropout_rate": ("uq.dropout_rate", _parse_float, None),
+        "threshold_steps": ("uq.threshold_steps", _parse_int, None),
+    },
+    "bnn": {
+        "prior_stddev": ("bnn.prior_stddev", _parse_float, None),
+        "kl_weight": ("bnn.kl_weight", _parse_float, "auto"),
+        "init_log_stddev": ("bnn.init_log_stddev", _parse_float, None),
+    },
+    "swag": {
+        "burn_in_frac": ("swag.burn_in_frac", _parse_float, None),
+        "max_rank": ("swag.max_rank", _parse_int, None),
+    },
+    "sweep": {
+        "alpha_grid": ("sweep.alpha_grid", _parse_floats, None),
+        "beta_grid": ("sweep.beta_grid", _parse_floats, None),
+        "head_hidden_dims": ("sweep.head_hidden_dims", _parse_ints, None),
+    },
+    "corruption": {
+        "noise_sigmas": ("corruption.noise_sigmas", _parse_floats, None),
+        "blur_sigmas": ("corruption.blur_sigmas", _parse_floats, None),
+        "levels": ("corruption.levels", _parse_int, None),
+    },
+}
+
+
+def _fmt(value) -> str:
+    if isinstance(value, bool):
+        raise ConfigError("boolean settings are not used")
+    if isinstance(value, float):
+        return repr(value)
+    if isinstance(value, tuple):
+        return ",".join(_fmt(v) for v in value)
+    return str(value)
+
+
+def emit_config(cfg: RunConfig) -> str:
+    """Byte-stable INI text: sorted sections, sorted keys, 'key = value'."""
+    out = io.StringIO()
+    for section in sorted(_LAYOUT):
+        out.write(f"[{section}]\n")
+        for key, (path, _, none_word) in sorted(_LAYOUT[section].items()):
+            value = attrgetter(path)(cfg)
+            out.write(f"{key} = {none_word if value is None else _fmt(value)}\n")
+        out.write("\n")
+    return out.getvalue()
+
+
+def parse_config(text: str) -> RunConfig:
     """Override fields of the default configuration from INI text.
 
-    Unknown sections or keys are rejected so typos cannot silently fall back
-    to defaults.
+    Unknown sections or keys are rejected, before any value is parsed, so
+    typos cannot silently fall back to defaults.
     """
-    cfg = defaults if defaults is not None else RunConfig()
     parser = configparser.ConfigParser(interpolation=None)
     try:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"bad configuration syntax: {exc}") from exc
 
-    known = _section_items(cfg)
     for section in parser.sections():
-        if section not in known:
+        if section not in _LAYOUT:
             raise ConfigError(f"unknown section [{section}]")
         for key in parser[section]:
-            if key not in known[section]:
+            if key not in _LAYOUT[section]:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
 
-    def get(section, key, default):
-        if parser.has_option(section, key):
-            return parser.get(section, key).strip()
-        return default
+    # owning attribute ("" for RunConfig itself) -> {field name: parsed value}
+    changes = {}
+    for section in parser.sections():
+        for key, raw in parser[section].items():
+            path, parse, none_word = _LAYOUT[section][key]
+            raw, where = raw.strip(), f"[{section}] {key}"
+            value = None if none_word and raw.lower() == none_word else parse(raw, where)
+            owner, _, name = path.rpartition(".")
+            changes.setdefault(owner, {})[name] = value
 
-    def geti(section, key, default):
-        raw = get(section, key, None)
-        return default if raw is None else _parse_int(raw, f"[{section}] {key}")
-
-    def getf(section, key, default):
-        raw = get(section, key, None)
-        return default if raw is None else _parse_float(raw, f"[{section}] {key}")
-
-    def getft(section, key, default):
-        raw = get(section, key, None)
-        return default if raw is None else _parse_tuple(raw, _parse_float, f"[{section}] {key}")
-
-    def getit(section, key, default):
-        raw = get(section, key, None)
-        return default if raw is None else _parse_tuple(raw, _parse_int, f"[{section}] {key}")
-
-    d = cfg.data
-    raw_shape = get("data", "spatial_shape", None)
-    if raw_shape is None:
-        spatial = d.spatial_shape
-    elif raw_shape.lower() == "none":
-        spatial = None
-    else:
-        spatial = _parse_tuple(raw_shape, _parse_int, "[data] spatial_shape")
-        if len(spatial) != 3:
-            raise ConfigError(f"[data] spatial_shape needs H,W,C, got {raw_shape!r}")
-
-    data = SynthSpec(
-        n_samples=geti("data", "n_samples", d.n_samples),
-        positive_fraction=getf("data", "positive_fraction", d.positive_fraction),
-        seed=d.seed,
-        overlap_scale=getf("data", "overlap_scale", d.overlap_scale),
-        spatial_shape=spatial,
-        n_features=geti("data", "n_features", d.n_features),
-        class_separation=getf("data", "class_separation", d.class_separation),
-        family_spread=getf("data", "family_spread", d.family_spread),
-        signal_gap=getf("data", "signal_gap", d.signal_gap),
-        amplitude_jitter=getf("data", "amplitude_jitter", d.amplitude_jitter),
-        background_amp=getf("data", "background_amp", d.background_amp),
-        pixel_noise=getf("data", "pixel_noise", d.pixel_noise),
-    )
-
-    raw_kl = get("bnn", "kl_weight", None)
-    if raw_kl is None:
-        kl_weight = cfg.bnn.kl_weight
-    elif raw_kl.lower() == "auto":
-        kl_weight = None
-    else:
-        kl_weight = _parse_float(raw_kl, "[bnn] kl_weight")
-
-    raw_methods = get("run", "methods", None)
-    methods = cfg.methods if raw_methods is None else _parse_str_tuple(raw_methods)
-
-    return RunConfig(
-        seed=geti("run", "seed", cfg.seed),
-        n_seeds=geti("run", "n_seeds", cfg.n_seeds),
-        jobs=geti("run", "jobs", cfg.jobs),
-        methods=methods,
-        data=data,
-        hidden_dims=getit("net", "hidden_dims", cfg.hidden_dims),
-        sgd=SgdConfig(
-            learning_rate=getf("sgd", "learning_rate", cfg.sgd.learning_rate),
-            momentum=getf("sgd", "momentum", cfg.sgd.momentum),
-            weight_decay=getf("sgd", "weight_decay", cfg.sgd.weight_decay),
-            batch_size=geti("sgd", "batch_size", cfg.sgd.batch_size),
-            epochs=geti("sgd", "epochs", cfg.sgd.epochs),
-        ),
-        uq=UqSettings(
-            n_members=geti("uq", "n_members", cfg.uq.n_members),
-            n_samples=geti("uq", "n_samples", cfg.uq.n_samples),
-            dropout_rate=getf("uq", "dropout_rate", cfg.uq.dropout_rate),
-            threshold_steps=geti("uq", "threshold_steps", cfg.uq.threshold_steps),
-        ),
-        bnn=BnnConfig(
-            prior_stddev=getf("bnn", "prior_stddev", cfg.bnn.prior_stddev),
-            kl_weight=kl_weight,
-            init_log_stddev=getf("bnn", "init_log_stddev", cfg.bnn.init_log_stddev),
-        ),
-        swag=SwagCollectConfig(
-            burn_in_frac=getf("swag", "burn_in_frac", cfg.swag.burn_in_frac),
-            max_rank=geti("swag", "max_rank", cfg.swag.max_rank),
-        ),
-        sweep=SweepSettings(
-            alpha_grid=getft("sweep", "alpha_grid", cfg.sweep.alpha_grid),
-            beta_grid=getft("sweep", "beta_grid", cfg.sweep.beta_grid),
-            head_hidden_dims=getit("sweep", "head_hidden_dims", cfg.sweep.head_hidden_dims),
-        ),
-        corruption=CorruptionSettings(
-            noise_sigmas=getft("corruption", "noise_sigmas", cfg.corruption.noise_sigmas),
-            blur_sigmas=getft("corruption", "blur_sigmas", cfg.corruption.blur_sigmas),
-            levels=geti("corruption", "levels", cfg.corruption.levels),
-        ),
-    )
+    cfg = RunConfig()
+    nested = {owner: replace(getattr(cfg, owner), **fields)
+              for owner, fields in changes.items() if owner}
+    return replace(cfg, **changes.get("", {}), **nested)
 
 
-def load_config(path, defaults: RunConfig | None = None) -> RunConfig:
+def load_config(path) -> RunConfig:
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text: {exc}") from exc
-    return parse_config(text, defaults=defaults)
+    return parse_config(text)

@@ -284,6 +284,15 @@ def oversample_weights(labels) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def check_magnitudes(name: str, table) -> None:
+    """Reject a severity table unless it is positive, finite and strictly increasing."""
+    increasing = all(a < b for a, b in zip(table, table[1:]))
+    if not increasing or not all(0.0 < v < np.inf for v in table):
+        raise ConfigError(
+            f"{name} must be positive, finite and strictly increasing, got {tuple(table)}"
+        )
+
+
 @dataclass(frozen=True)
 class CorruptionSpec:
     """Corruption kind and severity level; level 0 is the identity.
@@ -303,8 +312,7 @@ class CorruptionSpec:
         table = self.noise_sigmas if self.kind == "noise" else self.blur_sigmas
         if not (0 <= self.level <= len(table)):
             raise ConfigError(f"level must lie in 0..{len(table)}, got {self.level}")
-        if any(b <= a for a, b in zip(table, table[1:])) or any(v <= 0 for v in table):
-            raise ConfigError("corruption magnitudes must be positive and increasing")
+        check_magnitudes(f"{self.kind}_sigmas", table)
 
     @property
     def parameter(self) -> float:
@@ -323,6 +331,14 @@ def gaussian_kernel(sigma: float) -> np.ndarray:
     return k / k.sum()
 
 
+def blur_radius(sigma: float, height: int, width: int) -> int:
+    """Radius ceil(3*sigma) of the blur kernel; it must stay below both image sides."""
+    radius = int(np.ceil(3.0 * sigma))
+    if radius >= height or radius >= width:
+        raise ConfigError(f"blur sigma {sigma} needs radius {radius} >= image side")
+    return radius
+
+
 def gaussian_blur(images: np.ndarray, sigma: float) -> np.ndarray:
     """Separable per-channel Gaussian blur with reflect padding, no clipping.
 
@@ -331,11 +347,9 @@ def gaussian_blur(images: np.ndarray, sigma: float) -> np.ndarray:
     """
     if images.ndim != 4:
         raise InputShapeError(f"expected (S, H, W, C) images, got shape {images.shape}")
-    kernel = gaussian_kernel(sigma)
-    radius = (kernel.shape[0] - 1) // 2
     _, h, w, _ = images.shape
-    if radius >= h or radius >= w:
-        raise ConfigError(f"blur sigma {sigma} needs radius {radius} >= image side")
+    radius = blur_radius(sigma, h, w)
+    kernel = gaussian_kernel(sigma)
 
     out = np.pad(images, ((0, 0), (radius, radius), (0, 0), (0, 0)), mode="reflect")
     acc = np.zeros_like(images)

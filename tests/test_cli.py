@@ -371,6 +371,33 @@ def test_missing_config_file_is_usage_error(tmp_path, capsys):
     assert "no such configuration file" in capsys.readouterr().err
 
 
+# Each setting below used to start a run: it wrote config.ini and dataset.dfd1
+# and then failed in a task. It must be refused before any file is written.
+REJECTED_RUNS = {
+    "non_finite_float": (TINY_INI + "\n[bnn]\nprior_stddev = nan\n", []),
+    "unordered_noise_table": (
+        TINY_INI.replace("levels = 1", "levels = 1\nnoise_sigmas = 0.2,0.1"), []
+    ),
+    "blur_in_blob_mode": (TINY_INI.replace("spatial_shape = 8,8,1", "spatial_shape = none"), []),
+    "blur_wider_than_image": (TINY_INI.replace("levels = 1", "levels = 5"), []),
+    "missing_dataset_file": (TINY_INI, ["--data", "/no/such.dfd1"]),
+}
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("case", list(REJECTED_RUNS))
+def test_bad_setting_is_refused_before_the_run_writes(tmp_path, capsys, case, jobs):
+    text, extra = REJECTED_RUNS[case]
+    ini = tmp_path / "bad.ini"
+    ini.write_text(text)
+    out = tmp_path / "run"
+    rc = cli.main(["run", "--config", str(ini), "--out", str(out), "--jobs", jobs, *extra])
+    assert rc == 2
+    assert "error:" in capsys.readouterr().err
+    assert not (out / "config.ini").exists()
+    assert not (out / "dataset.dfd1").exists()
+
+
 # ---------------------------------------------------------------------------
 # report
 # ---------------------------------------------------------------------------

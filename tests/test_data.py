@@ -197,6 +197,8 @@ def test_corruption_spec_levels():
         data.CorruptionSpec("noise", 6)
     with pytest.raises(ConfigError):
         data.CorruptionSpec("noise", 1, noise_sigmas=(0.2, 0.1))
+    with pytest.raises(ConfigError, match="finite"):
+        data.CorruptionSpec("blur", 1, blur_sigmas=(0.5, float("inf")))
 
 
 def test_corrupt_level_zero_is_identity():
