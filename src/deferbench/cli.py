@@ -34,12 +34,17 @@ def _load_run_config(args) -> RunConfig:
     return cfg
 
 
-def cmd_generate(args) -> int:
-    cfg = _load_run_config(args)
-    ds = sweep.prepare_dataset(cfg)
-    out = Path(args.out)
+def _output_file(path) -> Path:
+    out = Path(path)
     if not out.parent.is_dir():
         raise UsageError(f"{out.parent}: output directory does not exist")
+    return out
+
+
+def cmd_generate(args) -> int:
+    cfg = _load_run_config(args)
+    out = _output_file(args.out)
+    ds = sweep.prepare_dataset(cfg)
     data_mod.write_dataset(out, ds)
     pos = int(ds.labels.sum())
     prevalence = 100.0 * pos / ds.n_samples
@@ -55,8 +60,12 @@ def cmd_generate(args) -> int:
 def cmd_run(args) -> int:
     cfg = _load_run_config(args)
     data_path = args.data
-    if data_path is not None and not Path(data_path).is_file():
-        raise UsageError(f"{data_path}: no such dataset file")
+    if data_path is not None:
+        if not Path(data_path).is_file():
+            raise UsageError(f"{data_path}: no such dataset file")
+        # the file's own image shape, not the generator's, bounds the blur levels
+        header = data_mod.read_dataset_header(data_path)
+        cfg.corruption.check_images(header.spatial_shape, str(data_path))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     with atomic_open(out / "config.ini", "w", encoding="utf-8") as fh:
@@ -70,6 +79,7 @@ def cmd_run(args) -> int:
     # without data, a serial plan loads the dataset file once; pool workers
     # each load it themselves
     data = sweep.split_eval_data(cfg, ds) if ds is not None and cfg.jobs <= 1 else None
+    del ds  # the split arrays are copies; free the full dataset before training
 
     result = sweep.run_plan(cfg, out_dir=out, data=data, data_path=data_path)
     sweep.write_results_csv(out / sweep.RESULTS_NAME, result.points)
@@ -106,6 +116,7 @@ def cmd_corrupt(args) -> int:
     cfg = _load_run_config(args)
     if not Path(args.data).is_file():
         raise UsageError(f"{args.data}: no such dataset file")
+    out = _output_file(args.out)
     ds = data_mod.read_dataset(args.data)
     spec = data_mod.CorruptionSpec(
         kind=args.kind,
@@ -114,9 +125,6 @@ def cmd_corrupt(args) -> int:
         blur_sigmas=cfg.corruption.blur_sigmas,
     )
     corrupted = data_mod.corrupt(ds, spec, cfg.seed)
-    out = Path(args.out)
-    if not out.parent.is_dir():
-        raise UsageError(f"{out.parent}: output directory does not exist")
     data_mod.write_dataset(out, corrupted)
     print(f"wrote {out}: {spec.kind} level {spec.level} (parameter {spec.parameter})")
     return 0

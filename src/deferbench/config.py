@@ -79,6 +79,19 @@ class CorruptionSettings:
         check_magnitudes("noise_sigmas", self.noise_sigmas)
         check_magnitudes("blur_sigmas", self.blur_sigmas)
 
+    def check_images(self, spatial_shape, source: str) -> None:
+        """Every planned blur condition must be buildable on images of this
+        (H, W, C) shape; None is blob mode, which cannot be blurred at all."""
+        if not self.levels:
+            return
+        if spatial_shape is None:
+            raise ConfigError(f"{source} is blob mode (no images); "
+                              "it needs [corruption] levels = 0")
+        try:
+            blur_radius(self.blur_sigmas[self.levels - 1], *spatial_shape[:2])
+        except ConfigError as exc:
+            raise ConfigError(f"{source}: {exc}") from None
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -113,11 +126,7 @@ class RunConfig:
             raise ConfigError("methods must be unique")
         if not self.hidden_dims or not all(h >= 1 for h in self.hidden_dims):
             raise ConfigError("hidden_dims must be positive")
-        levels = self.corruption.levels  # every planned blur condition must be buildable
-        if levels and self.data.spatial_shape is None:
-            raise ConfigError("blob mode (spatial_shape = none) needs [corruption] levels = 0")
-        if levels:
-            blur_radius(self.corruption.blur_sigmas[levels - 1], *self.data.spatial_shape[:2])
+        self.corruption.check_images(self.data.spatial_shape, "[data] spatial_shape")
 
 
 # ---------------------------------------------------------------------------

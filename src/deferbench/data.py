@@ -10,13 +10,19 @@ Two generator modes stand in for the real imaging data:
   plus a smooth random background and i.i.d. pixel noise. Pixel noise is the
   dominant nuisance, so additive test-time noise genuinely degrades the
   signal, while blurring mostly preserves it.
+
+Memory: the image generator fills one preallocated feature buffer in blocks
+of _ROW_BLOCK rows, so a dataset costs about one copy of its float64
+features while it is built; float32 rounding and the DFD1 writer also go a
+block at a time. The block size is an internal constant, not a setting;
+every block size gives the same bytes.
 """
 
 from __future__ import annotations
 
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -41,6 +47,8 @@ _HEADER = struct.Struct("<4sIQQIIIQ")  # magic, version, S, D, H, W, C, label_of
 
 NOISE_SIGMAS = (0.04, 0.08, 0.12, 0.16, 0.20)
 BLUR_SIGMAS = (0.5, 1.0, 1.5, 2.0, 2.5)
+
+_ROW_BLOCK = 256  # rows per block of the generator and the DFD1 writer; see "Memory"
 
 
 @dataclass
@@ -85,10 +93,11 @@ class Dataset:
         return self.splits == which
 
     def subset(self, mask) -> "Dataset":
+        """Rows selected by a boolean or index mask, in new arrays."""
         mask = np.asarray(mask)
         return Dataset(
-            features=self.features[mask].copy(),
-            labels=self.labels[mask].copy(),
+            features=self.features[mask],
+            labels=self.labels[mask],
             spatial_shape=self.spatial_shape,
             splits=None,
             provenance=self.provenance,
@@ -176,9 +185,13 @@ def low_frequency_pattern(height: int, width: int) -> np.ndarray:
     return np.outer(rows, cols)
 
 
-def _smooth_background(rng, n: int, height: int, width: int) -> np.ndarray:
-    """Per-sample low-frequency field: coarse 4x4 Gaussian grid, bilinear upsample."""
-    grid = rng.standard_normal((n, 4, 4))
+def _smooth_background(grid: np.ndarray, height: int, width: int) -> np.ndarray:
+    """Per-sample low-frequency field: bilinear upsample of a coarse 4x4 grid.
+
+    grid is (S, 4, 4). Interpolating along x on the 4 coarse rows before
+    picking rows gives each output element the same floating-point
+    operations as interpolating the four picked corners directly.
+    """
     ys = np.clip((np.arange(height) + 0.5) / height * 4 - 0.5, 0.0, 3.0)
     xs = np.clip((np.arange(width) + 0.5) / width * 4 - 0.5, 0.0, 3.0)
     y0 = np.floor(ys).astype(int)
@@ -187,25 +200,41 @@ def _smooth_background(rng, n: int, height: int, width: int) -> np.ndarray:
     x1 = np.minimum(x0 + 1, 3)
     wy = (ys - y0)[None, :, None]
     wx = (xs - x0)[None, None, :]
-    g00 = grid[:, y0][:, :, x0]
-    g01 = grid[:, y0][:, :, x1]
-    g10 = grid[:, y1][:, :, x0]
-    g11 = grid[:, y1][:, :, x1]
-    return (1 - wy) * ((1 - wx) * g00 + wx * g01) + wy * ((1 - wx) * g10 + wx * g11)
+    rows = (1 - wx) * grid[:, :, x0] + wx * grid[:, :, x1]  # (S, 4, W)
+    return (1 - wy) * rows[:, y0] + wy * rows[:, y1]
 
 
 def _image_features(rng, spec: SynthSpec, labels: np.ndarray) -> np.ndarray:
+    """Image-mode features, built into one preallocated buffer in row blocks.
+
+    The per-sample amplitudes and background grids are drawn first, then the
+    pixel noise block by block; consecutive draws continue one stream, so
+    the bytes do not depend on _ROW_BLOCK.
+    """
     h, w, c = spec.spatial_shape
     n = labels.shape[0]
     pattern = low_frequency_pattern(h, w)
     amplitude = spec.signal_gap * labels + (
         spec.amplitude_jitter * spec.overlap_scale * rng.standard_normal(n)
     )
-    images = 0.5 + amplitude[:, None, None] * pattern[None, :, :]
-    images = images + spec.background_amp * spec.overlap_scale * _smooth_background(rng, n, h, w)
-    images = np.repeat(images[..., None], c, axis=3)
-    images = images + spec.pixel_noise * spec.overlap_scale * rng.standard_normal((n, h, w, c))
-    return np.clip(images, 0.0, 1.0).reshape(n, h * w * c)
+    grid = rng.standard_normal((n, 4, 4))
+    background_scale = spec.background_amp * spec.overlap_scale
+    noise_scale = spec.pixel_noise * spec.overlap_scale
+
+    images = np.empty((n, h, w, c))
+    noise = np.empty((min(n, _ROW_BLOCK), h, w, c))
+    for start in range(0, n, _ROW_BLOCK):
+        stop = min(start + _ROW_BLOCK, n)
+        block = images[start:stop]
+        smooth = 0.5 + amplitude[start:stop, None, None] * pattern[None, :, :]
+        smooth += background_scale * _smooth_background(grid[start:stop], h, w)
+        block[...] = smooth[..., None]
+        block_noise = noise[: stop - start]
+        rng.standard_normal(out=block_noise)
+        block_noise *= noise_scale
+        block += block_noise
+        np.clip(block, 0.0, 1.0, out=block)
+    return images.reshape(n, h * w * c)
 
 
 def generate(spec: SynthSpec) -> Dataset:
@@ -226,12 +255,23 @@ def generate(spec: SynthSpec) -> Dataset:
     )
 
 
+def round_to_float32(features: np.ndarray) -> None:
+    """Round float64 features to float32 precision in place, a row block at a
+    time; widening back to float64 is exact."""
+    for start in range(0, features.shape[0], _ROW_BLOCK):
+        block = features[start : start + _ROW_BLOCK]
+        block[...] = block.astype(np.float32)
+
+
 def _round_half_up(x: float) -> int:
     return int(np.floor(x + 0.5))
 
 
 def split(dataset: Dataset, seed: int, fractions=SPLIT_FRACTIONS) -> Dataset:
     """Random stratified 70/20/10 split; every split receives both classes.
+
+    The result carries the split tags and shares the input's feature and
+    label arrays.
 
     Sizes follow per-class cumulative rounding, so overall split sizes are
     within one sample of the exact fractions. If a class would miss a split,
@@ -265,9 +305,7 @@ def split(dataset: Dataset, seed: int, fractions=SPLIT_FRACTIONS) -> Dataset:
         splits[idx[bounds[0] : bounds[1]]] = VAL
         splits[idx[bounds[1] :]] = TEST
 
-    out = dataset.copy()
-    out.splits = splits
-    return out
+    return replace(dataset, splits=splits)
 
 
 def oversample_weights(labels) -> np.ndarray:
@@ -342,23 +380,27 @@ def blur_radius(sigma: float, height: int, width: int) -> int:
 def gaussian_blur(images: np.ndarray, sigma: float) -> np.ndarray:
     """Separable per-channel Gaussian blur with reflect padding, no clipping.
 
-    images: (S, H, W, C). The kernel is normalized after truncation, so a
-    constant image is a fixed point and the operator is linear.
+    images: (S, H, W, C); the result is float64. The kernel is normalized
+    after truncation, so a constant image is a fixed point and the operator
+    is linear.
     """
+    images = np.asarray(images, dtype=np.float64)
     if images.ndim != 4:
         raise InputShapeError(f"expected (S, H, W, C) images, got shape {images.shape}")
     _, h, w, _ = images.shape
     radius = blur_radius(sigma, h, w)
     kernel = gaussian_kernel(sigma)
 
-    out = np.pad(images, ((0, 0), (radius, radius), (0, 0), (0, 0)), mode="reflect")
-    acc = np.zeros_like(images)
+    acc = np.zeros(images.shape)
+    term = np.empty(images.shape)  # one weighted tap, reused
+    padded = np.pad(images, ((0, 0), (radius, radius), (0, 0), (0, 0)), mode="reflect")
     for tap, weight in enumerate(kernel):
-        acc += weight * out[:, tap : tap + h, :, :]
-    out = np.pad(acc, ((0, 0), (0, 0), (radius, radius), (0, 0)), mode="reflect")
-    acc = np.zeros_like(images)
+        acc += np.multiply(padded[:, tap : tap + h, :, :], weight, out=term)
+    del padded  # free the row-padded copy before padding the columns
+    padded = np.pad(acc, ((0, 0), (0, 0), (radius, radius), (0, 0)), mode="reflect")
+    acc[...] = 0.0
     for tap, weight in enumerate(kernel):
-        acc += weight * out[:, :, tap : tap + w, :]
+        acc += np.multiply(padded[:, :, tap : tap + w, :], weight, out=term)
     return acc
 
 
@@ -373,19 +415,22 @@ def corrupt(dataset: Dataset, spec: CorruptionSpec, seed: int) -> Dataset:
         return dataset.copy()
     if spec.kind == "noise":
         rng = child_rng(seed, "corrupt", spec.kind, spec.level)
-        noise = rng.normal(0.0, spec.parameter, size=dataset.features.shape)
-        features = np.clip(dataset.features + noise, 0.0, 1.0)
+        features = rng.normal(0.0, spec.parameter, size=dataset.features.shape)
+        features += dataset.features
     else:
         if dataset.spatial_shape is None:
             raise UnsupportedCorruptionError("blur requires a dataset with a spatial shape")
         h, w, c = dataset.spatial_shape
         images = dataset.features.reshape(dataset.n_samples, h, w, c)
         features = gaussian_blur(images, spec.parameter).reshape(dataset.n_samples, -1)
-        features = np.clip(features, 0.0, 1.0)
-    out = dataset.copy()
-    out.features = features
-    out.provenance = f"{dataset.provenance}+{spec.kind}{spec.level}"
-    return out
+    np.clip(features, 0.0, 1.0, out=features)
+    return Dataset(
+        features=features,
+        labels=dataset.labels.copy(),
+        spatial_shape=dataset.spatial_shape,
+        splits=None if dataset.splits is None else dataset.splits.copy(),
+        provenance=f"{dataset.provenance}+{spec.kind}{spec.level}",
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -400,38 +445,65 @@ def write_dataset(path, dataset: Dataset) -> None:
     label_offset = _HEADER.size + s * d * 4
     with atomic_open(path, "wb") as fh:
         fh.write(_HEADER.pack(_MAGIC, _VERSION, s, d, h, w, c, label_offset))
-        fh.write(np.ascontiguousarray(dataset.features, dtype="<f4").tobytes())
-        fh.write(dataset.labels.astype(np.uint8).tobytes())
+        for start in range(0, s, _ROW_BLOCK):
+            block = dataset.features[start : start + _ROW_BLOCK]
+            fh.write(np.ascontiguousarray(block, dtype="<f4").data)
+        fh.write(dataset.labels.astype(np.uint8).data)
+
+
+@dataclass(frozen=True)
+class DatasetHeader:
+    """Sizes declared by a DFD1 header, checked against the file length."""
+
+    n_samples: int
+    n_features: int
+    spatial_shape: Optional[tuple[int, int, int]]
+
+
+def _read_header(fh, path) -> DatasetHeader:
+    """Read and check the header of an open DFD1 file.
+
+    Damaged input (a short header, counts that disagree with the file length,
+    a label offset that does not follow the features, a spatial shape that
+    does not match the feature count) raises FormatError.
+    """
+    size = os.fstat(fh.fileno()).st_size
+    header = fh.read(_HEADER.size)
+    if len(header) != _HEADER.size:
+        raise FormatError(f"{path}: truncated header")
+    magic, version, s, d, h, w, c, label_offset = _HEADER.unpack(header)
+    if magic != _MAGIC:
+        raise FormatError(f"{path}: bad magic, not a DFD1 dataset")
+    if version != _VERSION:
+        raise FormatError(f"{path}: unsupported DFD1 version {version}")
+    if label_offset != _HEADER.size + s * d * 4:
+        raise FormatError(f"{path}: label offset {label_offset} does not follow "
+                          f"{s} x {d} float32 features")
+    if label_offset + s > size:
+        raise FormatError(f"{path}: truncated, header declares {label_offset + s} bytes "
+                          f"and the file has {size}")
+    if label_offset + s < size:
+        raise FormatError(f"{path}: trailing bytes after the labels")
+    if (h, w, c) != (0, 0, 0) and h * w * c != d:
+        raise FormatError(f"{path}: spatial shape {(h, w, c)} does not match {d} features")
+    return DatasetHeader(s, d, (h, w, c) if h * w * c > 0 else None)
+
+
+def read_dataset_header(path) -> DatasetHeader:
+    """The checked header of a DFD1 file, without reading its arrays."""
+    with open(path, "rb") as fh:
+        return _read_header(fh, path)
 
 
 def read_dataset(path) -> Dataset:
     """Read a DFD1 file, checking every size in the header against the file.
 
-    Damaged input (a short header, counts that disagree with the file length,
-    a label offset that does not follow the features, a spatial shape that
-    does not match the feature count, labels that are not 0/1) raises
-    FormatError before anything sized by the header is read.
+    The header checks of ``read_dataset_header`` run before anything sized by
+    the header is read; labels that are not 0/1 are a FormatError too.
     """
     with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
-        header = fh.read(_HEADER.size)
-        if len(header) != _HEADER.size:
-            raise FormatError(f"{path}: truncated header")
-        magic, version, s, d, h, w, c, label_offset = _HEADER.unpack(header)
-        if magic != _MAGIC:
-            raise FormatError(f"{path}: bad magic, not a DFD1 dataset")
-        if version != _VERSION:
-            raise FormatError(f"{path}: unsupported DFD1 version {version}")
-        if label_offset != _HEADER.size + s * d * 4:
-            raise FormatError(f"{path}: label offset {label_offset} does not follow "
-                              f"{s} x {d} float32 features")
-        if label_offset + s > size:
-            raise FormatError(f"{path}: truncated, header declares {label_offset + s} bytes "
-                              f"and the file has {size}")
-        if label_offset + s < size:
-            raise FormatError(f"{path}: trailing bytes after the labels")
-        if (h, w, c) != (0, 0, 0) and h * w * c != d:
-            raise FormatError(f"{path}: spatial shape {(h, w, c)} does not match {d} features")
+        header = _read_header(fh, path)
+        s, d = header.n_samples, header.n_features
         raw = fh.read(s * d * 4)
         labels = np.frombuffer(fh.read(s), dtype=np.uint8)
     if len(raw) != s * d * 4 or labels.shape[0] != s:
@@ -439,10 +511,9 @@ def read_dataset(path) -> Dataset:
     if np.any(labels > 1):
         raise FormatError(f"{path}: labels must be 0 or 1")
     features = np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(s, d)
-    spatial = (h, w, c) if h * w * c > 0 else None
     return Dataset(
         features=features,
         labels=labels.astype(np.int64),
-        spatial_shape=spatial,
+        spatial_shape=header.spatial_shape,
         provenance=str(path),
     )

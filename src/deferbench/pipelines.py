@@ -26,13 +26,17 @@ DEFER_OUTPUT = 2  # extended-space defer logit index for binary problems
 
 @dataclass
 class SelectedModel:
-    """A trained network at its selected checkpoint, with the selection trace."""
+    """A trained network at its selected checkpoint, with the selection trace.
+
+    Only the chosen checkpoint is kept; the other epochs' parameters are
+    dropped once the choice is made.
+    """
 
     network: nnet.Network
     epoch: int  # 0-based index of the chosen checkpoint
     criterion: str  # "pauc" | "loss"
     val_curve: list  # per-epoch validation metric driving the choice
-    train_result: nnet.TrainResult
+    epoch_losses: list  # per-epoch mean training loss, from nnet.train
 
 
 def train_classifier(
@@ -73,10 +77,14 @@ def train_classifier(
         val_curve.append(value)
     epoch = int(np.argmax(val_curve) if select == "pauc" else np.argmin(val_curve))
 
-    chosen = result.network.copy()
-    nnet.set_params(chosen, result.checkpoints[epoch])
+    # the probe is a private copy; it becomes the chosen network
+    nnet.set_params(probe, result.checkpoints[epoch])
     return SelectedModel(
-        network=chosen, epoch=epoch, criterion=select, val_curve=val_curve, train_result=result
+        network=probe,
+        epoch=epoch,
+        criterion=select,
+        val_curve=val_curve,
+        epoch_losses=result.epoch_losses,
     )
 
 

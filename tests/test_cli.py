@@ -98,10 +98,15 @@ def test_generate_seed_changes_bytes(dataset_path, ini_path, tmp_path):
     assert sha(out) != sha(dataset_path)
 
 
-def test_generate_missing_directory_is_usage_error(ini_path, tmp_path, capsys):
+def refuse_to_build(*args, **kwargs):
+    raise AssertionError("the output directory must be checked before the work")
+
+
+def test_generate_missing_directory_is_usage_error(ini_path, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(sweep, "prepare_dataset", refuse_to_build)
     out = tmp_path / "absent" / "x.dfd1"
     assert cli.main(["generate", "--config", str(ini_path), "--out", str(out)]) == 2
-    assert "error:" in capsys.readouterr().err
+    assert "output directory does not exist" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -398,6 +403,46 @@ def test_bad_setting_is_refused_before_the_run_writes(tmp_path, capsys, case, jo
     assert not (out / "dataset.dfd1").exists()
 
 
+@pytest.fixture(scope="module")
+def blob_dataset_path(tmp_path_factory):
+    root = tmp_path_factory.mktemp("blobs")
+    ini = root / "blobs.ini"
+    ini.write_text(
+        TINY_INI.replace("spatial_shape = 8,8,1", "spatial_shape = none")
+        .replace("levels = 1", "levels = 0")
+    )
+    out = root / "blobs.dfd1"
+    assert cli.main(["generate", "--config", str(ini), "--out", str(out)]) == 0
+    return out
+
+
+# A dataset file whose own images cannot take the planned blur levels, under
+# a config whose generator shape could.
+MISMATCHED_DATASETS = {
+    "blob_file_with_blur_levels": (TINY_INI, "blob_dataset_path"),
+    "8x8_file_under_16x16_config": (
+        TINY_INI.replace("spatial_shape = 8,8,1", "spatial_shape = 16,16,1")
+        .replace("levels = 1", "levels = 5"),
+        "dataset_path",
+    ),
+}
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("case", list(MISMATCHED_DATASETS))
+def test_dataset_shape_is_checked_before_the_run_writes(tmp_path, capsys, request, case, jobs):
+    text, fixture = MISMATCHED_DATASETS[case]
+    ini = tmp_path / "cfg.ini"
+    ini.write_text(text)
+    data_path = request.getfixturevalue(fixture)
+    out = tmp_path / "run"
+    rc = cli.main(["run", "--config", str(ini), "--out", str(out), "--jobs", jobs,
+                   "--data", str(data_path)])
+    assert rc == 2
+    assert f"error: {data_path}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # report
 # ---------------------------------------------------------------------------
@@ -484,6 +529,18 @@ def test_corrupt_rejects_unknown_kind(dataset_path, tmp_path):
             ["corrupt", "--data", str(dataset_path), "--out", str(tmp_path / "x.dfd1"),
              "--kind", "fog", "--level", "1"]
         )
+
+
+def test_corrupt_missing_output_directory_is_usage_error(
+    dataset_path, tmp_path, capsys, monkeypatch
+):
+    monkeypatch.setattr(data_mod, "corrupt", refuse_to_build)
+    rc = cli.main(
+        ["corrupt", "--data", str(dataset_path), "--out", str(tmp_path / "absent" / "x.dfd1"),
+         "--kind", "noise", "--level", "1"]
+    )
+    assert rc == 2
+    assert "output directory does not exist" in capsys.readouterr().err
 
 
 def test_corrupt_missing_input_is_usage_error(tmp_path, capsys):

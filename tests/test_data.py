@@ -2,6 +2,7 @@
 operators, and the dataset container."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -87,6 +88,72 @@ def test_low_frequency_pattern_shape():
     np.testing.assert_allclose(pattern, pattern[:, ::-1], atol=1e-12)
 
 
+# SHA-256 of the float64 feature bytes and the int64 label bytes, recorded
+# before the image generator filled its buffer in row blocks. A change that
+# keeps every generated byte keeps them.
+FROZEN_GENERATOR = {
+    "default": (
+        data.SynthSpec(),
+        "d242460710d7c70ad4f79d7606d9ef0c27a0d39f77ec4448b11022af4950da22",
+        "644f372d5e6400a36917f89c6fa1903957d4d659114663c724cfc4d0472792b1",
+    ),
+    "ragged_last_block": (
+        data.SynthSpec(n_samples=1031, seed=4),
+        "74d48ba075015937d443228238d4db963a56918ac7525266baa44e30195cf4c2",
+        "7eb7983e25f56d4c0a94695c58f840910de78dbc8aa2c32bebb82c4d6305d158",
+    ),
+    "three_channels": (
+        data.SynthSpec(n_samples=500, spatial_shape=(8, 8, 3), seed=5),
+        "4aea232222760c2c033173d2fe4e53853b0259ea2adf4de68ecf655025b531c9",
+        "5413b05dd93ebbffef7a330ece26e437b04b305d8d979aff0be6ced4137d13db",
+    ),
+    "zero_overlap": (
+        data.SynthSpec(n_samples=600, overlap_scale=0.0, seed=6),
+        "1b0c16926fa2b4b2fb7017dd813615cbb9a3bde67f1dbcb808a174da81f2434c",
+        "80beb699fd13bf3bcb2947f84e8593a8f0b7e66f221eb1db576521103cfb9883",
+    ),
+    "blobs": (
+        data.SynthSpec(n_samples=700, spatial_shape=None, seed=7),
+        "df7b2194aa59c4b7f3baffb19bd1943ec9c36b991de7880dac152e00e2290ee3",
+        "673c6e1ee604df8bea156ec7ec1291364c073abfe92118ca857928924d01045e",
+    ),
+}
+
+
+def generated_sha256(spec) -> tuple:
+    ds = data.generate(spec)
+    return (
+        hashlib.sha256(np.ascontiguousarray(ds.features).tobytes()).hexdigest(),
+        hashlib.sha256(np.ascontiguousarray(ds.labels).tobytes()).hexdigest(),
+    )
+
+
+@pytest.mark.parametrize("case", list(FROZEN_GENERATOR))
+def test_generate_bytes_are_frozen(case):
+    spec, features_sha, labels_sha = FROZEN_GENERATOR[case]
+    assert generated_sha256(spec) == (features_sha, labels_sha)
+
+
+@pytest.mark.parametrize("case", ["ragged_last_block", "three_channels"])
+def test_generate_bytes_do_not_depend_on_the_row_block(case, monkeypatch):
+    spec, features_sha, labels_sha = FROZEN_GENERATOR[case]
+    assert spec.n_samples % data._ROW_BLOCK != 0  # a short last block
+    for block in (1, spec.n_samples):
+        monkeypatch.setattr(data, "_ROW_BLOCK", block)
+        assert generated_sha256(spec) == (features_sha, labels_sha), block
+
+
+def test_generate_peak_memory_is_about_one_copy_of_the_features():
+    tracemalloc.start()
+    try:
+        ds = data.generate(data.SynthSpec())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the features themselves are 1.0; the rest is row-block temporaries
+    assert peak <= 1.5 * ds.features.nbytes, peak / ds.features.nbytes
+
+
 @pytest.mark.parametrize(
     "kwargs",
     [
@@ -145,7 +212,18 @@ def test_split_does_not_reorder_rows():
     tagged = data.split(ds, seed=4)
     np.testing.assert_array_equal(tagged.features, ds.features)
     np.testing.assert_array_equal(tagged.labels, ds.labels)
-    assert ds.splits is None  # split() works on a copy
+    assert ds.splits is None  # split() tags a new Dataset
+    # ...that shares the rows instead of copying them
+    assert tagged.features is ds.features
+    assert tagged.labels is ds.labels
+
+
+def test_subset_rows_are_new_arrays():
+    ds = data.split(data.generate(image_spec()), seed=4)
+    train = ds.subset(ds.split_mask(data.TRAIN))
+    np.testing.assert_array_equal(train.features, ds.features[ds.splits == data.TRAIN])
+    train.features[0, 0] = -1.0
+    assert not np.any(ds.features == -1.0)
 
 
 def test_split_deterministic_and_seed_sensitive():
@@ -229,6 +307,17 @@ def test_noise_clamps_to_unit_interval():
     np.testing.assert_array_equal(out.labels, ds.labels)
 
 
+@pytest.mark.parametrize("kind", ["noise", "blur"])
+def test_corrupt_leaves_its_input_untouched(kind):
+    ds = data.split(data.generate(image_spec()), seed=3)
+    before = ds.features.copy()
+    out = data.corrupt(ds, data.CorruptionSpec(kind, 2), seed=9)
+    np.testing.assert_array_equal(ds.features, before)
+    assert not np.shares_memory(out.features, ds.features)
+    np.testing.assert_array_equal(out.labels, ds.labels)
+    np.testing.assert_array_equal(out.splits, ds.splits)
+
+
 def test_corrupt_deterministic_per_seed_and_level():
     ds = data.generate(image_spec())
     a = data.corrupt(ds, data.CorruptionSpec("noise", 2), seed=9)
@@ -309,6 +398,14 @@ def test_dataset_file_blob_mode_has_no_spatial_shape(tmp_path):
     path = tmp_path / "ds.dfd1"
     data.write_dataset(path, ds)
     assert data.read_dataset(path).spatial_shape is None
+    assert data.read_dataset_header(path).spatial_shape is None
+
+
+def test_dataset_header_alone(tmp_path):
+    ds = quantized(data.generate(image_spec(spatial_shape=(8, 8, 3))))
+    path = tmp_path / "ds.dfd1"
+    data.write_dataset(path, ds)
+    assert data.read_dataset_header(path) == data.DatasetHeader(400, 192, (8, 8, 3))
 
 
 def test_same_dataset_writes_identical_bytes(tmp_path):
@@ -396,6 +493,9 @@ def test_dataset_damaged_headers(tmp_path):
         path.write_bytes(content)
         with pytest.raises(FormatError, match=message):
             data.read_dataset(path)
+        if message != "labels must be 0 or 1":  # the header reader reads no labels
+            with pytest.raises(FormatError, match=message):
+                data.read_dataset_header(path)
 
 
 def test_write_dataset_failure_leaves_no_file(tmp_path):

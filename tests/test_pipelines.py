@@ -100,6 +100,20 @@ def test_select_by_loss_takes_argmin():
     assert selected.epoch == int(np.argmin(curve))
 
 
+@pytest.mark.parametrize("select", ["pauc", "loss"])
+def test_selected_model_keeps_no_per_epoch_checkpoints(select):
+    x_train, y_train, x_val, y_val, config, sgd = selection_setup()
+    selected = pipelines.train_classifier(
+        x_train, y_train, x_val, y_val, config, sgd, select=select
+    )
+    result = replayed_checkpoints(x_train, y_train, config, sgd)
+    assert selected.epoch_losses == result.epoch_losses
+    assert len(selected.val_curve) == sgd.epochs
+    # the chosen network is the only set of parameters left; the traces are scalars
+    assert set(vars(selected)) == {"network", "epoch", "criterion", "val_curve", "epoch_losses"}
+    assert all(np.ndim(v) == 0 for v in selected.val_curve + selected.epoch_losses)
+
+
 def test_unknown_selection_rule_rejected():
     x_train, y_train, x_val, y_val, config, sgd = selection_setup()
     with pytest.raises(ConfigError, match="selection rule"):

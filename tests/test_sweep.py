@@ -4,6 +4,7 @@ layout, plan execution, and the CSV containers."""
 import dataclasses
 import re
 import time
+import tracemalloc
 from concurrent.futures import Future
 from pathlib import Path
 
@@ -325,6 +326,44 @@ def test_prepare_dataset_is_quantized_and_deterministic(tiny_cfg):
     assert ds1.features.tobytes() == ds2.features.tobytes()
     requantized = ds1.features.astype(np.float32).astype(np.float64)
     assert requantized.tobytes() == ds1.features.tobytes()
+
+
+def test_split_eval_data_leaves_the_dataset_untouched(tiny_cfg, eval_data):
+    ds = sweep.prepare_dataset(tiny_cfg)
+    before = ds.features.copy()
+    again = sweep.split_eval_data(tiny_cfg, ds)
+    np.testing.assert_array_equal(ds.features, before)
+    assert ds.splits is None
+    assert list(again.x_tests) == list(sweep.plan_conditions(tiny_cfg))
+    for cond in sweep.plan_conditions(tiny_cfg):
+        assert again.x_tests[cond].tobytes() == eval_data.x_tests[cond].tobytes()
+
+
+def traced_split_eval_data(cfg):
+    """(dataset, evaluation data, peak bytes traced while splitting)."""
+    ds = sweep.prepare_dataset(cfg)
+    tracemalloc.start()
+    try:
+        out = sweep.split_eval_data(cfg, ds)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return ds, out, peak
+
+
+def test_split_eval_data_peak_memory():
+    # default 10,000 x 256 images, three conditions: the returned arrays are
+    # 1.2x the input features, so 2x leaves 0.8x for temporaries
+    ds, _, peak = traced_split_eval_data(RunConfig(corruption=CorruptionSettings(levels=1)))
+    assert peak <= 2.0 * ds.features.nbytes, peak / ds.features.nbytes
+
+
+def test_split_eval_data_temporaries_do_not_grow_with_the_conditions():
+    # eleven conditions return 2x the input; beyond that the peak holds one
+    # corruption's temporaries, not a copy of the dataset
+    ds, out, peak = traced_split_eval_data(RunConfig())
+    kept = sum(x.nbytes for x in (out.x_train, out.x_val, *out.x_tests.values()))
+    assert peak - kept <= 0.5 * ds.features.nbytes, (peak - kept) / ds.features.nbytes
 
 
 def test_run_from_file_matches_in_memory(tiny_cfg, eval_data, tmp_path):
