@@ -13,9 +13,9 @@ Two generator modes stand in for the real imaging data:
 
 Memory: the image generator fills one preallocated feature buffer in blocks
 of _ROW_BLOCK rows, so a dataset costs about one copy of its float64
-features while it is built; float32 rounding and the DFD1 writer also go a
-block at a time. The block size is an internal constant, not a setting;
-every block size gives the same bytes.
+features while it is built; float32 rounding, the DFD1 writer and the DFD1
+reader also go a block at a time. The block size is an internal constant,
+not a setting; every block size gives the same bytes.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ _HEADER = struct.Struct("<4sIQQIIIQ")  # magic, version, S, D, H, W, C, label_of
 NOISE_SIGMAS = (0.04, 0.08, 0.12, 0.16, 0.20)
 BLUR_SIGMAS = (0.5, 1.0, 1.5, 2.0, 2.5)
 
-_ROW_BLOCK = 256  # rows per block of the generator and the DFD1 writer; see "Memory"
+_ROW_BLOCK = 256  # rows per block of the generator and DFD1 I/O; see "Memory"
 
 
 @dataclass
@@ -504,13 +504,18 @@ def read_dataset(path) -> Dataset:
     with open(path, "rb") as fh:
         header = _read_header(fh, path)
         s, d = header.n_samples, header.n_features
-        raw = fh.read(s * d * 4)
+        features = np.empty((s, d))
+        block = np.empty((min(s, _ROW_BLOCK), d), dtype="<f4")
+        for start in range(0, s, _ROW_BLOCK):
+            rows = block[: s - start]
+            if fh.readinto(rows) != rows.nbytes:
+                raise FormatError(f"{path}: truncated while reading")  # file changed under us
+            features[start : start + rows.shape[0]] = rows
         labels = np.frombuffer(fh.read(s), dtype=np.uint8)
-    if len(raw) != s * d * 4 or labels.shape[0] != s:
-        raise FormatError(f"{path}: truncated while reading")  # file changed under us
+    if labels.shape[0] != s:
+        raise FormatError(f"{path}: truncated while reading")
     if np.any(labels > 1):
         raise FormatError(f"{path}: labels must be 0 or 1")
-    features = np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(s, d)
     return Dataset(
         features=features,
         labels=labels.astype(np.int64),

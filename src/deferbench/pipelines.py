@@ -168,26 +168,23 @@ def two_stage_features(members, batch) -> np.ndarray:
 
 
 def train_two_stage_head(
-    members,
-    x_train,
+    f_train,
     y_train,
-    x_val,
+    f_val,
     y_val,
     head_config: nnet.NetConfig,
     sgd: nnet.SgdConfig,
     beta: float,
     sample_weights=None,
 ) -> SelectedModel:
-    """Deferral head over committee features, defer logit weighted by beta."""
+    """Deferral head over committee features, defer logit weighted by beta.
+
+    f_train and f_val are ``two_stage_features`` of the training and
+    validation inputs; a head whose input_dim differs from their width is an
+    InputShapeError naming both.
+    """
     if head_config.output_dim != DEFER_OUTPUT + 1:
         raise ConfigError("two-stage training needs a 3-output head")
-    expected = len(members) + 2
-    if head_config.input_dim != expected:
-        raise ConfigError(
-            f"head input_dim {head_config.input_dim} != committee feature width {expected}"
-        )
-    f_train = two_stage_features(members, x_train)
-    f_val = two_stage_features(members, x_val)
     return train_classifier(
         f_train,
         y_train,

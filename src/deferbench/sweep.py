@@ -10,9 +10,10 @@ and a ``fit`` function. A threshold method's fit returns a predictor
 ``x -> (scores, uncertainty)``, a bundle writer and, for the committee, its
 parameters; the shared evaluator sweeps the deferral threshold over the
 observed uncertainty range. A learned method's fit returns a per-cost
-trainer and the featurizer of its inputs; the shared evaluator retrains once
-per value of the cost grid named by the parameter kind. Adding a method
-means adding one table row and one fit function (and its name to
+trainer and the evaluation data mapped once into its models' input space;
+the shared evaluator retrains once per value of the cost grid named by the
+parameter kind and reads every model's inputs from that one mapping. Adding
+a method means adding one table row and one fit function (and its name to
 config.METHODS).
 """
 
@@ -486,7 +487,8 @@ def _fit_bnn(cfg, data, seed_index, members):
 
 
 # Learned methods: fit(cfg, data, seed_index, members) returns
-# (fit_one(grid_index, cost) -> SelectedModel, featurize(x) -> head inputs).
+# (fit_one(grid_index, cost) -> SelectedModel, inputs), where inputs is data
+# with x_train, x_val and x_tests already in the models' input space.
 
 
 def _fit_one_stage(cfg, data, seed_index, members):
@@ -503,34 +505,41 @@ def _fit_one_stage(cfg, data, seed_index, members):
             sample_weights=data.sample_weights,
         )
 
-    return fit_one, lambda x: x
+    return fit_one, data
 
 
 def _fit_two_stage(cfg, data, seed_index, members):
+    """Every head of the grid reads the same committee features, so each
+    input array is featurized once."""
     if members is None:
         members = _train_members(cfg, data, seed_index)
+    inputs = replace(
+        data,
+        x_train=two_stage_features(members, data.x_train),
+        x_val=two_stage_features(members, data.x_val),
+        x_tests={cond: two_stage_features(members, x) for cond, x in data.x_tests.items()},
+    )
 
     def fit_one(gi, beta):
         head_config = nnet.NetConfig(
-            input_dim=len(members) + 2,
+            input_dim=inputs.input_dim,
             hidden_dims=cfg.sweep.head_hidden_dims,
             output_dim=3,
             dropout_rate=0.0,
             seed=_init_seed(cfg, seed_index, "two_stage", gi),
         )
         return train_two_stage_head(
-            members,
-            data.x_train,
-            data.y_train,
-            data.x_val,
-            data.y_val,
+            inputs.x_train,
+            inputs.y_train,
+            inputs.x_val,
+            inputs.y_val,
             head_config,
             _sgd_for(cfg, seed_index, "two_stage", gi),
             beta,
-            sample_weights=data.sample_weights,
+            sample_weights=inputs.sample_weights,
         )
 
-    return fit_one, lambda x: two_stage_features(members, x)
+    return fit_one, inputs
 
 
 # method -> (param_kind, fit). A threshold method's curve parameter is the
@@ -563,40 +572,41 @@ def _threshold_eval(cfg, data, seed_index, method, predict):
     return points, rows
 
 
-def _learned_eval(cfg, data, seed_index, method, param_kind, fit_one, featurize, bundle):
+def _learned_eval(cfg, inputs, seed_index, method, param_kind, fit_one, bundle):
     """One retrained model per cost value; each contributes one curve point.
 
-    The zero-deferral classification row comes from the grid model with the
+    inputs holds the evaluation data in the models' input space. The
+    zero-deferral classification row comes from the grid model with the
     smallest validation deferral rate (ties broken toward the cost value that
-    discourages deferral hardest), read out with its defer output disabled.
-    Each grid model is saved as bundle/cost_NN once everything is evaluated.
+    discourages deferral hardest), read out with its defer output disabled:
+    the renormalized class scores of its curve predictions. Each grid model is
+    saved as bundle/cost_NN once everything is evaluated.
     """
     models = []
     for gi, value in enumerate(getattr(cfg.sweep, f"{param_kind}_grid")):
         sel = fit_one(gi, value)
-        pred_val = predict_extended(sel.network, featurize(data.x_val))
+        pred_val = predict_extended(sel.network, inputs.x_val)
         models.append((sel, value, float(np.mean(pred_val.decisions == DEFER))))
+    # large alpha and small beta both discourage deferral
+    sign = -1.0 if param_kind == "alpha" else 1.0
+    best = min(models, key=lambda m: (m[2], sign * m[1]))[0]
 
-    points = []
+    points, rows = [], []
     for sel, value, _ in models:
         for cond in plan_conditions(cfg):
-            pred = predict_extended(sel.network, featurize(data.x_tests[cond]))
-            point = deferral_curve_point(pred.decisions, data.y_test, pred.scores)
+            pred = predict_extended(sel.network, inputs.x_tests[cond])
+            point = deferral_curve_point(pred.decisions, inputs.y_test, pred.scores)
             point.param_kind = param_kind
             point.param_value = value
             if point.bacc is None:
                 point.status = "absent"
             points.extend(_tag([point], method=method, condition=cond, seed=seed_index))
-
-    # large alpha and small beta both discourage deferral
-    sign = -1.0 if param_kind == "alpha" else 1.0
-    best = min(models, key=lambda m: (m[2], sign * m[1]))[0]
-    rows = []
-    for cond in plan_conditions(cfg):
-        scores = predict_extended(best.network, featurize(data.x_tests[cond])).scores
-        rows.append(
-            classification_row(scores, data.y_test, method=method, condition=cond, seed=seed_index)
-        )
+            if sel is best:
+                rows.append(
+                    classification_row(
+                        pred.scores, inputs.y_test, method=method, condition=cond, seed=seed_index
+                    )
+                )
     if bundle is not None:
         for gi, (sel, value, _) in enumerate(models):
             save_single_model(
@@ -618,8 +628,8 @@ def run_method(cfg, data, seed_index, method, models_dir=None, members=None) -> 
     param_kind, fit = _METHODS[method]
     bundle = None if models_dir is None else models_dir / method
     if param_kind != "threshold":
-        fit_one, featurize = fit(cfg, data, seed_index, members)
-        return _learned_eval(cfg, data, seed_index, method, param_kind, fit_one, featurize, bundle)
+        fit_one, inputs = fit(cfg, data, seed_index, members)
+        return _learned_eval(cfg, inputs, seed_index, method, param_kind, fit_one, bundle)
     predict, save, member_params = fit(cfg, data, seed_index, members)
     if bundle is not None:
         save(bundle)

@@ -18,7 +18,9 @@ import pytest
 
 import deferbench  # noqa: F401 - loaded before the tracer module imports numpy
 import numpy as np
-from deferbench import metrics, sweep
+from deferbench import metrics, nnet, pipelines, sweep
+from deferbench.config import CorruptionSettings, RunConfig, SweepSettings, UqSettings
+from deferbench.data import SynthSpec
 
 LAYERTRACE = Path(__file__).resolve().parents[1] / "bench" / "layertrace.py"
 
@@ -80,3 +82,50 @@ def test_uq_sweep_calls_auc_once_per_threshold_that_keeps_samples(monkeypatch):
     assert len(calls) == len(kept_sets)
     for called, kept in zip(calls, kept_sets):  # each kept subset, in its original order
         np.testing.assert_array_equal(called, kept)
+
+
+def counted(monkeypatch, original) -> list:
+    """The arguments of every later call of original, from any deferbench
+    module that holds a reference to it, as the tracer rebinds them."""
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    for name, module in sorted(sys.modules.items()):
+        if name.startswith("deferbench"):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counting)
+    return calls
+
+
+def test_two_stage_featurizes_each_input_once(monkeypatch):
+    # bench/test_bench.py pins pipelines.two_stage_features.calls of whole
+    # runs; this is the per-task rule behind that count: the committee sees
+    # each input array once, and every head of the grid reads its features.
+    featurized = counted(monkeypatch, pipelines.two_stage_features)
+    predicted = counted(monkeypatch, pipelines.predict_extended)
+
+    cfg = RunConfig(
+        methods=("two_stage",),
+        data=SynthSpec(n_samples=300, positive_fraction=0.1, spatial_shape=(4, 4, 1)),
+        hidden_dims=(4,),
+        sgd=nnet.SgdConfig(learning_rate=0.05, batch_size=64, epochs=2),
+        uq=UqSettings(n_members=2, threshold_steps=5),
+        sweep=SweepSettings(beta_grid=(1.0, 0.5, 0.25), head_hidden_dims=(4,)),
+        corruption=CorruptionSettings(levels=1),
+    )
+    data = sweep.build_eval_data(cfg)
+    members = [
+        nnet.init_network(nnet.NetConfig(data.input_dim, (4,), 2, seed=k)) for k in range(2)
+    ]
+    sweep.run_method(cfg, data, 0, "two_stage", members=members)
+
+    inputs = [data.x_train, data.x_val, *data.x_tests.values()]
+    assert len(data.x_tests) >= 2
+    assert len(featurized) == len(inputs)
+    for x in inputs:  # each on the original array, not a copy
+        assert sum(batch is x for _, batch in featurized) == 1
+    assert len(predicted) == len(cfg.sweep.beta_grid) * (1 + len(data.x_tests))

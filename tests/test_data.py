@@ -498,6 +498,34 @@ def test_dataset_damaged_headers(tmp_path):
                 data.read_dataset_header(path)
 
 
+@pytest.mark.parametrize("block", [1, 2, 5])
+def test_read_dataset_does_not_depend_on_the_row_block(tmp_path, monkeypatch, block):
+    rng = np.random.default_rng(6)
+    ds = data.Dataset(features=rng.random((5, 4)), labels=[0, 1, 0, 1, 1])
+    path = tmp_path / "ds.dfd1"
+    data.write_dataset(path, ds)
+    expected = data.read_dataset(path).features
+    monkeypatch.setattr(data, "_ROW_BLOCK", block)
+    assert data.read_dataset(path).features.tobytes() == expected.tobytes()
+    np.testing.assert_array_equal(expected, ds.features.astype(np.float32))
+
+
+def test_read_dataset_peak_memory_is_about_one_copy_of_the_features(tmp_path):
+    rng = np.random.default_rng(7)
+    features = rng.random((10_000, 256))
+    path = tmp_path / "ds.dfd1"
+    data.write_dataset(path, data.Dataset(features=features, labels=np.zeros(10_000, int)))
+    del features
+    tracemalloc.start()
+    try:
+        ds = data.read_dataset(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the float64 features are 1.0; the rest is one float32 row block and the labels
+    assert peak <= 1.1 * ds.features.nbytes, peak / ds.features.nbytes
+
+
 def test_write_dataset_failure_leaves_no_file(tmp_path):
     ds = data.Dataset(features=np.zeros((3, 2)), labels=[0, 1, 0])
     ds.labels = None  # fails after the header and the features are written

@@ -5,7 +5,13 @@ import numpy as np
 import pytest
 
 from deferbench import nnet, pipelines
-from deferbench.errors import ConfigError, FormatError, InputShapeError, StratificationError
+from deferbench.errors import (
+    ConfigError,
+    DeferBenchError,
+    FormatError,
+    InputShapeError,
+    StratificationError,
+)
 from deferbench.losses import LossSpec
 from deferbench.metrics import DEFER, pauc
 from deferbench.uq import positive_probability
@@ -247,10 +253,10 @@ def test_two_stage_large_beta_mostly_defers():
     members = committee_for(x[:300], y[:300], seed=7)
     head_config = extended_config(7, input_dim=len(members) + 2, hidden=(8,))
     sgd = nnet.SgdConfig(learning_rate=0.1, epochs=10, batch_size=64, seed=7)
-    selected = pipelines.train_two_stage_head(
-        members, x[:300], y[:300], x[300:], y[300:], head_config, sgd, beta=10.0
-    )
     feats = pipelines.two_stage_features(members, x)
+    selected = pipelines.train_two_stage_head(
+        feats[:300], y[:300], feats[300:], y[300:], head_config, sgd, beta=10.0
+    )
     out = pipelines.predict_extended(selected.network, feats)
     assert np.mean(out.decisions == DEFER) > 0.9
 
@@ -258,17 +264,19 @@ def test_two_stage_large_beta_mostly_defers():
 def test_two_stage_head_config_validation():
     x, y = separable_problem()
     members = [constant_binary_net(0.0), constant_binary_net(0.0)]
+    feats = pipelines.two_stage_features(members, x)
     sgd = nnet.SgdConfig(learning_rate=0.1, epochs=1, seed=0)
     with pytest.raises(ConfigError, match="3-output"):
         pipelines.train_two_stage_head(
-            members, x, y, x, y,
+            feats, y, feats, y,
             nnet.NetConfig(input_dim=4, hidden_dims=(4,), output_dim=2, seed=0),
             sgd, beta=1.0,
         )
-    with pytest.raises(ConfigError, match="feature width"):
+    # a head as wide as the raw inputs, not as the committee features
+    with pytest.raises(DeferBenchError, match=r"\(B, 3\).*\(240, 4\)"):
         pipelines.train_two_stage_head(
-            members, x, y, x, y,
-            nnet.NetConfig(input_dim=7, hidden_dims=(4,), output_dim=3, seed=0),
+            feats, y, feats, y,
+            nnet.NetConfig(input_dim=3, hidden_dims=(4,), output_dim=3, seed=0),
             sgd, beta=1.0,
         )
 
