@@ -3,12 +3,14 @@
 Subcommands: generate a dataset, run the full benchmark, re-render SVG
 reports from a results table, corrupt a dataset file, and inspect any of the
 produced artifacts. Exit code 0 on success, 1 when the experiment itself
-fails, 2 on usage or configuration errors.
+fails or a file cannot be read or written, 2 on usage or configuration
+errors.
 """
 
 from __future__ import annotations
 
 import argparse
+import shutil
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -57,6 +59,20 @@ def cmd_generate(args) -> int:
     return 0
 
 
+def _clear_run_outputs(out: Path, data_path) -> None:
+    """Remove every file an earlier run wrote into out, so that nothing there
+    can disagree with the config.ini this run writes next. The dataset file
+    given with --data stays."""
+    stale = [out / sweep.RESULTS_NAME, out / sweep.CLASSIFICATION_NAME, out / "dataset.dfd1"]
+    stale += (out / "report").glob("*.svg")
+    keep = Path(data_path).resolve() if data_path else None
+    for path in stale:
+        if path.is_file() and path.resolve() != keep:
+            path.unlink()
+    for seed_dir in (out / "models").glob("seed_*"):
+        shutil.rmtree(seed_dir)
+
+
 def cmd_run(args) -> int:
     cfg = _load_run_config(args)
     data_path = args.data
@@ -68,6 +84,7 @@ def cmd_run(args) -> int:
         cfg.corruption.check_images(header.spatial_shape, str(data_path))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    _clear_run_outputs(out, data_path)
     with atomic_open(out / "config.ini", "w", encoding="utf-8") as fh:
         fh.write(emit_config(cfg))
 
@@ -243,7 +260,7 @@ def main(argv=None) -> int:
     except (ConfigError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except DeferBenchError as exc:
+    except (DeferBenchError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,11 +1,14 @@
-"""Training pipelines: checkpoint selection for classifiers, cost-weighted
-deferral training over an extended label space, and model bundle layout.
+"""Training pipelines: one trainer with checkpoint selection for every
+network, prediction over the extended label space, committee features for
+the deferral head, and model bundle layout.
 
-Classifiers that defer by an uncertainty threshold are selected by the best
-partial AUC (FPR in [0, 0.1]) on the validation split across per-epoch
-checkpoints. Models that learn deferral end to end carry a third output for
-the defer action and are selected by the smallest mean validation loss under
-their own training objective.
+Every network trains through ``train_classifier``, and its loss fixes the
+selection rule. Classifiers that defer by an uncertainty threshold train with
+cross-entropy and are selected by the best partial AUC (FPR in [0, 0.1]) on
+the validation split across per-epoch checkpoints. Models that learn
+deferral end to end carry a third output for the defer action and are
+selected by the smallest mean validation loss under their own training
+objective.
 """
 
 from __future__ import annotations
@@ -49,16 +52,17 @@ def train_classifier(
     *,
     loss: LossSpec = LossSpec("cross_entropy"),
     sample_weights=None,
-    select: str = "pauc",
 ) -> SelectedModel:
     """Train from scratch and pick a checkpoint on the validation split.
 
-    select="pauc" keeps the epoch with the largest partial AUC of the
-    positive-class score (earliest on ties); "loss" keeps the smallest mean
-    validation loss.
+    The loss fixes the rule: cross-entropy keeps the epoch with the largest
+    partial AUC of the positive-class score (earliest on ties); a deferral
+    loss needs a network with a defer output and keeps the epoch with the
+    smallest mean validation loss under itself.
     """
-    if select not in ("pauc", "loss"):
-        raise ConfigError(f"unknown selection rule {select!r}")
+    by_loss = loss.kind != "cross_entropy"
+    if by_loss and config.output_dim != DEFER_OUTPUT + 1:
+        raise ConfigError(f"{loss.kind} training needs a {DEFER_OUTPUT + 1}-output network")
     net = nnet.init_network(config)
     result = nnet.train(net, x_train, y_train, loss, sgd, sample_weights=sample_weights)
 
@@ -66,7 +70,7 @@ def train_classifier(
     val_curve = []
     for params in result.checkpoints:
         nnet.set_params(probe, params)
-        if select == "loss":
+        if by_loss:
             val_curve.append(nnet.mean_loss(probe, x_val, y_val, loss))
             continue
         value = pauc(positive_probability(probe, x_val), y_val)
@@ -75,14 +79,14 @@ def train_classifier(
                 "validation split must contain both classes for checkpoint selection"
             )
         val_curve.append(value)
-    epoch = int(np.argmax(val_curve) if select == "pauc" else np.argmin(val_curve))
+    epoch = int(np.argmin(val_curve) if by_loss else np.argmax(val_curve))
 
     # the probe is a private copy; it becomes the chosen network
     nnet.set_params(probe, result.checkpoints[epoch])
     return SelectedModel(
         network=probe,
         epoch=epoch,
-        criterion=select,
+        criterion="loss" if by_loss else "pauc",
         val_curve=val_curve,
         epoch_losses=result.epoch_losses,
     )
@@ -116,32 +120,6 @@ def predict_extended(net: nnet.Network, batch) -> ExtendedPrediction:
     )
 
 
-def train_one_stage(
-    x_train,
-    y_train,
-    x_val,
-    y_val,
-    config: nnet.NetConfig,
-    sgd: nnet.SgdConfig,
-    alpha: float,
-    sample_weights=None,
-) -> SelectedModel:
-    """Single model trading classification against deferral at weight alpha."""
-    if config.output_dim != DEFER_OUTPUT + 1:
-        raise ConfigError("one-stage training needs a 3-output network")
-    return train_classifier(
-        x_train,
-        y_train,
-        x_val,
-        y_val,
-        config,
-        sgd,
-        loss=LossSpec("one_stage", alpha=alpha),
-        sample_weights=sample_weights,
-        select="loss",
-    )
-
-
 def binary_entropy(p) -> np.ndarray:
     """Natural-log entropy of Bernoulli(p), exactly 0 at p in {0, 1}."""
     p = np.asarray(p, dtype=np.float64)
@@ -165,37 +143,6 @@ def two_stage_features(members, batch) -> np.ndarray:
     mean = samples.mean(axis=0)
     cols = [samples.T, binary_entropy(mean)[:, None], binary_entropy(samples).mean(axis=0)[:, None]]
     return np.concatenate(cols, axis=1)
-
-
-def train_two_stage_head(
-    f_train,
-    y_train,
-    f_val,
-    y_val,
-    head_config: nnet.NetConfig,
-    sgd: nnet.SgdConfig,
-    beta: float,
-    sample_weights=None,
-) -> SelectedModel:
-    """Deferral head over committee features, defer logit weighted by beta.
-
-    f_train and f_val are ``two_stage_features`` of the training and
-    validation inputs; a head whose input_dim differs from their width is an
-    InputShapeError naming both.
-    """
-    if head_config.output_dim != DEFER_OUTPUT + 1:
-        raise ConfigError("two-stage training needs a 3-output head")
-    return train_classifier(
-        f_train,
-        y_train,
-        f_val,
-        y_val,
-        head_config,
-        sgd,
-        loss=LossSpec("two_stage", beta=beta),
-        sample_weights=sample_weights,
-        select="loss",
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -241,6 +188,8 @@ def read_manifest(path) -> dict:
         if "=" not in line:
             raise FormatError(f"{path}: line {lineno} is not key=value")
         key, value = line.split("=", 1)
+        if key in entries:
+            raise FormatError(f"{path}: line {lineno} repeats key {key!r}")
         entries[key] = value
     return entries
 

@@ -9,12 +9,13 @@ Each method is one row of the ``_METHODS`` table: its curve parameter kind
 and a ``fit`` function. A threshold method's fit returns a predictor
 ``x -> (scores, uncertainty)``, a bundle writer and, for the committee, its
 parameters; the shared evaluator sweeps the deferral threshold over the
-observed uncertainty range. A learned method's fit returns a per-cost
-trainer and the evaluation data mapped once into its models' input space;
-the shared evaluator retrains once per value of the cost grid named by the
-parameter kind and reads every model's inputs from that one mapping. Adding
-a method means adding one table row and one fit function (and its name to
-config.METHODS).
+observed uncertainty range. A learned method's fit returns the evaluation
+data mapped once into its models' input space and the models' hidden
+layers; the shared evaluator trains one 3-output network per value of the
+cost grid named by the parameter kind, through ``train_classifier`` with the
+loss named by the method, and reads every model's inputs from that one
+mapping. Adding a method means adding one table row and one fit function
+(and its name to config.METHODS).
 """
 
 from __future__ import annotations
@@ -49,14 +50,13 @@ from deferbench.metrics import (
     threshold_curve,
 )
 from deferbench.pipelines import (
+    DEFER_OUTPUT,
     MANIFEST_NAME,
     POSTERIOR_NAME,
     predict_extended,
     save_ensemble,
     save_single_model,
     train_classifier,
-    train_one_stage,
-    train_two_stage_head,
     two_stage_features,
     write_manifest,
 )
@@ -351,11 +351,11 @@ def _predict_seed(cfg: RunConfig, seed_index, method) -> int:
     return child_seed(cfg.seed, "predict", seed_index, method)
 
 
-def _net_config(cfg, data, seed_index, method, k=0, *, outputs=2, dropout=0.0):
+def _net_config(cfg, data, seed_index, method, k=0, *, dropout=0.0):
     return nnet.NetConfig(
         input_dim=data.input_dim,
         hidden_dims=cfg.hidden_dims,
-        output_dim=outputs,
+        output_dim=2,
         dropout_rate=dropout,
         seed=_init_seed(cfg, seed_index, method, k),
     )
@@ -372,7 +372,6 @@ def _classifier(cfg, data, seed_index, method, k=0, dropout=0.0):
         config,
         _sgd_for(cfg, seed_index, method, k),
         sample_weights=data.sample_weights,
-        select="pauc",
     )
 
 
@@ -486,26 +485,13 @@ def _fit_bnn(cfg, data, seed_index, members):
     )
 
 
-# Learned methods: fit(cfg, data, seed_index, members) returns
-# (fit_one(grid_index, cost) -> SelectedModel, inputs), where inputs is data
-# with x_train, x_val and x_tests already in the models' input space.
+# Learned methods: fit(cfg, data, seed_index, members) returns (inputs,
+# hidden_dims): data with x_train, x_val and x_tests already in the models'
+# input space, and the hidden layers of every model of the cost grid.
 
 
 def _fit_one_stage(cfg, data, seed_index, members):
-    def fit_one(gi, alpha):
-        config = _net_config(cfg, data, seed_index, "one_stage", gi, outputs=3)
-        return train_one_stage(
-            data.x_train,
-            data.y_train,
-            data.x_val,
-            data.y_val,
-            config,
-            _sgd_for(cfg, seed_index, "one_stage", gi),
-            alpha,
-            sample_weights=data.sample_weights,
-        )
-
-    return fit_one, data
+    return data, cfg.hidden_dims
 
 
 def _fit_two_stage(cfg, data, seed_index, members):
@@ -519,32 +505,13 @@ def _fit_two_stage(cfg, data, seed_index, members):
         x_val=two_stage_features(members, data.x_val),
         x_tests={cond: two_stage_features(members, x) for cond, x in data.x_tests.items()},
     )
-
-    def fit_one(gi, beta):
-        head_config = nnet.NetConfig(
-            input_dim=inputs.input_dim,
-            hidden_dims=cfg.sweep.head_hidden_dims,
-            output_dim=3,
-            dropout_rate=0.0,
-            seed=_init_seed(cfg, seed_index, "two_stage", gi),
-        )
-        return train_two_stage_head(
-            inputs.x_train,
-            inputs.y_train,
-            inputs.x_val,
-            inputs.y_val,
-            head_config,
-            _sgd_for(cfg, seed_index, "two_stage", gi),
-            beta,
-            sample_weights=inputs.sample_weights,
-        )
-
-    return fit_one, inputs
+    return inputs, cfg.sweep.head_hidden_dims
 
 
 # method -> (param_kind, fit). A threshold method's curve parameter is the
-# uncertainty threshold; a learned method's is its cost, swept over the
-# config's "<param_kind>_grid".
+# uncertainty threshold. A learned method's name is the kind of its LossSpec
+# and its param_kind is that loss's cost field, swept over the config's
+# "<param_kind>_grid".
 _METHODS = {
     "softmax": ("threshold", _fit_softmax),
     "ensemble": ("threshold", _fit_ensemble),
@@ -572,10 +539,12 @@ def _threshold_eval(cfg, data, seed_index, method, predict):
     return points, rows
 
 
-def _learned_eval(cfg, inputs, seed_index, method, param_kind, fit_one, bundle):
+def _learned_eval(cfg, inputs, hidden_dims, seed_index, method, param_kind, bundle):
     """One retrained model per cost value; each contributes one curve point.
 
-    inputs holds the evaluation data in the models' input space. The
+    inputs holds the evaluation data in the models' input space; every model
+    is a 3-output network with hidden_dims, trained under the method's loss
+    at that cost and kept at its smallest validation loss. The
     zero-deferral classification row comes from the grid model with the
     smallest validation deferral rate (ties broken toward the cost value that
     discourages deferral hardest), read out with its defer output disabled:
@@ -584,7 +553,22 @@ def _learned_eval(cfg, inputs, seed_index, method, param_kind, fit_one, bundle):
     """
     models = []
     for gi, value in enumerate(getattr(cfg.sweep, f"{param_kind}_grid")):
-        sel = fit_one(gi, value)
+        config = nnet.NetConfig(
+            inputs.input_dim,
+            hidden_dims,
+            DEFER_OUTPUT + 1,
+            seed=_init_seed(cfg, seed_index, method, gi),
+        )
+        sel = train_classifier(
+            inputs.x_train,
+            inputs.y_train,
+            inputs.x_val,
+            inputs.y_val,
+            config,
+            _sgd_for(cfg, seed_index, method, gi),
+            loss=LossSpec(method, **{param_kind: value}),
+            sample_weights=inputs.sample_weights,
+        )
         pred_val = predict_extended(sel.network, inputs.x_val)
         models.append((sel, value, float(np.mean(pred_val.decisions == DEFER))))
     # large alpha and small beta both discourage deferral
@@ -628,8 +612,8 @@ def run_method(cfg, data, seed_index, method, models_dir=None, members=None) -> 
     param_kind, fit = _METHODS[method]
     bundle = None if models_dir is None else models_dir / method
     if param_kind != "threshold":
-        fit_one, inputs = fit(cfg, data, seed_index, members)
-        return _learned_eval(cfg, inputs, seed_index, method, param_kind, fit_one, bundle)
+        inputs, hidden_dims = fit(cfg, data, seed_index, members)
+        return _learned_eval(cfg, inputs, hidden_dims, seed_index, method, param_kind, bundle)
     predict, save, member_params = fit(cfg, data, seed_index, members)
     if bundle is not None:
         save(bundle)

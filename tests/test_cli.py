@@ -249,6 +249,57 @@ def test_rerun_is_byte_identical(run_dir, ini_path, tmp_path):
         assert sha(out / name) == sha(run_dir / name), name
 
 
+def test_rerun_into_the_same_directory_leaves_no_stale_output(ini_path, tmp_path):
+    wide = tmp_path / "wide.ini"
+    wide.write_text(
+        TINY_INI.replace("methods = softmax", "methods = softmax,mc_dropout")
+        .replace("levels = 1", "levels = 2")
+    )
+    out = tmp_path / "shared"
+    assert cli.main(["run", "--config", str(wide), "--out", str(out)]) == 0
+    assert (out / "models" / "seed_0" / "mc_dropout").is_dir()
+    assert (out / "report" / "noise2.svg").is_file()
+
+    assert cli.main(["run", "--config", str(ini_path), "--out", str(out)]) == 0
+    assert sorted(p.name for p in (out / "models" / "seed_0").iterdir()) == ["softmax"]
+    assert sorted(p.name for p in (out / "report").iterdir()) == [
+        "blur1.svg", "id.svg", "noise1.svg"
+    ]
+
+
+def test_interrupted_rerun_leaves_no_old_tables(ini_path, tmp_path, monkeypatch):
+    out = tmp_path / "interrupted"
+    assert cli.main(["run", "--config", str(ini_path), "--out", str(out)]) == 0
+
+    def interrupted(*args, **kwargs):
+        raise RuntimeError("run interrupted")
+
+    monkeypatch.setattr(sweep, "run_plan", interrupted)
+    with pytest.raises(RuntimeError, match="interrupted"):
+        cli.main(["run", "--config", str(ini_path), "--out", str(out)])
+    assert (out / "config.ini").is_file()
+    assert not (out / "results.csv").exists()
+    assert not (out / "classification.csv").exists()
+
+
+def test_run_keeps_its_own_dataset_file(run_dir, ini_path, tmp_path):
+    out = tmp_path / "own_data"
+    out.mkdir()
+    data = out / "dataset.dfd1"
+    data.write_bytes((run_dir / "dataset.dfd1").read_bytes())
+    rc = cli.main(["run", "--config", str(ini_path), "--out", str(out), "--data", str(data)])
+    assert rc == 0
+    assert sha(out / "results.csv") == sha(run_dir / "results.csv")
+
+
+def test_run_output_path_under_a_file_is_an_error_not_a_traceback(ini_path, tmp_path, capsys):
+    (tmp_path / "file").write_text("")
+    out = tmp_path / "file" / "x"
+    assert cli.main(["run", "--config", str(ini_path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_run_from_dataset_file_matches_generated(run_dir, ini_path, tmp_path):
     out = tmp_path / "run3"
     rc = cli.main(
@@ -600,6 +651,13 @@ def test_inspect_missing_and_bare_directory(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "no such file" in err
     assert "manifest.txt" in err
+
+
+def test_inspect_unreadable_manifest_is_an_error_not_a_traceback(tmp_path, capsys):
+    (tmp_path / "manifest.txt").mkdir()
+    assert cli.main(["inspect", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 def test_inspect_damaged_checkpoint_is_an_error_not_a_traceback(tmp_path, capsys):

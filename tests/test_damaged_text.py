@@ -129,6 +129,16 @@ def test_classification_level_that_is_not_an_integer_names_the_row(tmp_path):
         sweep.read_classification_csv(path)
 
 
+def test_repeated_manifest_key_names_the_line(tmp_path, capsys):
+    # write_manifest never repeats a key, so a second value is damage, not an update
+    (tmp_path / pipelines.MANIFEST_NAME).write_text("a=1\nmethod=softmax\na=2\n")
+    with pytest.raises(FormatError, match="line 3 repeats key 'a'"):
+        pipelines.read_manifest(tmp_path / pipelines.MANIFEST_NAME)
+    assert cli.main(["inspect", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert "error:" in captured.err and "kind=bundle" not in captured.out
+
+
 # ---------------------------------------------------------------------------
 # the command line reports damaged text as an error, exit code 1 or 2
 # ---------------------------------------------------------------------------
@@ -208,10 +218,10 @@ def test_ensemble_index_writer_failure_leaves_no_index(tmp_path, failing_replace
     assert not (tmp_path / "ensemble" / pipelines.MANIFEST_NAME).exists()
 
 
-def test_config_echo_failure_leaves_no_file(tmp_path, failing_replace):
+def test_config_echo_failure_leaves_no_file(tmp_path, failing_replace, capsys):
     failing_replace.add("config.ini")
     out = tmp_path / "run"
-    with pytest.raises(OSError, match="injected"):
-        cli.main(["run", "--out", str(out)])
+    assert cli.main(["run", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: injected")
     assert_no_trace_of(out, "config.ini")
 

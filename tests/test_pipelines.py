@@ -17,6 +17,7 @@ from deferbench.metrics import DEFER, pauc
 from deferbench.uq import positive_probability
 
 CE = LossSpec("cross_entropy")
+ONE_STAGE = LossSpec("one_stage", alpha=0.8)
 LOG2 = 0.6931471805599453
 
 
@@ -59,11 +60,11 @@ def constant_binary_net(logit, input_dim=3):
 # ---------------------------------------------------------------------------
 
 
-def selection_setup(seed=2):
+def selection_setup(seed=2, outputs=2):
     x, y = noisy_problem(seed)
     x_train, y_train = x[:160], y[:160]
     x_val, y_val = x[160:], y[160:]
-    config = nnet.NetConfig(input_dim=3, hidden_dims=(8,), output_dim=2, seed=seed)
+    config = nnet.NetConfig(input_dim=3, hidden_dims=(8,), output_dim=outputs, seed=seed)
     sgd = nnet.SgdConfig(learning_rate=0.1, epochs=6, batch_size=64, seed=seed)
     return x_train, y_train, x_val, y_val, config, sgd
 
@@ -92,40 +93,38 @@ def test_select_by_partial_auc_takes_argmax_of_val_curve():
 
 
 def test_select_by_loss_takes_argmin():
-    x_train, y_train, x_val, y_val, config, sgd = selection_setup(seed=3)
+    # a deferral loss selects by its own mean validation loss
+    x_train, y_train, x_val, y_val, config, sgd = selection_setup(seed=3, outputs=3)
     selected = pipelines.train_classifier(
-        x_train, y_train, x_val, y_val, config, sgd, select="loss"
+        x_train, y_train, x_val, y_val, config, sgd, loss=ONE_STAGE
     )
-    result = replayed_checkpoints(x_train, y_train, config, sgd)
+    result = replayed_checkpoints(x_train, y_train, config, sgd, ONE_STAGE)
     probe = result.network.copy()
     curve = []
     for params in result.checkpoints:
         nnet.set_params(probe, params)
-        curve.append(nnet.mean_loss(probe, x_val, y_val, CE))
+        curve.append(nnet.mean_loss(probe, x_val, y_val, ONE_STAGE))
     assert selected.val_curve == curve
     assert selected.epoch == int(np.argmin(curve))
+    assert selected.criterion == "loss"
 
 
-@pytest.mark.parametrize("select", ["pauc", "loss"])
-def test_selected_model_keeps_no_per_epoch_checkpoints(select):
-    x_train, y_train, x_val, y_val, config, sgd = selection_setup()
+@pytest.mark.parametrize(
+    "loss, criterion", [(CE, "pauc"), (ONE_STAGE, "loss")], ids=["pauc", "loss"]
+)
+def test_selected_model_keeps_no_per_epoch_checkpoints(loss, criterion):
+    outputs = 2 if loss is CE else 3
+    x_train, y_train, x_val, y_val, config, sgd = selection_setup(outputs=outputs)
     selected = pipelines.train_classifier(
-        x_train, y_train, x_val, y_val, config, sgd, select=select
+        x_train, y_train, x_val, y_val, config, sgd, loss=loss
     )
-    result = replayed_checkpoints(x_train, y_train, config, sgd)
+    result = replayed_checkpoints(x_train, y_train, config, sgd, loss)
+    assert selected.criterion == criterion
     assert selected.epoch_losses == result.epoch_losses
     assert len(selected.val_curve) == sgd.epochs
     # the chosen network is the only set of parameters left; the traces are scalars
     assert set(vars(selected)) == {"network", "epoch", "criterion", "val_curve", "epoch_losses"}
     assert all(np.ndim(v) == 0 for v in selected.val_curve + selected.epoch_losses)
-
-
-def test_unknown_selection_rule_rejected():
-    x_train, y_train, x_val, y_val, config, sgd = selection_setup()
-    with pytest.raises(ConfigError, match="selection rule"):
-        pipelines.train_classifier(
-            x_train, y_train, x_val, y_val, config, sgd, select="best"
-        )
 
 
 def test_single_class_validation_cannot_drive_selection():
@@ -188,8 +187,9 @@ def extended_config(seed, input_dim=3, hidden=(8,)):
 def test_one_stage_full_alpha_rarely_defers_when_separable():
     x, y = separable_problem(seed=6, n=400, margin=1.0)
     sgd = nnet.SgdConfig(learning_rate=0.1, epochs=8, batch_size=64, seed=6)
-    selected = pipelines.train_one_stage(
-        x[:300], y[:300], x[300:], y[300:], extended_config(6), sgd, alpha=1.0
+    selected = pipelines.train_classifier(
+        x[:300], y[:300], x[300:], y[300:], extended_config(6), sgd,
+        loss=LossSpec("one_stage", alpha=1.0),
     )
     assert selected.criterion == "loss"
     out = pipelines.predict_extended(selected.network, x)
@@ -199,9 +199,10 @@ def test_one_stage_full_alpha_rarely_defers_when_separable():
 def test_one_stage_needs_three_outputs():
     x, y = separable_problem()
     config = nnet.NetConfig(input_dim=3, hidden_dims=(8,), output_dim=2, seed=0)
-    with pytest.raises(ConfigError, match="3-output"):
-        pipelines.train_one_stage(
-            x, y, x, y, config, nnet.SgdConfig(learning_rate=0.1, epochs=1, seed=0), alpha=0.8
+    with pytest.raises(ConfigError, match="one_stage.*3-output"):
+        pipelines.train_classifier(
+            x, y, x, y, config, nnet.SgdConfig(learning_rate=0.1, epochs=1, seed=0),
+            loss=ONE_STAGE,
         )
 
 
@@ -254,8 +255,9 @@ def test_two_stage_large_beta_mostly_defers():
     head_config = extended_config(7, input_dim=len(members) + 2, hidden=(8,))
     sgd = nnet.SgdConfig(learning_rate=0.1, epochs=10, batch_size=64, seed=7)
     feats = pipelines.two_stage_features(members, x)
-    selected = pipelines.train_two_stage_head(
-        feats[:300], y[:300], feats[300:], y[300:], head_config, sgd, beta=10.0
+    selected = pipelines.train_classifier(
+        feats[:300], y[:300], feats[300:], y[300:], head_config, sgd,
+        loss=LossSpec("two_stage", beta=10.0),
     )
     out = pipelines.predict_extended(selected.network, feats)
     assert np.mean(out.decisions == DEFER) > 0.9
@@ -266,18 +268,19 @@ def test_two_stage_head_config_validation():
     members = [constant_binary_net(0.0), constant_binary_net(0.0)]
     feats = pipelines.two_stage_features(members, x)
     sgd = nnet.SgdConfig(learning_rate=0.1, epochs=1, seed=0)
-    with pytest.raises(ConfigError, match="3-output"):
-        pipelines.train_two_stage_head(
+    loss = LossSpec("two_stage", beta=1.0)
+    with pytest.raises(ConfigError, match="two_stage.*3-output"):
+        pipelines.train_classifier(
             feats, y, feats, y,
             nnet.NetConfig(input_dim=4, hidden_dims=(4,), output_dim=2, seed=0),
-            sgd, beta=1.0,
+            sgd, loss=loss,
         )
     # a head as wide as the raw inputs, not as the committee features
     with pytest.raises(DeferBenchError, match=r"\(B, 3\).*\(240, 4\)"):
-        pipelines.train_two_stage_head(
+        pipelines.train_classifier(
             feats, y, feats, y,
             nnet.NetConfig(input_dim=3, hidden_dims=(4,), output_dim=3, seed=0),
-            sgd, beta=1.0,
+            sgd, loss=loss,
         )
 
 
