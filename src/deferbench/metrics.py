@@ -10,19 +10,21 @@ everything deferred) return None rather than raising; the CSV layer writes
 those as empty fields.
 
 A threshold sweep scores the samples each threshold keeps. The kept sets of
-one sweep share their work in ``threshold_curve``: one kept-mask matrix
-gives every deferral rate and confusion count, and one descending sort of
-the scores gives every kept set's ROC polyline, because a kept set's sorted
-order, tie groups and cumulative counts are those of the full sort
-restricted to it. The result is exact, not approximate: the counts are
-integers, and each point's pAUC runs the same divisions and the same band
-clip, interpolation and trapezoid sum (one shared ``_band_area``) on the
-same arrays as ``pauc`` on that kept set. AUC is still computed once per
-kept set by ``auc``. AUC gives each tie group its average rank in one
-vectorized pass. That is exact: an average rank is a half-integer, and a sum
-of half-integers below 2**52 is exact in float64 in any order, so the result
-equals the one-group-at-a-time loop bit for bit (the tests keep that loop as
-the reference).
+one sweep are nested, so thresholds that keep as many samples keep the same
+ones, and ``threshold_curve`` scores each distinct kept set once. Those sets
+share their work: one kept-mask matrix gives every deferral rate and
+confusion count, one ascending sort of the scores gives every kept set's
+AUC, and one descending sort every kept set's ROC polyline, because a kept
+set's sorted order, tie groups and cumulative counts are those of the full
+sort restricted to it. The result is exact, not approximate: the counts are
+integers, each AUC runs the same rank sum and divisions as ``auc`` (one
+shared ``_rank_sums``), and each pAUC runs the same divisions and the same
+band clip, interpolation and trapezoid sum (one shared ``_band_area``) on
+the same arrays as ``pauc`` on that kept set. The rank sum gives each tie
+group its average rank, times the group's positives. That is exact: an
+average rank is a half-integer, and a sum of half-integers below 2**52 is
+exact in float64 in any order, so the result equals the one-group-at-a-time
+loop bit for bit (the tests keep that loop as the reference).
 """
 
 from __future__ import annotations
@@ -101,16 +103,28 @@ def auc(scores, labels) -> Optional[float]:
     if n_pos == 0 or n_neg == 0:
         return None
 
+    rank_sum = _rank_sums(scores, positive, np.ones((1, scores.shape[0]), dtype=bool))[0]
+    u = rank_sum - n_pos * (n_pos + 1) / 2.0
+    return float(u / (n_pos * n_neg))
+
+
+def _rank_sums(scores, positive, kept):
+    """Per row of the kept mask, the rank sum of its kept positives among its kept scores.
+
+    Ranks are 1-based and ascending; a tie group shares its average rank.
+    """
     order = scores.argsort(kind="mergesort")
     sorted_scores = scores[order]
     # tie groups are runs of equal sorted scores, bounded by the positions
-    # where the score changes; a NaN equals nothing, so each NaN is a group
+    # where the score changes; a NaN equals nothing, so each NaN is a group.
+    # A kept set's tie groups are the full groups restricted to it.
     changes = (sorted_scores[1:] != sorted_scores[:-1]).nonzero()[0] + 1
-    bounds = np.concatenate(([0], changes, [sorted_scores.shape[0]]))
-    group_rank = 0.5 * (bounds[:-1] + bounds[1:] - 1) + 1.0  # average 1-based rank
-    rank_sum = np.repeat(group_rank, bounds[1:] - bounds[:-1])[positive[order]].sum()
-    u = rank_sum - n_pos * (n_pos + 1) / 2.0
-    return float(u / (n_pos * n_neg))
+    starts = np.concatenate(([0], changes))
+    kept_sorted = kept[:, order]
+    count = np.add.reduceat(kept_sorted, starts, axis=1, dtype=np.int64)
+    count_pos = np.add.reduceat(kept_sorted & positive[order], starts, axis=1, dtype=np.int64)
+    group_rank = (count.cumsum(axis=1) - count) + 0.5 * (count + 1)  # average 1-based rank
+    return (count_pos * group_rank).sum(axis=1)
 
 
 def _tie_groups(scores):
@@ -241,9 +255,10 @@ def threshold_curve(predicted, labels, scores, uncertainty, taus) -> list:
 
     Point i is ``deferral_curve_point(np.where(uncertainty >= taus[i], DEFER,
     predicted), labels, scores)`` bit for bit, where predicted holds the
-    classifier's 0/1 decision per sample. One kept-mask matrix (a row per
-    threshold) gives every count, and one descending sort of the scores gives
-    the ROC polyline of every kept set.
+    classifier's 0/1 decision per sample. Each distinct kept set is scored
+    once, as one row of a kept-mask matrix that gives every count; one
+    ascending sort of the scores gives every row's AUC and one descending
+    sort every row's ROC polyline.
     """
     predicted = np.asarray(predicted)
     labels = np.asarray(labels)
@@ -255,17 +270,33 @@ def threshold_curve(predicted, labels, scores, uncertainty, taus) -> list:
         raise InputShapeError("scores, uncertainty and labels must have the same length")
     taus = np.asarray(taus, dtype=np.float64)
 
+    # The kept sets of one sweep are nested: a sample kept at one threshold
+    # is kept at every higher one, and a NaN threshold or uncertainty keeps
+    # every sample or that sample. So two thresholds that keep as many
+    # samples keep the same ones, and row k of the matrix below is the
+    # k-th distinct kept set, the one of every threshold i with set_of[i] == k.
+    kept = ~(uncertainty >= taus[:, None])
+    n_kept, first, set_of = np.unique(
+        np.count_nonzero(kept, axis=1), return_index=True, return_inverse=True
+    )
+    kept = kept[first]
+
     total = labels.shape[0]
     positive, negative = labels == 1, labels == 0
     called_pos, called_neg = predicted == 1, predicted == 0
     n_pos = int(np.count_nonzero(positive))
-    kept = ~(uncertainty >= taus[:, None])
     kept_pos, kept_neg = kept & positive, kept & negative
-    n_kept = np.count_nonzero(kept, axis=1).tolist()
     tp = np.count_nonzero(kept_pos & called_pos, axis=1).tolist()
     fp = np.count_nonzero(kept_neg & called_pos, axis=1).tolist()
     tn = np.count_nonzero(kept_neg & called_neg, axis=1).tolist()
     fn = np.count_nonzero(kept_pos & called_neg, axis=1).tolist()
+    n_kept_pos = np.count_nonzero(kept_pos, axis=1)
+    n_kept_neg = np.count_nonzero(kept_neg, axis=1)
+
+    # AUC as in auc, on every row at once; rows without both classes go unread
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u = _rank_sums(scores, positive, kept) - n_kept_pos * (n_kept_pos + 1) / 2.0
+        auc_v = (u / (n_kept_pos * n_kept_neg)).tolist()
 
     # A kept set sorts in the full order restricted to it, and two of its
     # neighbours tie exactly when every score between them ties too. So its
@@ -274,35 +305,35 @@ def threshold_curve(predicted, labels, scores, uncertainty, taus) -> list:
     # below is the origin, column g + 1 the end of tie group g.
     order, ends = _tie_groups(scores)
     kept_sorted = kept[:, order]
-    on_curve = np.ones((taus.shape[0], ends.shape[0] + 1), dtype=bool)
+    on_curve = np.ones((kept.shape[0], ends.shape[0] + 1), dtype=bool)
     starts = np.concatenate(([0], ends[:-1] + 1))
     on_curve[:, 1:] = np.logical_or.reduceat(kept_sorted, starts, axis=1)
 
     def rates(members):
-        """Each row's share of its kept members at every group end, and their count."""
+        """Each row's share of its kept members at every group end."""
         through = (kept_sorted & members[order]).cumsum(axis=1)[:, ends]
         rate = np.zeros(on_curve.shape)
         with np.errstate(divide="ignore", invalid="ignore"):  # rows without members go unread
             np.divide(through, through[:, -1:], out=rate[:, 1:])
-        return rate, through[:, -1].tolist()
+        return rate
 
-    tpr, n_kept_pos = rates(positive)
-    fpr, n_kept_neg = rates(negative)
+    tpr, fpr = rates(positive), rates(negative)
+    n_kept_pos, n_kept_neg = n_kept_pos.tolist(), n_kept_neg.tolist()
 
-    points = []
-    for i in range(taus.shape[0]):
-        point = CurvePoint(
-            deferral_rate=(total - n_kept[i]) / total,
-            bacc=None,
-            frac_positives_deferred=(n_pos - n_kept_pos[i]) / n_pos if n_pos > 0 else None,
-        )
-        if n_kept[i] > 0:
-            counts = ConfusionCounts(tp=tp[i], fp=fp[i], tn=tn[i], fn=fn[i])
-            point.bacc = balanced_accuracy(counts)
-            point.acc0, point.acc1 = per_class_accuracy(counts)
-            point.auc = auc(scores[kept[i]], labels[kept[i]])
-            if n_kept_pos[i] > 0 and n_kept_neg[i] > 0:
-                curve = on_curve[i]
-                point.pauc = _band_area(fpr[i][curve], tpr[i][curve], PAUC_BAND)
-        points.append(point)
-    return points
+    sets = []
+    for k, size in enumerate(n_kept.tolist()):
+        fields = {
+            "deferral_rate": (total - size) / total,
+            "bacc": None,
+            "frac_positives_deferred": (n_pos - n_kept_pos[k]) / n_pos if n_pos > 0 else None,
+        }
+        if size > 0:
+            counts = ConfusionCounts(tp=tp[k], fp=fp[k], tn=tn[k], fn=fn[k])
+            fields["bacc"] = balanced_accuracy(counts)
+            fields["acc0"], fields["acc1"] = per_class_accuracy(counts)
+            if n_kept_pos[k] > 0 and n_kept_neg[k] > 0:
+                fields["auc"] = auc_v[k]
+                curve = on_curve[k]
+                fields["pauc"] = _band_area(fpr[k][curve], tpr[k][curve], PAUC_BAND)
+        sets.append(fields)
+    return [CurvePoint(**sets[k]) for k in set_of.tolist()]

@@ -221,7 +221,9 @@ def write_report(out_dir, points) -> list:
     """One SVG per condition under out_dir/report; returns the written paths.
 
     File names are Condition labels, so a condition that is not a valid
-    Condition raises ConfigError before anything is written.
+    Condition raises ConfigError before anything is written. Every other
+    SVG already in out_dir/report is removed, so no figure outlives the
+    table it was drawn from.
     """
     points = [p for p in points if isinstance(p, CurvePoint)]
     if not points:
@@ -231,6 +233,8 @@ def write_report(out_dir, points) -> list:
         groups.setdefault(Condition(p.condition, p.level), []).append(p)
     report_dir = Path(out_dir) / "report"
     report_dir.mkdir(parents=True, exist_ok=True)
+    for stale in report_dir.glob("*.svg"):
+        stale.unlink()
 
     written = []
     for cond, group in groups.items():

@@ -27,6 +27,7 @@ from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from contextlib import ExitStack
 from dataclasses import dataclass, replace
+from operator import attrgetter
 from pathlib import Path
 from typing import Optional
 
@@ -269,6 +270,8 @@ def uq_sweep(scores, uncertainty, labels, steps: int) -> list:
         raise InputShapeError("scores and uncertainty must be equal-length non-empty 1-D")
     if steps < 2:
         raise ConfigError("threshold sweep needs at least 2 steps")
+    if not np.all(np.isfinite(uncertainty)):
+        raise InputShapeError("uncertainty values must be finite")
 
     hi = float(uncertainty.max())
     lo = float(uncertainty.min())
@@ -281,8 +284,6 @@ def uq_sweep(scores, uncertainty, labels, steps: int) -> list:
         point.status = "degenerate"
         return [point]
 
-    if not np.all(np.isfinite(uncertainty)):
-        raise InputShapeError("uncertainty values must be finite")
     taus = np.linspace(hi, lo, steps)
     predicted = decisions_from_scores(scores, np.zeros(scores.shape, dtype=bool))
     points = threshold_curve(predicted, labels, scores, uncertainty, taus)
@@ -756,20 +757,13 @@ def run_plan(
 # ---------------------------------------------------------------------------
 
 
-def _cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _write_table(path, table, records) -> None:
+    # csv writes None as an empty field, and str() of a float is its repr
+    attrs = attrgetter(*(attr for _, attr, _ in table))
     with atomic_open(path, "w", newline="", encoding="utf-8") as fh:
         writer = _csv.writer(fh, lineterminator="\n")
         writer.writerow([column for column, _, _ in table])
-        for record in records:
-            writer.writerow([_cell(getattr(record, attr)) for _, attr, _ in table])
+        writer.writerows(map(attrs, records))
 
 
 def _read_table(path, table, make, what) -> list:

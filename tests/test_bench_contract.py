@@ -4,8 +4,8 @@
 and reads the (seed, method) of each task from fixed argument positions. A
 rename in the package would otherwise only surface when the traced benchmark
 runs, as "trace: no references found". ``bench/test_bench.py`` also pins
-how often ``metrics.auc`` runs, which the sweep's per-threshold call rule
-below fixes; those bench tests are slow and run apart from this suite.
+how often ``metrics.auc`` runs, which the sweep's call rule below fixes;
+those bench tests are slow and run apart from this suite.
 """
 
 import importlib
@@ -52,36 +52,27 @@ def test_task_entry_points_keep_seed_and_method_positions(name, start):
     assert params[start : start + 2] == ["seed_index", "method"]
 
 
-def test_uq_sweep_calls_auc_once_per_threshold_that_keeps_samples(monkeypatch):
+def test_uq_sweep_never_calls_auc(monkeypatch):
     # bench/test_bench.py pins metrics.auc.calls of whole runs; this is the
-    # per-sweep rule behind that count. Every reference to auc is rebound, as
-    # the tracer does, wherever the sweep happens to call it from.
+    # per-sweep rule behind that count. A threshold sweep scores the AUC of
+    # all its kept sets from one sort, so auc runs only for classification
+    # rows and learned-deferral points, and the count no longer grows with
+    # the number of thresholds.
     original = metrics.auc
-    calls = []
-
-    def counting_auc(scores, labels):
-        calls.append(scores)
-        return original(scores, labels)
-
-    for name, module in sorted(sys.modules.items()):
-        if name.startswith("deferbench"):
-            for attr, value in list(vars(module).items()):
-                if value is original:
-                    monkeypatch.setattr(module, attr, counting_auc)
-    assert sweep.auc is counting_auc
+    calls = counted(monkeypatch, original)
+    assert sweep.auc is not original
 
     rng = np.random.default_rng(0)
     scores = rng.random(60)
     uncertainty = np.round(rng.random(60), 1)  # tied uncertainties repeat kept sets
     labels = (rng.random(60) < 0.3).astype(np.int64)
-    taus = np.linspace(uncertainty.max(), uncertainty.min(), 40)
-    sweep.uq_sweep(scores, uncertainty, labels, 40)
+    points = sweep.uq_sweep(scores, uncertainty, labels, 40)
 
-    kept_sets = [scores[uncertainty < tau] for tau in taus if np.any(uncertainty < tau)]
-    assert 0 < len(kept_sets) < len(taus)
-    assert len(calls) == len(kept_sets)
-    for called, kept in zip(calls, kept_sets):  # each kept subset, in its original order
-        np.testing.assert_array_equal(called, kept)
+    assert calls == []
+    kept = [uncertainty < point.param_value for point in points]
+    assert [point.auc for point in points] == [
+        original(scores[k], labels[k]) if k.any() else None for k in kept
+    ]
 
 
 def counted(monkeypatch, original) -> list:

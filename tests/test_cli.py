@@ -513,6 +513,19 @@ def test_report_rerenders_from_results(run_dir, tmp_path, capsys):
     assert (out / "report" / "id.svg").read_text() == (run_dir / "report" / "id.svg").read_text()
 
 
+def test_report_removes_figures_of_conditions_the_results_lack(run_dir, tmp_path):
+    out = tmp_path / "rerender"
+    (out / "report").mkdir(parents=True)
+    for svg in (run_dir / "report").glob("*.svg"):
+        (out / "report" / svg.name).write_bytes(svg.read_bytes())
+    assert len(list((out / "report").iterdir())) == 3
+    header, *rows = (run_dir / "results.csv").read_text().splitlines(keepends=True)
+    id_only = tmp_path / "id_only.csv"
+    id_only.write_text(header + "".join(row for row in rows if row.split(",")[1] == "id"))
+    assert cli.main(["report", "--out", str(out), "--results", str(id_only)]) == 0
+    assert [p.name for p in (out / "report").iterdir()] == ["id.svg"]
+
+
 def test_report_header_only_results_fails(tmp_path, capsys):
     results = tmp_path / "results.csv"
     results.write_text(",".join(sweep.RESULTS_COLUMNS) + "\n")

@@ -1,7 +1,9 @@
 """Sweep protocol: condition planning, threshold curves, evaluation data
 layout, plan execution, and the CSV containers."""
 
+import csv
 import dataclasses
+import io
 import re
 import time
 import tracemalloc
@@ -23,7 +25,7 @@ from deferbench.config import (
 )
 from deferbench.data import SynthSpec
 from deferbench.errors import ConfigError, DeferBenchError, FormatError, InputShapeError
-from deferbench.metrics import DEFER, deferral_curve_point
+from deferbench.metrics import DEFER, CurvePoint, deferral_curve_point
 from deferbench.nnet import SgdConfig
 from deferbench.rng import child_seed
 from deferbench.uq import SwagCollectConfig, decisions_from_scores
@@ -223,6 +225,19 @@ def test_uq_sweep_matches_per_threshold_reference_on_long_curves():
     assert sweep_outcome(sweep.uq_sweep, case) == sweep_outcome(per_threshold_sweep, case)
 
 
+def test_uq_sweep_matches_per_threshold_reference_on_200_thresholds():
+    # about half of the 200 thresholds repeat an earlier kept set, and the
+    # special scores give NaN tie groups of one and tied infinities
+    rng = np.random.default_rng(1)
+    labels = rng.integers(0, 2, 1000)
+    scores = np.round(np.clip(0.3 * labels + 0.7 * rng.random(1000), 0.0, 1.0), 2)
+    scores[rng.choice(1000, 12, replace=False)] = [np.nan, np.inf, -np.inf] * 4
+    uncertainty = np.round(rng.random(1000), 2)
+    case = (scores, uncertainty, labels, 200)
+    with np.errstate(invalid="ignore"):  # inf - inf when tie groups are found
+        assert sweep_outcome(sweep.uq_sweep, case) == sweep_outcome(per_threshold_sweep, case)
+
+
 def test_uq_sweep_validation():
     scores, uncertainty, labels = sweep_inputs()
     with pytest.raises(ConfigError):
@@ -236,6 +251,9 @@ def test_uq_sweep_validation():
         damaged[3] = bad
         with pytest.raises(InputShapeError, match="finite"):
             sweep.uq_sweep(scores, damaged, labels, 5)
+    for bad in (np.inf, -np.inf):  # constant, so checked before the degenerate path
+        with pytest.raises(InputShapeError, match="finite"):
+            sweep.uq_sweep(scores, np.full(scores.shape, bad), labels, 5)
 
 
 # ---------------------------------------------------------------------------
@@ -662,6 +680,42 @@ def test_results_csv_rejects_bad_input(tmp_path):
         path.write_text(header + "\n" + good + "\n" + bad + "\n")
         with pytest.raises(FormatError, match="row 3"):
             sweep.read_results_csv(path)
+
+
+def reference_cell(value) -> str:
+    """The table writer's former per-cell formatter, kept as the byte reference."""
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)
+
+
+@pytest.mark.parametrize("writer, table, make", [
+    (sweep.write_results_csv, sweep._RESULTS_TABLE, CurvePoint),
+    (sweep.write_classification_csv, sweep._CLASSIFICATION_TABLE, sweep.ClassificationRow),
+])
+def test_csv_bytes_match_the_per_cell_reference(tmp_path, writer, table, make):
+    values = [None, 0, 7, -0.0, 1e-300, np.nan, np.inf, -np.inf, 0.1, 2 / 3]
+    text = {"method": "soft,max", "condition": "noise", "param_kind": "threshold",
+            "status": 'failed:"x"'}
+
+    def cell(i, j, attr, parse):
+        if parse is sweep._parse_cell:
+            return values[(i + j) % len(values)]
+        return i - j if parse is int else text[attr]
+
+    records = [make(**{attr: cell(i, j, attr, parse) for j, (_, attr, parse) in enumerate(table)})
+               for i in range(len(values))]
+    path = tmp_path / "table.csv"
+    writer(path, records)
+
+    reference = io.StringIO(newline="")
+    rows = csv.writer(reference, lineterminator="\n")
+    rows.writerow([column for column, _, _ in table])
+    for record in records:
+        rows.writerow([reference_cell(getattr(record, attr)) for _, attr, _ in table])
+    assert path.read_bytes() == reference.getvalue().encode("utf-8")
 
 
 def test_classification_csv_roundtrip(softmax_plan, tiny_cfg, tmp_path):
