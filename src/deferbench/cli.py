@@ -96,7 +96,9 @@ def cmd_run(args) -> int:
     # without data, a serial plan loads the dataset file once; pool workers
     # each load it themselves
     data = sweep.split_eval_data(cfg, ds) if ds is not None and cfg.jobs <= 1 else None
-    del ds  # the split arrays are copies; free the full dataset before training
+    # a serial split took ownership of ds and its arrays are views of ds's
+    # features; a pool run has no use for ds, so free it before training
+    del ds
 
     result = sweep.run_plan(cfg, out_dir=out, data=data, data_path=data_path)
     sweep.write_results_csv(out / sweep.RESULTS_NAME, result.points)

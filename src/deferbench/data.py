@@ -14,8 +14,9 @@ Two generator modes stand in for the real imaging data:
 Memory: the image generator fills one preallocated feature buffer in blocks
 of _ROW_BLOCK rows, so a dataset costs about one copy of its float64
 features while it is built; float32 rounding, the DFD1 writer and the DFD1
-reader also go a block at a time. The block size is an internal constant,
-not a setting; every block size gives the same bytes.
+reader also go a block at a time, and ``partition`` groups the split rows
+in place. The block size is an internal constant, not a setting; every
+block size gives the same bytes.
 """
 
 from __future__ import annotations
@@ -306,6 +307,40 @@ def split(dataset: Dataset, seed: int, fractions=SPLIT_FRACTIONS) -> Dataset:
         splits[idx[bounds[1] :]] = TEST
 
     return replace(dataset, splits=splits)
+
+
+def partition(dataset: Dataset) -> tuple:
+    """(train, val, test) subsets of a split dataset, with no copy of its features.
+
+    Takes ownership of the dataset: its feature rows are reordered in place
+    into a train, a val and a test block, each in its original row order, and
+    each subset's features are a view of its block. The only scratch is a
+    copy of the val and test rows; the train rows move forward a row block
+    at a time. Labels are copied into the same order.
+    """
+    if dataset.splits is None:
+        raise ConfigError("dataset has no split tags; call split() first")
+    order = np.argsort(dataset.splits, kind="stable")
+    bounds = np.cumsum(np.bincount(dataset.splits, minlength=3))
+    n_train = bounds[TRAIN]
+    x = dataset.features
+    held_out = x[order[n_train:]]
+    # the k-th train row sits at or after row k, so no row still to be moved
+    # is overwritten before it is read
+    for start in range(0, n_train, _ROW_BLOCK):
+        stop = min(start + _ROW_BLOCK, n_train)
+        x[start:stop] = x[order[start:stop]]
+    x[n_train:] = held_out
+    labels = dataset.labels[order]
+    return tuple(
+        Dataset(
+            features=x[start:stop],
+            labels=labels[start:stop],
+            spatial_shape=dataset.spatial_shape,
+            provenance=dataset.provenance,
+        )
+        for start, stop in zip((0, *bounds[:-1]), bounds)
+    )
 
 
 def oversample_weights(labels) -> np.ndarray:

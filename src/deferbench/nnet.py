@@ -29,6 +29,8 @@ from deferbench.rng import child_rng
 _MAGIC = b"DFB1"
 _VERSION = 1
 
+_ROW_BLOCK = 512  # rows per block of an inference pass; see ``_inference_logits``
+
 
 @dataclass(frozen=True)
 class NetConfig:
@@ -223,8 +225,36 @@ def _forward_cached(net: Network, batch: np.ndarray, dropout_mask=None):
     return logits, (activations, a, dropout_mask)
 
 
+def _inference_logits(net: Network, batch: np.ndarray, dropout_mask=None) -> np.ndarray:
+    """The logits of ``_forward_cached``, computed _ROW_BLOCK rows at a time.
+
+    Only one block's activations are alive at once, next to the logits. The
+    logits are bit-identical to one whole-batch pass: blocks start at
+    multiples of _ROW_BLOCK, so every row keeps its place in the BLAS
+    kernel's row tiling, and a one-row remainder joins the block before it,
+    because numpy hands a one-row product to a matrix-vector routine that
+    rounds differently.
+    """
+    n = batch.shape[0]
+    logits = np.empty((n, net.config.output_dim))
+    start = 0
+    while start < n:
+        stop = start + _ROW_BLOCK
+        if n - stop <= 1:
+            stop = n
+        mask = None if dropout_mask is None else dropout_mask[start:stop]
+        logits[start:stop], _ = _forward_cached(net, batch[start:stop], mask)
+        start = stop
+    return logits
+
+
 def forward(net: Network, batch, dropout_on: bool = False, rng=None) -> np.ndarray:
-    """Logits for a batch; with dropout_on and rate > 0 a fresh mask is drawn from rng."""
+    """Logits for a batch; with dropout_on and rate > 0 a fresh mask is drawn from rng.
+
+    The mask is drawn once for the whole batch, and the pass runs in row
+    blocks (see ``_inference_logits``): same logits as one pass, with one
+    block's activations in memory instead of the whole batch's.
+    """
     batch = _check_batch(net, batch)
     mask = None
     rate = net.config.dropout_rate
@@ -232,8 +262,7 @@ def forward(net: Network, batch, dropout_on: bool = False, rng=None) -> np.ndarr
         if rng is None:
             raise ConfigError("dropout_on with rate > 0 requires an rng")
         mask = draw_dropout_mask(rng, (batch.shape[0], net.weights[-1].shape[0]), rate)
-    logits, _ = _forward_cached(net, batch, mask)
-    return logits
+    return _inference_logits(net, batch, mask)
 
 
 def _gradient_buffer(net: Network):
@@ -277,9 +306,9 @@ def backward(net: Network, batch, targets, loss: LossSpec, dropout_mask=None) ->
 
 
 def mean_loss(net: Network, batch, targets, loss: LossSpec) -> float:
-    """Mean loss over a batch with dropout off."""
+    """Mean loss over a batch with dropout off; the pass runs as ``forward``'s does."""
     batch = _check_batch(net, batch)
-    logits, _ = _forward_cached(net, batch, None)
+    logits = _inference_logits(net, batch)
     return float(loss.loss(logits, np.asarray(targets, dtype=np.int64)).mean())
 
 

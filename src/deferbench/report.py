@@ -167,15 +167,12 @@ def render_condition_svg(points, condition: str, level: int) -> str:
     if not usable:
         raise FormatError(f"no plottable rows for condition {condition!r} level {level}")
 
-    methods = []
+    series: dict = {}  # (method, seed) -> its points, in first-seen order
     for p in usable:
-        if p.method not in methods:
-            methods.append(p.method)
-    series_keys = []
-    for p in usable:
-        key = (p.method, p.seed)
-        if key not in series_keys:
-            series_keys.append(key)
+        series.setdefault((p.method, p.seed), []).append(p)
+    for pts in series.values():
+        pts.sort(key=lambda p: p.deferral_rate)
+    methods = dict.fromkeys(method for method, _ in series)
 
     top = _Panel(
         "bacc", "balanced accuracy on non-deferred samples", BACC_Y_RANGE, 0.1, MARGIN_T + LEGEND_H
@@ -194,19 +191,11 @@ def render_condition_svg(points, condition: str, level: int) -> str:
     ]
     parts.extend(_legend(methods))
     parts.extend(top.frame())
-    for method, seed in series_keys:
-        pts = sorted(
-            (p for p in usable if p.method == method and p.seed == seed),
-            key=lambda p: p.deferral_rate,
-        )
+    for (method, seed), pts in series.items():
         parts.extend(top.series(method, seed, [(p.deferral_rate, p.bacc) for p in pts]))
     parts.append("</g>")
     parts.extend(bottom.frame())
-    for method, seed in series_keys:
-        pts = sorted(
-            (p for p in usable if p.method == method and p.seed == seed),
-            key=lambda p: p.deferral_rate,
-        )
+    for (method, seed), pts in series.items():
         parts.extend(
             bottom.series(
                 method, seed, [(p.deferral_rate, p.frac_positives_deferred) for p in pts]

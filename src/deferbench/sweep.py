@@ -215,14 +215,15 @@ def model_inputs(features: np.ndarray, out=None) -> np.ndarray:
 def split_eval_data(cfg: RunConfig, ds: data_mod.Dataset) -> EvalData:
     """Split a dataset and corrupt its test portion per planned condition.
 
-    Corruption happens on the raw intensity scale; the model-input map is
-    applied after it, in place, to the arrays indexed or corrupted here. The
-    clean test rows are mapped last, once every corruption has read them.
+    Takes ownership of ds: ``data.partition`` reorders its feature rows in
+    place, so x_train, x_val and the clean test condition are views of that
+    one buffer, and ds must not be used afterwards. Corruption happens on the
+    raw intensity scale; the model-input map is applied after it, in place,
+    to the whole buffer and to each corrupted copy. The clean test rows are
+    mapped last, once every corruption has read them.
     """
     ds = data_mod.split(ds, child_seed(cfg.seed, "split"))
-    train = ds.subset(ds.split_mask(data_mod.TRAIN))
-    val = ds.subset(ds.split_mask(data_mod.VAL))
-    test = ds.subset(ds.split_mask(data_mod.TEST))
+    train, val, test = data_mod.partition(ds)
 
     corrupt_seed = child_seed(cfg.seed, "corrupt")
     conditions = plan_conditions(cfg)
@@ -237,12 +238,13 @@ def split_eval_data(cfg: RunConfig, ds: data_mod.Dataset) -> EvalData:
             )
             x = data_mod.corrupt(test, spec, corrupt_seed).features
             x_tests[cond] = model_inputs(x, out=x)
-    x_tests[Condition("id")] = model_inputs(test.features, out=test.features)
+    model_inputs(ds.features, out=ds.features)
+    x_tests[Condition("id")] = test.features
 
     return EvalData(
-        x_train=model_inputs(train.features, out=train.features),
+        x_train=train.features,
         y_train=train.labels,
-        x_val=model_inputs(val.features, out=val.features),
+        x_val=val.features,
         y_val=val.labels,
         sample_weights=data_mod.oversample_weights(train.labels),
         y_test=test.labels,
@@ -447,9 +449,10 @@ def _fit_swag(cfg, data, seed_index, members):
     )
     posterior = uq.swag_collect(result.checkpoints, config, cfg.swag)
     seed = _predict_seed(cfg, seed_index, "swag")
+    nets = uq.posterior_networks(posterior, cfg.uq.n_samples, seed)
     manifest = {"method": "swag", "rank": posterior.rank, "collected": posterior.collected}
     return (
-        lambda x: uq.swag_predict(posterior, x, cfg.uq.n_samples, seed)[:2],
+        lambda x: ensemble_predict(nets, x)[:2],
         _posterior_saver(uq.save_swag_posterior, posterior, manifest),
         None,
     )
@@ -478,9 +481,10 @@ def _fit_bnn(cfg, data, seed_index, members):
         sample_weights=data.sample_weights,
     ).posterior
     seed = _predict_seed(cfg, seed_index, "bnn")
+    nets = uq.posterior_networks(posterior, cfg.uq.n_samples, seed)
     manifest = {"method": "bnn", "prior_stddev": cfg.bnn.prior_stddev}
     return (
-        lambda x: uq.bnn_predict(posterior, x, cfg.uq.n_samples, seed)[:2],
+        lambda x: ensemble_predict(nets, x)[:2],
         _posterior_saver(uq.save_bnn_posterior, posterior, manifest),
         None,
     )

@@ -108,9 +108,14 @@ class SwagPosterior:
     deviations: np.ndarray  # (P, K)
     collected: int
 
+    SAMPLE_STREAM = "swag-sample"  # child_rng stream of the weight draws
+
     @property
     def rank(self) -> int:
         return self.deviations.shape[1]
+
+    def draw(self, rng: np.random.Generator) -> np.ndarray:
+        return swag_sample(self, rng)
 
     def diagonal_variance(self) -> np.ndarray:
         return np.maximum(self.second_moment - self.mean**2, 0.0)
@@ -171,17 +176,24 @@ def swag_sample(posterior: SwagPosterior, rng: np.random.Generator) -> np.ndarra
     )
 
 
-def swag_predict(posterior: SwagPosterior, batch: np.ndarray, n_samples: int, seed: int):
-    """N weight draws, each run as a deterministic network."""
+def posterior_networks(posterior, n_samples: int, seed: int) -> list:
+    """N deterministic networks with weights drawn from a SWAG or variational
+    posterior, from the posterior's own stream of ``seed``.
+
+    Drawing once and predicting every batch with ``ensemble_predict`` over
+    the result gives what a fresh ``swag_predict`` or ``bnn_predict`` with
+    the same seed gives for each batch.
+    """
     if n_samples < 1:
         raise ConfigError("n_samples must be positive")
-    rng = child_rng(seed, "swag-sample")
-    net = nnet.init_network(posterior.net_config)
-    rows = []
-    for _ in range(n_samples):
-        nnet.set_params(net, swag_sample(posterior, rng))
-        rows.append(positive_probability(net, batch))
-    return _reduce_samples(np.stack(rows))
+    rng = child_rng(seed, posterior.SAMPLE_STREAM)
+    template = nnet.init_network(posterior.net_config)
+    return [nnet.with_params(template, posterior.draw(rng)) for _ in range(n_samples)]
+
+
+def swag_predict(posterior: SwagPosterior, batch: np.ndarray, n_samples: int, seed: int):
+    """N weight draws, each run as a deterministic network."""
+    return ensemble_predict(posterior_networks(posterior, n_samples, seed), batch)
 
 
 # ---------------------------------------------------------------------------
@@ -217,8 +229,14 @@ class BnnPosterior:
     log_stddev: np.ndarray  # (P,)
     prior_stddev: float
 
+    SAMPLE_STREAM = "bnn-sample"  # child_rng stream of the weight draws
+
     def stddev(self) -> np.ndarray:
         return np.exp(self.log_stddev)
+
+    def draw(self, rng: np.random.Generator) -> np.ndarray:
+        """One weight draw: mean + stddev * eps."""
+        return self.mean + self.stddev() * rng.standard_normal(self.mean.shape[0])
 
 
 def bnn_kl(posterior: BnnPosterior) -> float:
@@ -281,7 +299,7 @@ def bnn_train(
     g, grad_views = nnet._gradient_buffer(work)
     epoch_losses = []
 
-    for epoch in range(sgd.epochs):
+    for epoch in range(1, sgd.epochs + 1):
         total = 0.0
         for _ in range(steps_per_epoch):
             idx = nnet.draw_minibatch_indices(rng_batches, cdf, sgd.batch_size)
@@ -317,17 +335,7 @@ def bnn_train(
 
 def bnn_predict(posterior: BnnPosterior, batch: np.ndarray, n_samples: int, seed: int):
     """N posterior weight draws, each run as a deterministic network."""
-    if n_samples < 1:
-        raise ConfigError("n_samples must be positive")
-    rng = child_rng(seed, "bnn-sample")
-    net = nnet.init_network(posterior.net_config)
-    std = posterior.stddev()
-    rows = []
-    for _ in range(n_samples):
-        eps = rng.standard_normal(posterior.mean.shape[0])
-        nnet.set_params(net, posterior.mean + std * eps)
-        rows.append(positive_probability(net, batch))
-    return _reduce_samples(np.stack(rows))
+    return ensemble_predict(posterior_networks(posterior, n_samples, seed), batch)
 
 
 # ---------------------------------------------------------------------------

@@ -226,6 +226,26 @@ def test_subset_rows_are_new_arrays():
     assert not np.any(ds.features == -1.0)
 
 
+def test_partition_reorders_the_features_in_place():
+    # more train rows than one row block of the in-place move
+    tagged = data.split(data.generate(image_spec(n_samples=2000)), seed=4)
+    reference = tagged.copy()
+    buffer = tagged.features
+    parts = data.partition(tagged)
+    for which, part in zip((data.TRAIN, data.VAL, data.TEST), parts):
+        subset = reference.subset(reference.split_mask(which))
+        assert np.shares_memory(part.features, buffer)
+        np.testing.assert_array_equal(part.features, subset.features)
+        np.testing.assert_array_equal(part.labels, subset.labels)
+        assert part.spatial_shape == reference.spatial_shape
+    np.testing.assert_array_equal(buffer, np.concatenate([p.features for p in parts]))
+
+
+def test_partition_needs_split_tags():
+    with pytest.raises(ConfigError, match="no split tags"):
+        data.partition(data.generate(image_spec()))
+
+
 def test_split_deterministic_and_seed_sensitive():
     ds = data.generate(image_spec())
     a = data.split(ds, seed=5).splits

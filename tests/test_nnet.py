@@ -2,6 +2,7 @@
 dropout and sampling statistics, and the weight container format."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -130,6 +131,48 @@ def test_forward_dropout_off_is_deterministic():
     net = tiny_net(dropout=0.5)
     x = np.random.default_rng(0).standard_normal((8, 4))
     np.testing.assert_array_equal(nnet.forward(net, x), nnet.forward(net, x))
+
+
+B = nnet._ROW_BLOCK
+BLOCKED_NETS = {
+    # name: (input_dim, hidden_dims, output_dim, loss for mean_loss)
+    "classifier": (256, (64, 64), 2, CE),
+    "one_stage": (256, (64, 64), 3, LossSpec("one_stage", alpha=0.7)),
+    "deferral_head": (12, (32,), 3, LossSpec("two_stage", beta=0.3)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BLOCKED_NETS))
+@pytest.mark.parametrize("n", [1, B - 1, B, B + 1, 3 * B + 7])
+def test_blocked_inference_equals_one_whole_batch_pass(name, n):
+    input_dim, hidden, output_dim, loss = BLOCKED_NETS[name]
+    net = tiny_net(input_dim, hidden, output_dim, dropout=0.2, seed=n)
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal((n, input_dim))
+    y = rng.integers(0, 2, size=n)
+
+    whole, _ = nnet._forward_cached(net, x)
+    assert np.array_equal(nnet.forward(net, x), whole)
+    assert nnet.mean_loss(net, x, y, loss) == float(loss.loss(whole, y).mean())
+
+    mask = nnet.draw_dropout_mask(np.random.default_rng(7), (n, hidden[-1]), 0.2)
+    whole, _ = nnet._forward_cached(net, x, mask)
+    blocked = nnet.forward(net, x, dropout_on=True, rng=np.random.default_rng(7))
+    assert np.array_equal(blocked, whole)
+
+
+def test_forward_memory_stays_below_one_whole_batch_layer():
+    # 7,000 x 256 rows through 64-wide hidden layers: one hidden activation
+    # of the whole batch is 3.6 MB, and a whole-batch pass holds several
+    net = tiny_net(256, (64, 64), 2, seed=3)
+    x = np.random.default_rng(4).standard_normal((7000, 256))
+    tracemalloc.start()
+    try:
+        nnet.forward(net, x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 7000 * 64 * 8, peak
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """SVG report rendering: structure, geometry, gap handling, and file layout."""
 
+import hashlib
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -193,3 +194,42 @@ def test_write_report_failure_leaves_no_partial_svg(tmp_path):
     # the first file is complete; the failed one left neither a file nor a temporary
     assert [p.name for p in (tmp_path / "report").iterdir()] == ["id.svg"]
     parse((tmp_path / "report" / "id.svg").read_text())
+
+
+def mixed_table():
+    """2 seeds x 3 methods x 2 conditions, rows interleaved across series.
+
+    Rates repeat within a series and are out of order, one bacc is missing,
+    one series keeps a single plottable point, values fall outside the panel
+    ranges, and some rows are failed or have no deferral rate.
+    """
+    pts = []
+    for step in range(6):
+        for condition, level in (("id", 0), ("noise", 1)):
+            for seed in (0, 1):
+                for mi, method in enumerate(("softmax", "swag", "two_stage")):
+                    rate = ((step * 7 + mi * 3 + seed) % 6) / 5
+                    bacc = 0.35 + 0.13 * ((step + mi + level) % 6)
+                    frac = -0.1 + 0.24 * ((step * 5 + seed + mi) % 6)
+                    status = "ok"
+                    if (step, seed, method) == (2, 0, "softmax"):
+                        bacc = None
+                    if method == "two_stage" and seed == 1 and condition == "noise":
+                        if step > 0:
+                            rate, status = None, "failed:DivergenceError"
+                    if step == 4 and seed == 1 and method == "swag":
+                        rate = 0.6  # ties another row of the series
+                    pts.append(
+                        point(rate, bacc, frac=frac, method=method, seed=seed,
+                              condition=condition, level=level, status=status)
+                    )
+    return pts
+
+
+def test_rendered_bytes_are_pinned(tmp_path):
+    written = report.write_report(tmp_path, mixed_table())
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in written}
+    assert digests == {
+        "id.svg": "579a4b11d2ab1d4866cbe0f04726b59c80e6a5ab8d77f36309b4d315d5fa4d94",
+        "noise1.svg": "cfff5301e313210e83cc8e26a39f9bb0c4206c23f376eea88fa0e57e7947cacb",
+    }

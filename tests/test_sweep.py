@@ -346,42 +346,67 @@ def test_prepare_dataset_is_quantized_and_deterministic(tiny_cfg):
     assert requantized.tobytes() == ds1.features.tobytes()
 
 
-def test_split_eval_data_leaves_the_dataset_untouched(tiny_cfg, eval_data):
+def test_split_eval_data_owns_the_dataset_buffer(tiny_cfg, eval_data):
+    reference = data_mod.split(sweep.prepare_dataset(tiny_cfg), child_seed(tiny_cfg.seed, "split"))
     ds = sweep.prepare_dataset(tiny_cfg)
-    before = ds.features.copy()
+    buffer = ds.features
     again = sweep.split_eval_data(tiny_cfg, ds)
-    np.testing.assert_array_equal(ds.features, before)
-    assert ds.splits is None
+
+    clean = again.x_tests[sweep.Condition("id")]
+    for which, x, y in (
+        (data_mod.TRAIN, again.x_train, again.y_train),
+        (data_mod.VAL, again.x_val, again.y_val),
+        (data_mod.TEST, clean, again.y_test),
+    ):
+        assert np.shares_memory(x, buffer)
+        subset = reference.subset(reference.split_mask(which))
+        np.testing.assert_array_equal(x, sweep.model_inputs(subset.features))
+        np.testing.assert_array_equal(y, subset.labels)
+    # the buffer holds the train, val and test blocks, in that order
+    np.testing.assert_array_equal(buffer, np.concatenate([again.x_train, again.x_val, clean]))
+    for cond, x in again.x_tests.items():
+        assert np.shares_memory(x, buffer) == (cond.kind == "id")
+
     assert list(again.x_tests) == list(sweep.plan_conditions(tiny_cfg))
     for cond in sweep.plan_conditions(tiny_cfg):
         assert again.x_tests[cond].tobytes() == eval_data.x_tests[cond].tobytes()
 
 
 def traced_split_eval_data(cfg):
-    """(dataset, evaluation data, peak bytes traced while splitting)."""
+    """(dataset features, evaluation data, peak bytes traced while splitting)."""
     ds = sweep.prepare_dataset(cfg)
+    features = ds.features
     tracemalloc.start()
     try:
         out = sweep.split_eval_data(cfg, ds)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    return ds, out, peak
+    return features, out, peak
+
+
+def new_arrays(features, out) -> int:
+    """Bytes of the returned arrays that are not views of the dataset's features."""
+    arrays = (out.x_train, out.x_val, *out.x_tests.values())
+    return sum(x.nbytes for x in arrays if not np.shares_memory(x, features))
 
 
 def test_split_eval_data_peak_memory():
-    # default 10,000 x 256 images, three conditions: the returned arrays are
-    # 1.2x the input features, so 2x leaves 0.8x for temporaries
-    ds, _, peak = traced_split_eval_data(RunConfig(corruption=CorruptionSettings(levels=1)))
-    assert peak <= 2.0 * ds.features.nbytes, peak / ds.features.nbytes
+    # default 10,000 x 256 images, three conditions: the two corrupted test
+    # copies are 0.2x the input features and the val and test scratch 0.3x
+    features, out, peak = traced_split_eval_data(
+        RunConfig(corruption=CorruptionSettings(levels=1))
+    )
+    assert new_arrays(features, out) == 2 * out.x_tests[sweep.Condition("id")].nbytes
+    assert peak <= 0.5 * features.nbytes, peak / features.nbytes
 
 
 def test_split_eval_data_temporaries_do_not_grow_with_the_conditions():
-    # eleven conditions return 2x the input; beyond that the peak holds one
-    # corruption's temporaries, not a copy of the dataset
-    ds, out, peak = traced_split_eval_data(RunConfig())
-    kept = sum(x.nbytes for x in (out.x_train, out.x_val, *out.x_tests.values()))
-    assert peak - kept <= 0.5 * ds.features.nbytes, (peak - kept) / ds.features.nbytes
+    # ten corrupted conditions return 1x the input; beyond that the peak
+    # holds one corruption's temporaries, not a copy of the dataset
+    features, out, peak = traced_split_eval_data(RunConfig())
+    kept = new_arrays(features, out)
+    assert peak - kept <= 0.5 * features.nbytes, (peak - kept) / features.nbytes
 
 
 def test_run_from_file_matches_in_memory(tiny_cfg, eval_data, tmp_path):

@@ -14,6 +14,7 @@ from deferbench.errors import (
 )
 from deferbench.losses import LossSpec
 from deferbench.metrics import DEFER
+from deferbench.rng import child_rng
 
 CE = LossSpec("cross_entropy")
 LOG2 = 0.6931471805599453
@@ -297,8 +298,45 @@ def test_bnn_train_divergence_names_epoch():
     net, x, y = bnn_training_setup()
     sgd = nnet.SgdConfig(learning_rate=0.01, epochs=3, batch_size=32, seed=13)
     with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(DivergenceError, match=r"diverged at epoch 0"):
+        with pytest.raises(DivergenceError, match=r"diverged at epoch 1:"):
             uq.bnn_train(net, x, y, CE, sgd, uq.BnnConfig(init_log_stddev=710.0))
+
+
+def redraw_per_batch(posterior, batch, n_samples, seed):
+    """Reference: reseed and redraw every weight sample for each batch, as
+    prediction did before the networks were drawn once per task."""
+    swag = isinstance(posterior, uq.SwagPosterior)
+    rng = child_rng(seed, "swag-sample" if swag else "bnn-sample")
+    net = nnet.init_network(posterior.net_config)
+    rows = []
+    for _ in range(n_samples):
+        if swag:
+            params = uq.swag_sample(posterior, rng)
+        else:
+            eps = rng.standard_normal(posterior.mean.shape[0])
+            params = posterior.mean + posterior.stddev() * eps
+        nnet.set_params(net, params)
+        rows.append(uq.positive_probability(net, batch))
+    return np.stack(rows)
+
+
+def test_networks_drawn_once_predict_every_batch_as_a_fresh_draw_would():
+    config = nnet.NetConfig(input_dim=3, hidden_dims=(4,), output_dim=2, seed=7)
+    base = nnet.get_params(nnet.init_network(config))
+    rng = np.random.default_rng(5)
+    checkpoints = [base + 0.05 * rng.standard_normal(base.shape[0]) for _ in range(10)]
+    swag = uq.swag_collect(checkpoints, config, uq.SwagCollectConfig(0.0, 10))
+    bnn = uq.BnnPosterior(config, base, np.full(base.shape[0], -2.0), 1.0)
+    batches = [rng.standard_normal((n, 3)) for n in (9, 1, 30)]
+    for posterior, predict in ((swag, uq.swag_predict), (bnn, uq.bnn_predict)):
+        nets = uq.posterior_networks(posterior, 6, seed=11)
+        for batch in batches:
+            expected = redraw_per_batch(posterior, batch, 6, 11)
+            once = uq.ensemble_predict(nets, batch)[2]
+            assert once.tobytes() == expected.tobytes()
+            assert predict(posterior, batch, 6, 11)[2].tobytes() == expected.tobytes()
+    with pytest.raises(ConfigError, match="n_samples"):
+        uq.posterior_networks(swag, 0, seed=11)
 
 
 def test_bnn_predict_seeded_and_spread_follows_stddev():
