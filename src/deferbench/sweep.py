@@ -7,15 +7,19 @@ results.csv; a zero-deferral classification table lands in classification.csv.
 
 Each method is one row of the ``_METHODS`` table: its curve parameter kind
 and a ``fit`` function. A threshold method's fit returns a predictor
-``x -> (scores, uncertainty)``, a bundle writer and, for the committee, its
-parameters; the shared evaluator sweeps the deferral threshold over the
-observed uncertainty range. A learned method's fit returns the evaluation
+``x -> (scores, uncertainty)``, a bundle writer and, for the ensemble, its
+committee networks; the shared evaluator sweeps the deferral threshold over
+the observed uncertainty range. A learned method's fit returns the evaluation
 data mapped once into its models' input space and the models' hidden
 layers; the shared evaluator trains one 3-output network per value of the
 cost grid named by the parameter kind, through ``train_classifier`` with the
 loss named by the method, and reads every model's inputs from that one
 mapping. Adding a method means adding one table row and one fit function
 (and its name to config.METHODS).
+
+The plan runs as independent tasks. A seed's ensemble and deferral head
+share one task, so the committee goes from one to the other inside the
+process that trained it; every other task is one method.
 """
 
 from __future__ import annotations
@@ -339,7 +343,10 @@ class MethodResult:
     seed_index: int
     points: list
     classification: list
-    member_params: Optional[list] = None  # (NetConfig, flat params) in committee order
+    # the ensemble's networks, handed to its seed's deferral head inside the
+    # task; cleared before the result leaves the task
+    committee: Optional[list] = None
+    failure: Optional[str] = None  # "ErrorType: message" of a failed method
 
 
 def _sgd_for(cfg: RunConfig, seed_index, method, k=0) -> nnet.SgdConfig:
@@ -406,15 +413,9 @@ def _train_members(cfg, data, seed_index):
     ]
 
 
-def _members(member_params) -> Optional[list]:
-    """Committee networks rebuilt from (NetConfig, flat params) pairs."""
-    if member_params is None:
-        return None
-    return [nnet.with_params(nnet.init_network(c), p) for c, p in member_params]
-
-
 # Threshold methods: fit(cfg, data, seed_index, members) returns
-# (predict(x) -> (scores, uncertainty), save(bundle_dir), member_params).
+# (predict(x) -> (scores, uncertainty), save(bundle_dir), committee); the
+# committee is the ensemble's networks, None for every other method.
 
 
 def _fit_softmax(cfg, data, seed_index, members):
@@ -433,7 +434,7 @@ def _fit_ensemble(cfg, data, seed_index, members):
     return (
         lambda x: ensemble_predict(committee, x)[:2],
         lambda bundle: save_ensemble(bundle, committee, manifest),
-        [(m.config, nnet.get_params(m)) for m in committee],
+        committee,
     )
 
 
@@ -619,11 +620,11 @@ def run_method(cfg, data, seed_index, method, models_dir=None, members=None) -> 
     if param_kind != "threshold":
         inputs, hidden_dims = fit(cfg, data, seed_index, members)
         return _learned_eval(cfg, inputs, hidden_dims, seed_index, method, param_kind, bundle)
-    predict, save, member_params = fit(cfg, data, seed_index, members)
+    predict, save, committee = fit(cfg, data, seed_index, members)
     if bundle is not None:
         save(bundle)
     points, rows = _threshold_eval(cfg, data, seed_index, method, predict)
-    return MethodResult(method, seed_index, points, rows, member_params)
+    return MethodResult(method, seed_index, points, rows, committee)
 
 
 # ---------------------------------------------------------------------------
@@ -646,12 +647,10 @@ def _seed_dir(out_dir, seed_index) -> Optional[Path]:
     return path
 
 
-def _worker(cfg, seed_index, method, out_dir, member_params, data_path):
-    """Process-pool entry: rebuilds the (deterministic) data in the worker."""
+def _worker(cfg, seed_index, method, out_dir, members, data_path):
+    """One method of a pool task: rebuilds the (deterministic) data in the worker."""
     data = build_eval_data(cfg, data_path)
-    return run_method(
-        cfg, data, seed_index, method, _seed_dir(out_dir, seed_index), _members(member_params)
-    )
+    return run_method(cfg, data, seed_index, method, _seed_dir(out_dir, seed_index), members)
 
 
 def _failure_result(cfg, seed_index, method, exc) -> MethodResult:
@@ -664,7 +663,50 @@ def _failure_result(cfg, seed_index, method, exc) -> MethodResult:
         classification.append(
             ClassificationRow(method, cond.kind, cond.level, seed_index, status=status)
         )
-    return MethodResult(method, seed_index, points, classification)
+    failure = f"{type(exc).__name__}: {exc}"
+    return MethodResult(method, seed_index, points, classification, failure=failure)
+
+
+def _plan_tasks(cfg: RunConfig) -> list:
+    """(seed, methods) per task, in plan order.
+
+    When both are planned, a seed's ensemble and deferral head form one task
+    at the ensemble's place; every other method is a task of its own.
+    """
+    shared = {"ensemble", "two_stage"} <= set(cfg.methods)
+    groups = [
+        ("ensemble", "two_stage") if shared and m == "ensemble" else (m,)
+        for m in cfg.methods
+        if not (shared and m == "two_stage")
+    ]
+    return [(s, methods) for s in range(cfg.n_seeds) for methods in groups]
+
+
+def _run_task(cfg, seed_index, methods, out_dir, data_path, data=None) -> list:
+    """(result, seconds) per method of one task, run in order in this process.
+
+    With data, each method runs on it; without, each method is one _worker
+    call that builds its own. A method's failure becomes its failure rows and
+    leaves the others running. The ensemble's committee goes to the deferral
+    head as networks and is cleared from every result, so nothing returned
+    holds weights; without it the head trains its own. seconds is the time
+    of that method alone.
+    """
+    outcomes, committee = [], None
+    for method in methods:
+        t0 = time.perf_counter()
+        try:
+            if data is None:
+                result = _worker(cfg, seed_index, method, out_dir, committee, data_path)
+            else:
+                seed_dir = _seed_dir(out_dir, seed_index)
+                result = run_method(cfg, data, seed_index, method, seed_dir, committee)
+        except Exception as exc:  # noqa: BLE001 - isolate per-method failures
+            result = _failure_result(cfg, seed_index, method, exc)
+        if result.committee is not None:
+            committee, result.committee = result.committee, None
+        outcomes.append((result, time.perf_counter() - t0))
+    return outcomes
 
 
 def _settled(call) -> Future:
@@ -682,77 +724,67 @@ def run_plan(
 ) -> PlanResult:
     """Train and evaluate every (seed, method) pair of the plan.
 
-    One loop runs at most --jobs tasks at a time. A deferral head depends on
-    its seed's committee: when the ensemble is planned, the head becomes
-    ready once the ensemble's result (or failure) is in, and takes the
-    committee from it; otherwise it is ready at once and trains its own. A
-    ready head starts before any other task, so it never waits behind work
-    that does not feed it. With --jobs 1 each task runs in-process as it is
-    started; otherwise it goes to a process pool of min(jobs, tasks) workers.
-    One stderr line reports each finished task. Results and failures are
-    merged in plan order (seeds outer, methods in configuration order), so
-    the output is independent of scheduling. data_path, when given, names
-    the dataset file that pool workers load instead of regenerating it.
-    Without data, a serial run builds it once; a pool run leaves it to the
-    workers.
+    The plan is a list of independent tasks (see _plan_tasks), started in
+    plan order, at most --jobs at a time. With --jobs 1 each task runs
+    in-process as it is started; otherwise it goes to a process pool of
+    min(jobs, tasks) workers. When a task finishes, one stderr line reports
+    each of its methods with that method's own time; a task that dies as a
+    whole (its future raises) gives failure rows to every method in it.
+    Results and failures are merged in plan order (seeds outer, methods in
+    configuration order), so the output is independent of scheduling.
+    data_path, when given, names the dataset file that pool workers load
+    instead of regenerating it. Without data, a serial run builds it once; a
+    pool run leaves it to the workers.
     """
     plan = [(s, m) for s in range(cfg.n_seeds) for m in cfg.methods]
-    waits = "ensemble" in cfg.methods  # does each head wait for its committee?
-    heads = deque(k for k in plan if k[1] == "two_stage" and not waits)
-    rest = deque(k for k in plan if k[1] != "two_stage")
+    tasks = _plan_tasks(cfg)
+    queued = deque(range(len(tasks)))
     results: dict = {}
-    failures: dict = {}
-    member_params: dict = {}  # seed -> committee, from the ensemble's result
-    running: dict = {}  # future -> (task, start time)
-    slots = min(cfg.jobs, len(plan))
+    running: dict = {}  # future -> (task index, start time)
+    slots = min(cfg.jobs, len(tasks))
 
     with ExitStack() as stack:
         if cfg.jobs > 1:
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=slots))
 
-            def start(s, m, committee):
-                return pool.submit(_worker, cfg, s, m, out_dir, committee, data_path)
+            def start(s, methods):
+                return pool.submit(_run_task, cfg, s, methods, out_dir, data_path)
 
         else:
             if data is None:
                 data = build_eval_data(cfg, data_path)
 
-            def start(s, m, committee):
-                return _settled(
-                    lambda: run_method(cfg, data, s, m, _seed_dir(out_dir, s), _members(committee))
-                )
+            def start(s, methods):
+                return _settled(lambda: _run_task(cfg, s, methods, out_dir, data_path, data))
 
-        while heads or rest or running:
-            while (heads or rest) and len(running) < slots:
-                key = (heads or rest).popleft()
-                # only the head takes the committee; rebuilding or shipping
-                # it for any other task would be wasted work and memory
-                committee = member_params.get(key[0]) if key[1] == "two_stage" else None
+        while queued or running:
+            while queued and len(running) < slots:
+                index = queued.popleft()
                 t0 = time.perf_counter()
-                running[start(*key, committee)] = (key, t0)
+                running[start(*tasks[index])] = (index, t0)
             done, _ = wait(running, return_when=FIRST_COMPLETED)
-            for future in sorted(done, key=lambda f: plan.index(running[f][0])):
-                key, t0 = running.pop(future)
+            for future in sorted(done, key=lambda f: running[f][0]):
+                index, t0 = running.pop(future)
+                s, methods = tasks[index]
                 try:
-                    result = future.result()
-                    status = "ok"
+                    outcomes = future.result()
                 except Exception as exc:  # noqa: BLE001 - isolate per-task failures
-                    failures[key] = f"seed {key[0]} {key[1]}: {type(exc).__name__}: {exc}"
-                    result = _failure_result(cfg, *key, exc)
-                    status = f"failed ({type(exc).__name__})"
-                elapsed = time.perf_counter() - t0
-                print(f"seed {key[0]} {key[1]}: {status} in {elapsed:.2f} s", file=sys.stderr)
-                results[key] = result
-                if result.member_params is not None:
-                    member_params[key[0]] = result.member_params
-                if key[1] == "ensemble" and "two_stage" in cfg.methods:
-                    heads.append((key[0], "two_stage"))
+                    elapsed = time.perf_counter() - t0
+                    outcomes = [(_failure_result(cfg, s, m, exc), elapsed) for m in methods]
+                for result, seconds in outcomes:
+                    status = "ok"
+                    if result.failure is not None:
+                        status = f"failed ({result.failure.split(':')[0]})"
+                    print(f"seed {s} {result.method}: {status} in {seconds:.2f} s", file=sys.stderr)
+                    results[s, result.method] = result
 
     points, classification = [], []
     for key in plan:
         points.extend(results[key].points)
         classification.extend(results[key].classification)
-    failed = [failures[key] for key in plan if key in failures]
+    failed = [
+        f"seed {s} {m}: {results[s, m].failure}" for s, m in plan if results[s, m].failure
+    ]
     return PlanResult(points=points, classification=classification, failures=failed)
 
 

@@ -4,10 +4,12 @@ layout, plan execution, and the CSV containers."""
 import csv
 import dataclasses
 import io
+import pickle
 import re
 import time
 import tracemalloc
 from concurrent.futures import Future
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from deferbench import data as data_mod
-from deferbench import sweep
+from deferbench import nnet, sweep
 from deferbench.config import (
     CorruptionSettings,
     RunConfig,
@@ -513,8 +515,8 @@ def tables_as_csv(result) -> tuple:
 
 @pytest.mark.parametrize("methods", [("two_stage", "softmax"), ("two_stage", "ensemble")])
 def test_head_first_plans_are_byte_identical_across_jobs(tiny_cfg, tmp_path, methods):
-    # without an ensemble the head is ready at once; listed before the
-    # ensemble, it still waits for that committee
+    # without an ensemble the head trains its own committee; listed before
+    # the ensemble, it still runs after it in their shared task
     cfg = dataclasses.replace(tiny_cfg, methods=methods)
     path = tmp_path / "dataset.dfd1"
     data_mod.write_dataset(path, sweep.prepare_dataset(cfg))
@@ -524,16 +526,16 @@ def test_head_first_plans_are_byte_identical_across_jobs(tiny_cfg, tmp_path, met
     assert tables_as_csv(parallel) == tables_as_csv(serial)
 
 
-COMMITTEE = [("config", "params")]  # stands in for the ensemble's member_params
+COMMITTEE = ["network"]  # stands in for the ensemble's committee
 
 
-def handshake_worker(cfg, seed_index, method, out_dir, member_params, data_path):
+def handshake_worker(cfg, seed_index, method, out_dir, members, data_path):
     """Stand-in for sweep._worker: softmax returns only once the deferral head
     has started, so it fails when the head waits for softmax to finish. Only
     the head may receive the ensemble's committee."""
     flag = Path(out_dir) / "head_started"
-    if member_params != (COMMITTEE if method == "two_stage" else None):
-        raise ValueError(f"{method} got member_params {member_params!r}")
+    if members != (COMMITTEE if method == "two_stage" else None):
+        raise ValueError(f"{method} got members {members!r}")
     if method == "two_stage":
         flag.touch()
     elif method == "softmax":
@@ -547,8 +549,8 @@ def handshake_worker(cfg, seed_index, method, out_dir, member_params, data_path)
 
 
 def test_head_starts_while_an_unrelated_task_runs(tiny_cfg, tmp_path, monkeypatch):
-    # forked workers inherit the patched module global; swag starts after the
-    # ensemble has finished, so it shows that the committee goes to the head only
+    # forked workers inherit the patched module global; swag is a task of its
+    # own, so it shows that the committee goes to the head only
     monkeypatch.setattr(sweep, "_worker", handshake_worker)
     cfg = dataclasses.replace(
         tiny_cfg, methods=("softmax", "ensemble", "two_stage", "swag"), jobs=2
@@ -579,11 +581,13 @@ class InlineExecutor:
         return future
 
 
-def instant_worker(cfg, seed_index, method, out_dir, member_params, data_path):
+def instant_worker(cfg, seed_index, method, out_dir, members, data_path):
     return sweep.MethodResult(method, seed_index, [], [])
 
 
-@pytest.mark.parametrize("jobs, workers", [(2, 2), (16, 3)])
+# the ensemble and the deferral head of a seed are one task, so the three
+# methods make two tasks
+@pytest.mark.parametrize("jobs, workers", [(2, 2), (16, 2)])
 def test_pool_has_at_most_one_worker_per_task(tiny_cfg, monkeypatch, jobs, workers):
     monkeypatch.setattr(sweep, "ProcessPoolExecutor", InlineExecutor)
     monkeypatch.setattr(sweep, "_worker", instant_worker)
@@ -593,6 +597,169 @@ def test_pool_has_at_most_one_worker_per_task(tiny_cfg, monkeypatch, jobs, worke
     )
     assert sweep.run_plan(cfg).failures == []
     assert InlineExecutor.created == [workers]
+
+
+def walk_objects(obj, seen=None):
+    """obj and everything reachable from it through containers and attributes."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen:
+        return
+    seen.add(id(obj))
+    yield obj
+    if isinstance(obj, dict):
+        children = list(obj.values())
+    elif isinstance(obj, (list, tuple, set, frozenset)):
+        children = list(obj)
+    elif hasattr(obj, "__dict__") and not isinstance(obj, type):
+        children = list(vars(obj).values())
+    else:
+        return
+    for child in children:
+        yield from walk_objects(child, seen)
+
+
+class PicklingExecutor(InlineExecutor):
+    """Stand-in for ProcessPoolExecutor that pickles each submitted call and
+    each returned value, as a real pool does, and keeps the unpickled payloads."""
+
+    payloads = []
+
+    def submit(self, fn, *args):
+        fn, args = pickle.loads(pickle.dumps((fn, args)))
+        result = pickle.loads(pickle.dumps(fn(*args)))
+        self.payloads.extend([args, result])
+        future = Future()
+        future.set_result(result)
+        return future
+
+
+def test_no_weights_cross_a_process_boundary(tiny_cfg, eval_data, tmp_path, monkeypatch):
+    monkeypatch.setattr(sweep, "ProcessPoolExecutor", PicklingExecutor)
+    monkeypatch.setattr(PicklingExecutor, "payloads", [])
+    cfg = dataclasses.replace(tiny_cfg, methods=("softmax", "ensemble", "two_stage"), jobs=2)
+    path = tmp_path / "dataset.dfd1"
+    data_mod.write_dataset(path, sweep.prepare_dataset(cfg))
+    result = sweep.run_plan(cfg, out_dir=tmp_path, data_path=path)
+    assert result.failures == []
+
+    size = nnet.init_network(sweep._net_config(cfg, eval_data, 0, "ensemble")).parameter_count
+    for payload in PicklingExecutor.payloads:
+        found = list(walk_objects(payload))
+        assert [
+            x.size for x in found
+            if isinstance(x, np.ndarray) and x.dtype.kind == "f" and x.size >= size
+        ] == []
+        assert not any(isinstance(x, nnet.Network) for x in found)
+    assert len(PicklingExecutor.payloads) == 4  # two tasks, each a call and a return
+
+
+def failing_fit(cfg, data, seed_index, members):
+    raise RuntimeError("injected")
+
+
+def method_tables(result, method) -> tuple:
+    """results.csv and classification.csv text of one method's rows."""
+    return tables_as_csv(
+        sweep.PlanResult(
+            [p for p in result.points if p.method == method],
+            [r for r in result.classification if r.method == method],
+            [],
+        )
+    )
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_failed_ensemble_leaves_the_head_its_own_committee(
+    tiny_cfg, tmp_path, monkeypatch, jobs
+):
+    monkeypatch.setitem(sweep._METHODS, "ensemble", ("threshold", failing_fit))
+    cfg = dataclasses.replace(tiny_cfg, methods=("ensemble", "two_stage"), jobs=jobs)
+    path = tmp_path / "dataset.dfd1"
+    data_mod.write_dataset(path, sweep.prepare_dataset(cfg))
+    result = sweep.run_plan(cfg, data_path=path)
+    alone = sweep.run_plan(dataclasses.replace(cfg, methods=("two_stage",)), data_path=path)
+
+    assert [f.split(": ")[:2] for f in result.failures] == [["seed 0 ensemble", "RuntimeError"]]
+    for table in method_tables(result, "ensemble"):
+        rows = table.splitlines()[1:]
+        assert len(rows) == len(sweep.plan_conditions(cfg))
+        assert all(row.endswith(",failed:RuntimeError") for row in rows)
+    assert alone.failures == []
+    assert method_tables(result, "two_stage") == tables_as_csv(alone)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_failed_head_leaves_the_ensemble_rows_intact(tiny_cfg, tmp_path, monkeypatch, jobs):
+    monkeypatch.setitem(sweep._METHODS, "two_stage", ("beta", failing_fit))
+    cfg = dataclasses.replace(tiny_cfg, methods=("ensemble", "two_stage"), jobs=jobs)
+    path = tmp_path / "dataset.dfd1"
+    data_mod.write_dataset(path, sweep.prepare_dataset(cfg))
+    result = sweep.run_plan(cfg, data_path=path)
+    alone = sweep.run_plan(dataclasses.replace(cfg, methods=("ensemble",)), data_path=path)
+
+    assert [f.split(": ")[:2] for f in result.failures] == [["seed 0 two_stage", "RuntimeError"]]
+    assert {p.status for p in result.points if p.method == "two_stage"} == {
+        "failed:RuntimeError"
+    }
+    assert alone.failures == []
+    assert method_tables(result, "ensemble") == tables_as_csv(alone)
+
+
+class DeadPool(InlineExecutor):
+    """Stand-in for ProcessPoolExecutor whose every task dies as a whole."""
+
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_exception(BrokenProcessPool("worker died"))
+        return future
+
+
+def test_dead_task_fails_every_method_in_it(tiny_cfg, monkeypatch, capsys):
+    monkeypatch.setattr(sweep, "ProcessPoolExecutor", DeadPool)
+    cfg = dataclasses.replace(tiny_cfg, methods=("ensemble", "two_stage"), jobs=2)
+    capsys.readouterr()
+    result = sweep.run_plan(cfg)
+
+    assert result.failures == [
+        "seed 0 ensemble: BrokenProcessPool: worker died",
+        "seed 0 two_stage: BrokenProcessPool: worker died",
+    ]
+    n = len(sweep.plan_conditions(cfg))
+    for method, kind in (("ensemble", "threshold"), ("two_stage", "beta")):
+        points = [p for p in result.points if p.method == method]
+        rows = [r for r in result.classification if r.method == method]
+        assert len(points) == len(rows) == n
+        assert {p.param_kind for p in points} == {kind}
+        assert {x.status for x in points + rows} == {"failed:BrokenProcessPool"}
+    lines = capsys.readouterr().err.splitlines()
+    for method in ("ensemble", "two_stage"):
+        prefix = f"seed 0 {method}: failed (BrokenProcessPool) in "
+        assert sum(line.startswith(prefix) for line in lines) == 1, lines
+
+
+def sleeping_head(seed_index, method):
+    """Stand-in for one method's run: the deferral head takes 0.6 s."""
+    if method == "two_stage":
+        time.sleep(0.6)
+    return sweep.MethodResult(method, seed_index, [], [])
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_progress_lines_carry_each_methods_own_time(
+    tiny_cfg, eval_data, monkeypatch, capsys, jobs
+):
+    # the head runs after the ensemble in the same task and sleeps; the
+    # ensemble's line must not include that time
+    monkeypatch.setattr(sweep, "ProcessPoolExecutor", InlineExecutor)
+    monkeypatch.setattr(sweep, "run_method", lambda cfg, data, s, m, *rest: sleeping_head(s, m))
+    monkeypatch.setattr(sweep, "_worker", lambda cfg, s, m, *rest: sleeping_head(s, m))
+    cfg = dataclasses.replace(tiny_cfg, methods=("ensemble", "two_stage"), jobs=jobs)
+    capsys.readouterr()
+    assert sweep.run_plan(cfg, data=eval_data).failures == []
+    pattern = re.compile(r"seed 0 (\w+): ok in (\d+\.\d\d) s")
+    seconds = dict(pattern.fullmatch(line).groups() for line in capsys.readouterr().err.splitlines())
+    assert float(seconds["ensemble"]) < 0.3
+    assert float(seconds["two_stage"]) >= 0.6
 
 
 def slow_failing_fit(cfg, data, seed_index, members):
