@@ -58,7 +58,6 @@ class Dataset:
     labels: np.ndarray  # (S,) int64 in {0, 1}
     spatial_shape: Optional[tuple[int, int, int]] = None  # (H, W, C), H*W*C == D
     splits: Optional[np.ndarray] = None  # (S,) int64 in {TRAIN, VAL, TEST}
-    provenance: str = ""
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
@@ -101,7 +100,6 @@ class Dataset:
             labels=self.labels[mask],
             spatial_shape=self.spatial_shape,
             splits=None,
-            provenance=self.provenance,
         )
 
     def copy(self) -> "Dataset":
@@ -110,7 +108,6 @@ class Dataset:
             labels=self.labels.copy(),
             spatial_shape=self.spatial_shape,
             splits=None if self.splits is None else self.splits.copy(),
-            provenance=self.provenance,
         )
 
 
@@ -244,16 +241,9 @@ def generate(spec: SynthSpec) -> Dataset:
     labels = _draw_labels(rng, spec.n_samples, spec.positive_fraction)
     if spec.spatial_shape is None:
         features = _blob_features(rng, spec, labels)
-        mode = "blobs"
     else:
         features = _image_features(rng, spec, labels)
-        mode = "image"
-    return Dataset(
-        features=features,
-        labels=labels,
-        spatial_shape=spec.spatial_shape,
-        provenance=f"synthetic-{mode} seed={spec.seed}",
-    )
+    return Dataset(features=features, labels=labels, spatial_shape=spec.spatial_shape)
 
 
 def round_to_float32(features: np.ndarray) -> None:
@@ -337,7 +327,6 @@ def partition(dataset: Dataset) -> tuple:
             features=x[start:stop],
             labels=labels[start:stop],
             spatial_shape=dataset.spatial_shape,
-            provenance=dataset.provenance,
         )
         for start, stop in zip((0, *bounds[:-1]), bounds)
     )
@@ -464,7 +453,6 @@ def corrupt(dataset: Dataset, spec: CorruptionSpec, seed: int) -> Dataset:
         labels=dataset.labels.copy(),
         spatial_shape=dataset.spatial_shape,
         splits=None if dataset.splits is None else dataset.splits.copy(),
-        provenance=f"{dataset.provenance}+{spec.kind}{spec.level}",
     )
 
 
@@ -555,5 +543,4 @@ def read_dataset(path) -> Dataset:
         features=features,
         labels=labels.astype(np.int64),
         spatial_shape=header.spatial_shape,
-        provenance=str(path),
     )

@@ -1,5 +1,9 @@
 """Deferral surrogate losses and plain cross-entropy, with analytic gradients.
 
+``LossSpec`` is the one entry: it names a loss with its cost parameter and
+evaluates the per-sample loss (``loss``), its gradient (``grad``) or, for the
+trainers, both from one softmax (``unchecked_loss_and_grad``).
+
 All losses operate on logit rows over the extended label space: ``n`` real
 classes followed by one deferral class at index ``n`` (0-based). They return
 per-sample values; reduction (we use the batch mean) happens in the trainer.
@@ -15,28 +19,6 @@ import numpy as np
 from deferbench.errors import ConfigError, LabelError, NumericError
 
 
-@dataclass(frozen=True)
-class OneStageCost:
-    """Cost of non-deferral for the one-stage surrogate; alpha in (0, 1]."""
-
-    alpha: float
-
-    def __post_init__(self):
-        if not (0.0 < self.alpha <= 1.0):
-            raise ConfigError(f"alpha must lie in (0, 1], got {self.alpha}")
-
-
-@dataclass(frozen=True)
-class TwoStageCost:
-    """Deferral cost for the two-stage surrogate; beta >= 0."""
-
-    beta: float
-
-    def __post_init__(self):
-        if not self.beta >= 0.0:
-            raise ConfigError(f"beta must be non-negative, got {self.beta}")
-
-
 def _as_batch(logits):
     logits = np.asarray(logits, dtype=np.float64)
     squeeze = logits.ndim == 1
@@ -49,16 +31,14 @@ def _as_batch(logits):
     return logits, squeeze
 
 
-def _as_targets(targets, batch, width, allow_defer=False):
-    targets = np.asarray(targets, dtype=np.int64)
-    squeeze = targets.ndim == 0
-    targets = np.atleast_1d(targets)
+def _as_targets(targets, batch, width, allow_defer):
+    targets = np.atleast_1d(np.asarray(targets, dtype=np.int64))
     if targets.shape != (batch,):
         raise LabelError(f"expected {batch} targets, got shape {targets.shape}")
     hi = width if allow_defer else width - 1
     if np.any(targets < 0) or np.any(targets >= hi):
         raise LabelError(f"targets must lie in [0, {hi}), got {targets}")
-    return targets, squeeze
+    return targets
 
 
 def _softmax_parts(logits):
@@ -78,10 +58,11 @@ def softmax(logits) -> np.ndarray:
 
 # Unchecked kernels: (per-sample loss, d loss / d logits) from one softmax.
 # They expect finite float64 (B, K) logits and int64 targets already in range;
-# the public loss_* / grad_* functions and the trainers check that first.
+# LossSpec.loss / LossSpec.grad and the trainers check that first.
 
 
 def _kernel_cross_entropy(logits, targets):
+    """Negative log softmax of the target class; gradient softmax minus one-hot."""
     rows = np.arange(logits.shape[0])
     shifted, e, total = _softmax_parts(logits)
     out = -(shifted[rows, targets] - np.log(total[:, 0]))
@@ -91,9 +72,20 @@ def _kernel_cross_entropy(logits, targets):
 
 
 def _kernel_one_stage(logits, targets, alpha):
-    b, width = logits.shape
-    rows = np.arange(b)
-    d = width - 1
+    """One-stage deferral surrogate over ``n`` real classes plus a deferral class.
+
+    Per row with target y, deferral index d and softmax log-probabilities
+    ``logp``::
+
+        -alpha * logp[y] - (1 - alpha) * log(p[y] + p[d])
+
+    where the second term is evaluated as a stabilized two-logit log-sum-exp
+    minus the full log-sum-exp. At alpha=1 this is plain cross-entropy over
+    the extended space. The gradient is ``p - alpha * onehot(y) - (1 - alpha) * q``
+    where q is the softmax restricted to {y, d} (zero elsewhere).
+    """
+    rows = np.arange(logits.shape[0])
+    d = logits.shape[1] - 1
     shifted, e, total = _softmax_parts(logits)
     lse = np.log(total[:, 0])  # log-sum-exp minus row max
     z_y = shifted[rows, targets]
@@ -115,9 +107,13 @@ def _kernel_one_stage(logits, targets, alpha):
 
 
 def _kernel_two_stage(logits, targets, beta):
-    b, width = logits.shape
-    rows = np.arange(b)
-    d = width - 1
+    """Two-stage deferral surrogate: cross-entropy plus beta-weighted deferral term.
+
+    Per row: ``-logp[y] - beta * logp[d]`` with d the deferral index; gradient
+    ``(1+beta) p - onehot(y) - beta onehot(d)``.
+    """
+    rows = np.arange(logits.shape[0])
+    d = logits.shape[1] - 1
     shifted, e, total = _softmax_parts(logits)
     log_total = np.log(total[:, 0])
     out = -(shifted[rows, targets] - log_total) - beta * (shifted[:, d] - log_total)
@@ -127,98 +123,40 @@ def _kernel_two_stage(logits, targets, beta):
     return out, g
 
 
-def _checked(kernel, logits, targets, allow_defer, *cost):
-    logits, squeeze = _as_batch(logits)
-    targets, _ = _as_targets(targets, logits.shape[0], logits.shape[1], allow_defer)
-    out, g = kernel(logits, targets, *cost)
-    return (out[0], g[0]) if squeeze else (out, g)
-
-
-def loss_cross_entropy(logits, targets) -> np.ndarray:
-    """Negative log softmax of the target class."""
-    return _checked(_kernel_cross_entropy, logits, targets, True)[0]
-
-
-def loss_one_stage(logits, targets, alpha: float) -> np.ndarray:
-    """One-stage deferral surrogate over ``n`` real classes plus a deferral class.
-
-    Per row with target y, deferral index d and softmax log-probabilities
-    ``logp``::
-
-        -alpha * logp[y] - (1 - alpha) * log(p[y] + p[d])
-
-    where the second term is evaluated as a stabilized two-logit log-sum-exp
-    minus the full log-sum-exp. At alpha=1 this is plain cross-entropy over
-    the extended space.
-    """
-    OneStageCost(alpha)
-    return _checked(_kernel_one_stage, logits, targets, False, alpha)[0]
-
-
-def loss_two_stage(logits, targets, beta: float) -> np.ndarray:
-    """Two-stage deferral surrogate: cross-entropy plus beta-weighted deferral term.
-
-    Per row: ``-logp[y] - beta * logp[d]`` with d the deferral index.
-    """
-    TwoStageCost(beta)
-    return _checked(_kernel_two_stage, logits, targets, False, beta)[0]
-
-
-def grad_cross_entropy(logits, targets) -> np.ndarray:
-    """d loss / d logits for ``loss_cross_entropy``: softmax minus one-hot."""
-    return _checked(_kernel_cross_entropy, logits, targets, True)[1]
-
-
-def grad_one_stage(logits, targets, alpha: float) -> np.ndarray:
-    """d loss / d logits for ``loss_one_stage``.
-
-    Equals ``p - alpha * onehot(y) - (1 - alpha) * q`` where q is the softmax
-    restricted to {y, d} (zero elsewhere).
-    """
-    OneStageCost(alpha)
-    return _checked(_kernel_one_stage, logits, targets, False, alpha)[1]
-
-
-def grad_two_stage(logits, targets, beta: float) -> np.ndarray:
-    """d loss / d logits for ``loss_two_stage``: ``(1+beta) p - onehot(y) - beta onehot(d)``."""
-    TwoStageCost(beta)
-    return _checked(_kernel_two_stage, logits, targets, False, beta)[1]
-
-
 @dataclass(frozen=True)
 class LossSpec:
-    """Named loss with its cost parameter, as consumed by the trainer.
+    """Named loss with its cost parameter; the one way to evaluate a loss.
 
     kind: one of ``cross_entropy``, ``one_stage``, ``two_stage``.
     """
 
     kind: str
-    alpha: float = 1.0
-    beta: float = 0.0
+    alpha: float = 1.0  # one_stage cost of non-deferral, in (0, 1]
+    beta: float = 0.0  # two_stage deferral cost, >= 0
 
     _KINDS = ("cross_entropy", "one_stage", "two_stage")
 
     def __post_init__(self):
         if self.kind not in self._KINDS:
             raise ConfigError(f"unknown loss kind {self.kind!r}")
-        if self.kind == "one_stage":
-            OneStageCost(self.alpha)
-        if self.kind == "two_stage":
-            TwoStageCost(self.beta)
+        if self.kind == "one_stage" and not (0.0 < self.alpha <= 1.0):
+            raise ConfigError(f"alpha must lie in (0, 1], got {self.alpha}")
+        if self.kind == "two_stage" and not self.beta >= 0.0:
+            raise ConfigError(f"beta must be non-negative, got {self.beta}")
 
     def loss(self, logits, targets) -> np.ndarray:
-        if self.kind == "cross_entropy":
-            return loss_cross_entropy(logits, targets)
-        if self.kind == "one_stage":
-            return loss_one_stage(logits, targets, self.alpha)
-        return loss_two_stage(logits, targets, self.beta)
+        """Per-sample loss; a 1-D row of logits gives a scalar."""
+        return self._checked(logits, targets)[0]
 
     def grad(self, logits, targets) -> np.ndarray:
-        if self.kind == "cross_entropy":
-            return grad_cross_entropy(logits, targets)
-        if self.kind == "one_stage":
-            return grad_one_stage(logits, targets, self.alpha)
-        return grad_two_stage(logits, targets, self.beta)
+        """d loss / d logits, shaped like ``logits``."""
+        return self._checked(logits, targets)[1]
+
+    def _checked(self, logits, targets):
+        logits, squeeze = _as_batch(logits)
+        targets = _as_targets(targets, *logits.shape, self.kind == "cross_entropy")
+        out, g = self.unchecked_loss_and_grad(logits, targets)
+        return (out[0], g[0]) if squeeze else (out, g)
 
     def check_targets(self, targets, width: int) -> np.ndarray:
         """int64 targets, raising LabelError unless each is valid for ``width`` logits.
@@ -229,8 +167,7 @@ class LossSpec:
         targets = np.asarray(targets, dtype=np.int64)
         if targets.ndim != 1:
             raise LabelError(f"targets must be 1-D, got shape {targets.shape}")
-        allow_defer = self.kind == "cross_entropy"
-        return _as_targets(targets, targets.shape[0], width, allow_defer)[0]
+        return _as_targets(targets, targets.shape[0], width, self.kind == "cross_entropy")
 
     def unchecked_loss_and_grad(self, logits, targets):
         """(per-sample loss, d loss / d logits) from one softmax, bit-identical to

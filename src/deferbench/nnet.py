@@ -342,6 +342,18 @@ def draw_minibatch_indices(
     return cdf.searchsorted(rng.random(batch_size), side="right")
 
 
+def _training_inputs(net: Network, batch, targets, loss: LossSpec, sgd: SgdConfig, sample_weights):
+    """Checked (batch, targets, sampling cdf, steps per epoch) of a training run;
+    ``train`` and ``uq.bnn_train`` check their inputs here, once, at entry."""
+    x = _check_batch(net, batch)
+    n = x.shape[0]
+    y = np.asarray(targets, dtype=np.int64)
+    if y.shape != (n,):
+        raise LabelError(f"expected {n} targets, got shape {y.shape}")
+    y = loss.check_targets(y, net.config.output_dim)
+    return x, y, sampling_cdf(sample_weights, n), max(1, -(-n // sgd.batch_size))
+
+
 @dataclass
 class TrainResult:
     network: Network
@@ -360,17 +372,10 @@ def train(
     """Momentum SGD with weighted minibatch sampling; one checkpoint per epoch.
 
     The update is v = momentum*v + (grad + weight_decay*theta); theta -= lr*v.
-    Targets and sample weights are checked once, here (see ``sampling_cdf``).
+    Batch, targets and sample weights are checked once, at entry (``_training_inputs``).
     Raises DivergenceError naming the epoch if any batch loss goes non-finite.
     """
-    x = _check_batch(net, batch)
-    y = np.asarray(targets, dtype=np.int64)
-    n = x.shape[0]
-    if y.shape != (n,):
-        raise LabelError(f"expected {n} targets, got shape {y.shape}")
-    y = loss.check_targets(y, net.config.output_dim)
-    cdf = sampling_cdf(sample_weights, n)
-
+    x, y, cdf, steps_per_epoch = _training_inputs(net, batch, targets, loss, sgd, sample_weights)
     net = net.copy()
     rng_batches = child_rng(sgd.seed, "batches")
     rng_dropout = child_rng(sgd.seed, "dropout")
@@ -380,7 +385,6 @@ def train(
     params = bind_params(net)
     grad, grad_views = _gradient_buffer(net)
     velocity = np.zeros_like(params)
-    steps_per_epoch = max(1, -(-n // sgd.batch_size))
     checkpoints, epoch_losses = [], []
 
     for epoch in range(1, sgd.epochs + 1):

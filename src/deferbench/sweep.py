@@ -728,8 +728,10 @@ def run_plan(
     plan order, at most --jobs at a time. With --jobs 1 each task runs
     in-process as it is started; otherwise it goes to a process pool of
     min(jobs, tasks) workers. When a task finishes, one stderr line reports
-    each of its methods with that method's own time; a task that dies as a
-    whole (its future raises) gives failure rows to every method in it.
+    each of its methods with that method's own time, so a seed's ensemble
+    line appears only when its deferral head, which shares the task, has
+    trained too. A task that dies as a whole (its future raises) gives
+    failure rows to every method in it.
     Results and failures are merged in plan order (seeds outer, methods in
     configuration order), so the output is independent of scheduling.
     data_path, when given, names the dataset file that pool workers load

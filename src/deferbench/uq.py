@@ -275,18 +275,13 @@ def bnn_train(
     noise from its own stream, so collapsing the posterior (kl_weight 0,
     stddev underflowing to 0) reproduces the deterministic trajectory.
     The SGD weight_decay setting is ignored: the prior already shrinks means.
-    Targets and sample weights are checked once, as ``nnet.train`` checks them.
+    Inputs are checked once, at entry, by ``nnet._training_inputs`` as in ``nnet.train``.
     """
-    batch = nnet._check_batch(net, batch)
-    n = batch.shape[0]
-    targets = np.asarray(targets, dtype=np.int64)
-    if targets.shape != (n,):
-        raise InputShapeError("targets must match batch rows")
-    targets = loss.check_targets(targets, net.config.output_dim)
-    cdf = nnet.sampling_cdf(sample_weights, n)
+    batch, targets, cdf, steps_per_epoch = nnet._training_inputs(
+        net, batch, targets, loss, sgd, sample_weights
+    )
     rng_batches = child_rng(sgd.seed, "batches")
     rng_weights = child_rng(sgd.seed, "weights")
-    steps_per_epoch = max(1, -(-n // sgd.batch_size))
     kl_w = bnn.kl_weight if bnn.kl_weight is not None else 1.0 / steps_per_epoch
     p2 = bnn.prior_stddev**2
 

@@ -17,15 +17,7 @@ import pytest
 
 from deferbench import cli, data as data_mod, nnet, sweep, uq
 from deferbench.config import CorruptionSettings, RunConfig
-from deferbench.losses import (
-    LossSpec,
-    grad_cross_entropy,
-    grad_one_stage,
-    grad_two_stage,
-    loss_cross_entropy,
-    loss_one_stage,
-    loss_two_stage,
-)
+from deferbench.losses import LossSpec
 from deferbench.metrics import ConfusionCounts, auc, balanced_accuracy, pauc
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
@@ -52,9 +44,9 @@ def test_acceptance_1_loss_identities(capsys):
     logits = rng.standard_normal((1000, 3)) * 3.0
     targets = rng.integers(0, 2, 1000)
 
-    ce = loss_cross_entropy(logits, targets)
-    gap_one = float(np.max(np.abs(loss_one_stage(logits, targets, 1.0) - ce)))
-    gap_two = float(np.max(np.abs(loss_two_stage(logits, targets, 0.0) - ce)))
+    ce = LossSpec("cross_entropy").loss(logits, targets)
+    gap_one = float(np.max(np.abs(LossSpec("one_stage", alpha=1.0).loss(logits, targets) - ce)))
+    gap_two = float(np.max(np.abs(LossSpec("two_stage", beta=0.0).loss(logits, targets) - ce)))
     elapsed = time.perf_counter() - start
 
     ok = gap_one < 1e-12 and gap_two < 1e-12 and elapsed < 1.0
@@ -71,9 +63,9 @@ def test_acceptance_1_loss_identities(capsys):
 # ---------------------------------------------------------------------------
 
 
-def _fd_on_logits(loss_fn, grad_fn, rng) -> float:
+def _fd_on_logits(loss: LossSpec, targets, rng) -> float:
     logits = rng.standard_normal((6, 3)) * 2.0
-    analytic = grad_fn(logits)
+    analytic = loss.grad(logits, targets)
     h = 1e-6
     numeric = np.zeros_like(logits)
     for i in range(logits.shape[0]):
@@ -81,7 +73,7 @@ def _fd_on_logits(loss_fn, grad_fn, rng) -> float:
             up, down = logits.copy(), logits.copy()
             up[i, j] += h
             down[i, j] -= h
-            numeric[i, j] = (loss_fn(up)[i] - loss_fn(down)[i]) / (2.0 * h)
+            numeric[i, j] = (loss.loss(up, targets)[i] - loss.loss(down, targets)[i]) / (2.0 * h)
     return float(np.linalg.norm(analytic - numeric) / np.linalg.norm(numeric))
 
 
@@ -126,15 +118,9 @@ def test_acceptance_2_gradient_suite(capsys):
     rng = np.random.default_rng(102)
     y = np.array([0, 1, 0, 1, 0, 1])
     logit_errors = {
-        "ce": _fd_on_logits(
-            lambda z: loss_cross_entropy(z, y), lambda z: grad_cross_entropy(z, y), rng
-        ),
-        "one_stage": _fd_on_logits(
-            lambda z: loss_one_stage(z, y, 0.7), lambda z: grad_one_stage(z, y, 0.7), rng
-        ),
-        "two_stage": _fd_on_logits(
-            lambda z: loss_two_stage(z, y, 1.3), lambda z: grad_two_stage(z, y, 1.3), rng
-        ),
+        "ce": _fd_on_logits(LossSpec("cross_entropy"), y, rng),
+        "one_stage": _fd_on_logits(LossSpec("one_stage", alpha=0.7), y, rng),
+        "two_stage": _fd_on_logits(LossSpec("two_stage", beta=1.3), y, rng),
     }
     net_errors = {
         "ce": _fd_through_network(LossSpec("cross_entropy")),
@@ -163,10 +149,11 @@ def test_acceptance_3_hand_values(capsys):
     zeros = np.zeros((1, 3))
     checks = {
         "one_stage(0,0,0;a=.5)": (
-            abs(float(loss_one_stage(zeros, [0], 0.5)[0]) - 0.7520) < 1e-4
+            abs(float(LossSpec("one_stage", alpha=0.5).loss(zeros, [0])[0]) - 0.7520) < 1e-4
         ),
         "two_stage(0,0,0;b=1)": (
-            abs(float(loss_two_stage(zeros, [0], 1.0)[0]) - 2.0 * np.log(3.0)) < 1e-9
+            abs(float(LossSpec("two_stage", beta=1.0).loss(zeros, [0])[0]) - 2.0 * np.log(3.0))
+            < 1e-9
         ),
         "auc=0.75": (
             auc(np.array([0.1, 0.4, 0.35, 0.8]), np.array([0, 0, 1, 1])) == 0.75

@@ -18,9 +18,10 @@ import pytest
 
 import deferbench  # noqa: F401 - loaded before the tracer module imports numpy
 import numpy as np
-from deferbench import metrics, nnet, pipelines, sweep
+from deferbench import losses, metrics, nnet, pipelines, sweep
 from deferbench.config import CorruptionSettings, RunConfig, SweepSettings, UqSettings
 from deferbench.data import SynthSpec
+from deferbench.losses import LossSpec
 
 LAYERTRACE = Path(__file__).resolve().parents[1] / "bench" / "layertrace.py"
 
@@ -120,3 +121,49 @@ def test_two_stage_featurizes_each_input_once(monkeypatch):
     for x in inputs:  # each on the original array, not a copy
         assert sum(batch is x for _, batch in featurized) == 1
     assert len(predicted) == len(cfg.sweep.beta_grid) * (1 + len(data.x_tests))
+
+
+def recording(calls: list, name: str, original):
+    def record(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    return record
+
+
+def test_each_traced_loss_call_runs_one_kernel(monkeypatch):
+    # bench/layertrace.py counts LossSpec.loss + LossSpec.grad as
+    # losses.loss_grad. That count stays the number of loss evaluations only
+    # if each call runs one kernel, neither method goes through the other,
+    # and each of nnet's one-batch helpers makes one call.
+    calls = []
+    kernels = {
+        "cross_entropy": "_kernel_cross_entropy",
+        "one_stage": "_kernel_one_stage",
+        "two_stage": "_kernel_two_stage",
+    }
+    for name in kernels.values():
+        monkeypatch.setattr(losses, name, recording(calls, name, getattr(losses, name)))
+    for name in ("loss", "grad"):
+        monkeypatch.setattr(LossSpec, name, recording(calls, name, getattr(LossSpec, name)))
+
+    rng = np.random.default_rng(0)
+    targets = np.array([0, 1, 0, 1, 1])
+    logits = rng.standard_normal((5, 3))
+    specs = [LossSpec("cross_entropy"), LossSpec("one_stage", alpha=0.5),
+             LossSpec("two_stage", beta=1.0)]
+    for spec in specs:
+        for method in ("loss", "grad"):
+            calls.clear()
+            getattr(spec, method)(logits, targets)
+            assert calls == [method, kernels[spec.kind]]
+
+    net = nnet.init_network(nnet.NetConfig(4, (3,), 3, seed=0))
+    x = rng.standard_normal((5, 4))
+    for spec in specs:
+        calls.clear()
+        nnet.mean_loss(net, x, targets, spec)
+        assert calls == ["loss", kernels[spec.kind]]
+        calls.clear()
+        nnet.backward(net, x, targets, spec)
+        assert calls == ["grad", kernels[spec.kind]]

@@ -375,7 +375,6 @@ def test_blur_reduces_high_frequency_contrast():
     out = data.corrupt(ds, data.CorruptionSpec("blur", 4), seed=0)
     assert out.features.std() < ds.features.std()
     np.testing.assert_array_equal(out.labels, ds.labels)
-    assert out.provenance.endswith("+blur4")
 
 
 def test_blur_needs_spatial_shape():

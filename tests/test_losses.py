@@ -7,18 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from deferbench.errors import ConfigError, LabelError, NumericError
-from deferbench.losses import (
-    LossSpec,
-    OneStageCost,
-    TwoStageCost,
-    grad_cross_entropy,
-    grad_one_stage,
-    grad_two_stage,
-    loss_cross_entropy,
-    loss_one_stage,
-    loss_two_stage,
-    softmax,
-)
+from deferbench.losses import LossSpec, softmax
 
 LOG2 = 0.6931471805599453
 LOG3 = 1.0986122886681098
@@ -37,30 +26,30 @@ def logits_batch(rows=64, width=3, seed=0, scale=4.0):
 
 
 def test_cross_entropy_uniform_logits():
-    assert loss_cross_entropy([0.0, 0.0], 0) == pytest.approx(LOG2, abs=1e-12)
-    assert loss_cross_entropy([0.0, 0.0, 0.0], 2) == pytest.approx(LOG3, abs=1e-12)
+    assert LossSpec("cross_entropy").loss([0.0, 0.0], 0) == pytest.approx(LOG2, abs=1e-12)
+    assert LossSpec("cross_entropy").loss([0.0, 0.0, 0.0], 2) == pytest.approx(LOG3, abs=1e-12)
 
 
 def test_cross_entropy_confident_correct_is_tiny():
     # -log softmax([10, -10])[0] = log(1 + e^-20)
-    value = loss_cross_entropy([10.0, -10.0], 0)
+    value = LossSpec("cross_entropy").loss([10.0, -10.0], 0)
     assert abs(value - np.log1p(np.exp(-20.0))) < 1e-12
 
 
 def test_one_stage_uniform_logits_half_alpha():
     # p = 1/3 each: -0.5*log(1/3) - 0.5*log(2/3) = 0.5*(log 3 + log 1.5)
-    value = loss_one_stage([0.0, 0.0, 0.0], 0, alpha=0.5)
+    value = LossSpec("one_stage", alpha=0.5).loss([0.0, 0.0, 0.0], 0)
     assert value == pytest.approx(0.7520386983881371, abs=1e-12)
 
 
 def test_two_stage_uniform_logits_unit_beta():
-    value = loss_two_stage([0.0, 0.0, 0.0], 0, beta=1.0)
+    value = LossSpec("two_stage", beta=1.0).loss([0.0, 0.0, 0.0], 0)
     assert value == pytest.approx(2.0 * LOG3, abs=1e-12)
 
 
-def test_grad_two_stage_uniform_logits():
+def test_two_stage_gradient_uniform_logits():
     # (1+b)/3 - onehot contributions at p = 1/3
-    g = grad_two_stage([0.0, 0.0, 0.0], 0, beta=1.0)
+    g = LossSpec("two_stage", beta=1.0).grad([0.0, 0.0, 0.0], 0)
     np.testing.assert_allclose(g, [2.0 / 3.0 - 1.0, 2.0 / 3.0, 2.0 / 3.0 - 1.0], atol=1e-12)
 
 
@@ -72,13 +61,13 @@ def test_grad_two_stage_uniform_logits():
 def test_one_stage_alpha_one_is_cross_entropy():
     logits, targets = logits_batch(rows=1000, seed=1)
     np.testing.assert_allclose(
-        loss_one_stage(logits, targets, alpha=1.0),
-        loss_cross_entropy(logits, targets),
+        LossSpec("one_stage", alpha=1.0).loss(logits, targets),
+        LossSpec("cross_entropy").loss(logits, targets),
         atol=1e-12,
     )
     np.testing.assert_allclose(
-        grad_one_stage(logits, targets, alpha=1.0),
-        grad_cross_entropy(logits, targets),
+        LossSpec("one_stage", alpha=1.0).grad(logits, targets),
+        LossSpec("cross_entropy").grad(logits, targets),
         atol=1e-12,
     )
 
@@ -86,13 +75,13 @@ def test_one_stage_alpha_one_is_cross_entropy():
 def test_two_stage_beta_zero_is_cross_entropy():
     logits, targets = logits_batch(rows=1000, seed=2)
     np.testing.assert_allclose(
-        loss_two_stage(logits, targets, beta=0.0),
-        loss_cross_entropy(logits, targets),
+        LossSpec("two_stage", beta=0.0).loss(logits, targets),
+        LossSpec("cross_entropy").loss(logits, targets),
         atol=1e-12,
     )
     np.testing.assert_allclose(
-        grad_two_stage(logits, targets, beta=0.0),
-        grad_cross_entropy(logits, targets),
+        LossSpec("two_stage", beta=0.0).grad(logits, targets),
+        LossSpec("cross_entropy").grad(logits, targets),
         atol=1e-12,
     )
 
@@ -115,18 +104,14 @@ def central_difference(fn, logits, h=1e-6):
 
 
 @pytest.mark.parametrize(
-    "loss_fn,grad_fn",
-    [
-        (loss_cross_entropy, grad_cross_entropy),
-        (lambda z, y: loss_one_stage(z, y, alpha=0.7), lambda z, y: grad_one_stage(z, y, alpha=0.7)),
-        (lambda z, y: loss_two_stage(z, y, beta=1.3), lambda z, y: grad_two_stage(z, y, beta=1.3)),
-    ],
+    "spec",
+    [LossSpec("cross_entropy"), LossSpec("one_stage", alpha=0.7), LossSpec("two_stage", beta=1.3)],
     ids=["cross_entropy", "one_stage", "two_stage"],
 )
-def test_gradient_matches_finite_differences(loss_fn, grad_fn):
+def test_gradient_matches_finite_differences(spec):
     logits, targets = logits_batch(rows=8, seed=3, scale=2.0)
-    analytic = grad_fn(logits, targets)
-    numeric = central_difference(lambda z: loss_fn(z, targets), logits)
+    analytic = spec.grad(logits, targets)
+    numeric = central_difference(lambda z: spec.loss(z, targets), logits)
     norm_rel = np.linalg.norm(analytic - numeric) / np.linalg.norm(numeric)
     assert norm_rel < 1e-6
     # elementwise with a floor: tiny entries only see FD truncation noise
@@ -151,9 +136,9 @@ def test_losses_invariant_under_logit_shift(logits, alpha, beta, shift):
     targets = np.zeros(logits.shape[0], dtype=np.int64)
     shifted = logits + shift
     for fn in (
-        lambda z: loss_cross_entropy(z, targets),
-        lambda z: loss_one_stage(z, targets, alpha),
-        lambda z: loss_two_stage(z, targets, beta),
+        lambda z: LossSpec("cross_entropy").loss(z, targets),
+        lambda z: LossSpec("one_stage", alpha=alpha).loss(z, targets),
+        lambda z: LossSpec("two_stage", beta=beta).loss(z, targets),
     ):
         np.testing.assert_allclose(fn(shifted), fn(logits), atol=1e-9)
 
@@ -163,14 +148,14 @@ def test_losses_invariant_under_logit_shift(logits, alpha, beta, shift):
 def test_losses_non_negative_and_grads_sum_to_zero(logits, alpha, beta):
     targets = np.zeros(logits.shape[0], dtype=np.int64)
     # non-negative up to log-sum-exp cancellation noise at large logit gaps
-    assert np.all(loss_cross_entropy(logits, targets) >= -1e-12)
-    assert np.all(loss_one_stage(logits, targets, alpha) >= -1e-12)
-    assert np.all(loss_two_stage(logits, targets, beta) >= -1e-12)
+    assert np.all(LossSpec("cross_entropy").loss(logits, targets) >= -1e-12)
+    assert np.all(LossSpec("one_stage", alpha=alpha).loss(logits, targets) >= -1e-12)
+    assert np.all(LossSpec("two_stage", beta=beta).loss(logits, targets) >= -1e-12)
     # losses only see logit differences, so gradient rows live on the simplex tangent
     for g in (
-        grad_cross_entropy(logits, targets),
-        grad_one_stage(logits, targets, alpha),
-        grad_two_stage(logits, targets, beta),
+        LossSpec("cross_entropy").grad(logits, targets),
+        LossSpec("one_stage", alpha=alpha).grad(logits, targets),
+        LossSpec("two_stage", beta=beta).grad(logits, targets),
     ):
         np.testing.assert_allclose(g.sum(axis=1), 0.0, atol=1e-12)
 
@@ -186,9 +171,9 @@ def test_softmax_rows_are_distributions(logits):
 def test_one_stage_interpolates_between_terms():
     # the surrogate is linear in alpha between its two log terms
     logits, targets = logits_batch(rows=32, seed=4)
-    at_full = loss_one_stage(logits, targets, alpha=1.0)
-    mid = loss_one_stage(logits, targets, alpha=0.5)
-    lo = loss_one_stage(logits, targets, alpha=0.25)
+    at_full = LossSpec("one_stage", alpha=1.0).loss(logits, targets)
+    mid = LossSpec("one_stage", alpha=0.5).loss(logits, targets)
+    lo = LossSpec("one_stage", alpha=0.25).loss(logits, targets)
     # the pair term: recover it from two evaluations and check a third
     pair = 2.0 * mid - at_full
     np.testing.assert_allclose(lo, 0.25 * at_full + 0.75 * pair, atol=1e-10)
@@ -198,9 +183,9 @@ def test_large_logits_stay_finite():
     logits = np.array([[700.0, -700.0, 0.0], [-700.0, 700.0, 700.0]])
     targets = np.array([0, 1])
     for value in (
-        loss_cross_entropy(logits, targets),
-        loss_one_stage(logits, targets, 0.5),
-        loss_two_stage(logits, targets, 2.0),
+        LossSpec("cross_entropy").loss(logits, targets),
+        LossSpec("one_stage", alpha=0.5).loss(logits, targets),
+        LossSpec("two_stage", beta=2.0).loss(logits, targets),
     ):
         assert np.all(np.isfinite(value))
 
@@ -212,31 +197,28 @@ def test_large_logits_stay_finite():
 
 @pytest.mark.parametrize("alpha", [0.0, -0.1, 1.5])
 def test_alpha_range_rejected(alpha):
-    with pytest.raises(ConfigError):
-        OneStageCost(alpha)
-    with pytest.raises(ConfigError):
-        loss_one_stage([0.0, 0.0, 0.0], 0, alpha)
+    with pytest.raises(ConfigError, match=r"alpha must lie in \(0, 1\]"):
+        LossSpec("one_stage", alpha=alpha)
 
 
 def test_beta_range_rejected():
-    with pytest.raises(ConfigError):
-        TwoStageCost(-0.5)
-    with pytest.raises(ConfigError):
-        grad_two_stage([0.0, 0.0, 0.0], 0, -1.0)
+    for beta in (-0.5, -1.0):
+        with pytest.raises(ConfigError, match="beta must be non-negative"):
+            LossSpec("two_stage", beta=beta)
 
 
 def test_deferral_class_is_not_a_valid_target():
     # the surrogates supervise real classes only; plain CE accepts the full space
     with pytest.raises(LabelError):
-        loss_one_stage([0.0, 0.0, 0.0], 2, alpha=0.5)
+        LossSpec("one_stage", alpha=0.5).loss([0.0, 0.0, 0.0], 2)
     with pytest.raises(LabelError):
-        loss_two_stage([0.0, 0.0, 0.0], 2, beta=1.0)
-    assert loss_cross_entropy([0.0, 0.0, 0.0], 2) == pytest.approx(LOG3, abs=1e-12)
+        LossSpec("two_stage", beta=1.0).loss([0.0, 0.0, 0.0], 2)
+    assert LossSpec("cross_entropy").loss([0.0, 0.0, 0.0], 2) == pytest.approx(LOG3, abs=1e-12)
 
 
 def test_non_finite_logits_rejected():
     with pytest.raises(NumericError):
-        loss_cross_entropy([np.nan, 0.0], 0)
+        LossSpec("cross_entropy").loss([np.nan, 0.0], 0)
     with pytest.raises(NumericError):
         softmax([np.inf, 0.0])
 
@@ -244,8 +226,8 @@ def test_non_finite_logits_rejected():
 def test_loss_spec_dispatch():
     logits, targets = logits_batch(rows=16, seed=5)
     spec = LossSpec("one_stage", alpha=0.8)
-    np.testing.assert_array_equal(spec.loss(logits, targets), loss_one_stage(logits, targets, 0.8))
-    np.testing.assert_array_equal(spec.grad(logits, targets), grad_one_stage(logits, targets, 0.8))
+    np.testing.assert_array_equal(spec.loss(logits, targets), reference_loss(spec, logits, targets))
+    np.testing.assert_array_equal(spec.grad(logits, targets), reference_grad(spec, logits, targets))
     with pytest.raises(ConfigError):
         LossSpec("focal")
     with pytest.raises(ConfigError):
