@@ -486,9 +486,10 @@ class DatasetHeader:
 def _read_header(fh, path) -> DatasetHeader:
     """Read and check the header of an open DFD1 file.
 
-    Damaged input (a short header, counts that disagree with the file length,
-    a label offset that does not follow the features, a spatial shape that
-    does not match the feature count) raises FormatError.
+    Damaged input (a short header, no samples or no features, counts that
+    disagree with the file length, a label offset that does not follow the
+    features, a spatial shape that does not match the feature count) raises
+    FormatError.
     """
     size = os.fstat(fh.fileno()).st_size
     header = fh.read(_HEADER.size)
@@ -499,6 +500,8 @@ def _read_header(fh, path) -> DatasetHeader:
         raise FormatError(f"{path}: bad magic, not a DFD1 dataset")
     if version != _VERSION:
         raise FormatError(f"{path}: unsupported DFD1 version {version}")
+    if s == 0 or d == 0:
+        raise FormatError(f"{path}: empty dataset, header declares {s} samples of {d} features")
     if label_offset != _HEADER.size + s * d * 4:
         raise FormatError(f"{path}: label offset {label_offset} does not follow "
                           f"{s} x {d} float32 features")

@@ -11,7 +11,7 @@ this fixed topology; no autodiff.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -64,14 +64,27 @@ class NetConfig:
         }
         return "".join(f"{k}={v}\n" for k, v in sorted(fields.items()))
 
+    @property
+    def parameter_count(self) -> int:
+        dims = (self.input_dim, *self.hidden_dims, self.output_dim)
+        return sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(dims, dims[1:]))
+
     @classmethod
     def from_text(cls, text: str) -> "NetConfig":
+        """Parse to_text's form; a line without '=', an unknown or a repeated
+        key, a missing key or a bad value raises FormatError."""
+        names = {f.name for f in fields(cls)}
         kv = {}
         for line in text.splitlines():
-            if not line.strip():
-                continue
-            key, _, value = line.partition("=")
-            kv[key.strip()] = value.strip()
+            key, sep, value = line.partition("=")
+            key = key.strip()
+            if not sep:
+                raise FormatError(f"NetConfig line without '=': {line!r}")
+            if key not in names:
+                raise FormatError(f"unknown NetConfig field {key!r}")
+            if key in kv:
+                raise FormatError(f"repeated NetConfig field {key!r}")
+            kv[key] = value.strip()
         try:
             hidden = tuple(int(h) for h in kv["hidden_dims"].split(",") if h)
             return cls(
@@ -480,7 +493,8 @@ def read_checkpoint(path):
     """Returns (NetConfig, params, sections) where sections maps name -> 1-D array.
 
     Damaged input (a short file or header, text that is not UTF-8, a bad
-    NetConfig field, a repeated section or trailing bytes) raises FormatError.
+    NetConfig text, a payload that is not the configured network's parameter
+    count, a repeated section or trailing bytes) raises FormatError.
     """
     with open(path, "rb") as fh:
         reader = _ByteReader(fh.read(), path)
@@ -495,6 +509,9 @@ def read_checkpoint(path):
         config = NetConfig.from_text(reader.text(config_len, "config text"))
     except FormatError as exc:
         raise FormatError(f"{path}: {exc}") from exc
+    if count != config.parameter_count:
+        raise FormatError(f"{path}: {count} parameters in the payload, the configured "
+                          f"network has {config.parameter_count}")
     params = reader.float64s(count, "parameter payload")
     sections = {}
     if not reader.at_end:

@@ -19,7 +19,10 @@ mapping. Adding a method means adding one table row and one fit function
 
 The plan runs as independent tasks. A seed's ensemble and deferral head
 share one task, so the committee goes from one to the other inside the
-process that trained it; every other task is one method.
+process that trained it; every other task is one method. --jobs 1 runs the
+tasks in a plain loop in this process; --jobs N hands all of them to a
+process pool at once. A worker process that dies breaks the pool: every
+task not finished by then gets failure rows, and the run still ends.
 """
 
 from __future__ import annotations
@@ -27,9 +30,7 @@ from __future__ import annotations
 import csv as _csv
 import sys
 import time
-from collections import deque
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
-from contextlib import ExitStack
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, replace
 from operator import attrgetter
 from pathlib import Path
@@ -709,29 +710,23 @@ def _run_task(cfg, seed_index, methods, out_dir, data_path, data=None) -> list:
     return outcomes
 
 
-def _settled(call) -> Future:
-    """A finished future holding call()'s result or exception."""
-    future = Future()
-    try:
-        future.set_result(call())
-    except Exception as exc:  # noqa: BLE001 - the plan loop reports it per task
-        future.set_exception(exc)
-    return future
-
-
 def run_plan(
     cfg: RunConfig, out_dir=None, data: Optional[EvalData] = None, data_path=None
 ) -> PlanResult:
     """Train and evaluate every (seed, method) pair of the plan.
 
-    The plan is a list of independent tasks (see _plan_tasks), started in
-    plan order, at most --jobs at a time. With --jobs 1 each task runs
-    in-process as it is started; otherwise it goes to a process pool of
-    min(jobs, tasks) workers. When a task finishes, one stderr line reports
+    The plan is a list of independent tasks (see _plan_tasks). With --jobs 1
+    they run in-process, one after the other; otherwise every task is
+    submitted at once to a process pool of min(jobs, tasks) workers, which
+    starts them in plan order. When a task finishes, one stderr line reports
     each of its methods with that method's own time, so a seed's ensemble
     line appears only when its deferral head, which shares the task, has
-    trained too. A task that dies as a whole (its future raises) gives
-    failure rows to every method in it.
+    trained too. A task that dies as a whole (its future raises, as every
+    unfinished task's does once a worker process dies) gives failure rows to
+    every method in it, timed from its submission. An interrupt (such as
+    KeyboardInterrupt) cancels every task the pool has not yet queued for
+    its workers and re-raises; the pool's exit still waits for the tasks its
+    workers run and for the up to jobs + 1 that CPython's pool has queued.
     Results and failures are merged in plan order (seeds outer, methods in
     configuration order), so the output is independent of scheduling.
     data_path, when given, names the dataset file that pool workers load
@@ -740,45 +735,41 @@ def run_plan(
     """
     plan = [(s, m) for s in range(cfg.n_seeds) for m in cfg.methods]
     tasks = _plan_tasks(cfg)
-    queued = deque(range(len(tasks)))
     results: dict = {}
-    running: dict = {}  # future -> (task index, start time)
-    slots = min(cfg.jobs, len(tasks))
 
-    with ExitStack() as stack:
-        if cfg.jobs > 1:
-            pool = stack.enter_context(ProcessPoolExecutor(max_workers=slots))
+    def report(s, outcomes):
+        for result, seconds in outcomes:
+            status = "ok"
+            if result.failure is not None:
+                status = f"failed ({result.failure.split(':')[0]})"
+            print(f"seed {s} {result.method}: {status} in {seconds:.2f} s", file=sys.stderr)
+            results[s, result.method] = result
 
-            def start(s, methods):
-                return pool.submit(_run_task, cfg, s, methods, out_dir, data_path)
-
-        else:
-            if data is None:
-                data = build_eval_data(cfg, data_path)
-
-            def start(s, methods):
-                return _settled(lambda: _run_task(cfg, s, methods, out_dir, data_path, data))
-
-        while queued or running:
-            while queued and len(running) < slots:
-                index = queued.popleft()
-                t0 = time.perf_counter()
-                running[start(*tasks[index])] = (index, t0)
-            done, _ = wait(running, return_when=FIRST_COMPLETED)
-            for future in sorted(done, key=lambda f: running[f][0]):
-                index, t0 = running.pop(future)
-                s, methods = tasks[index]
-                try:
-                    outcomes = future.result()
-                except Exception as exc:  # noqa: BLE001 - isolate per-task failures
-                    elapsed = time.perf_counter() - t0
-                    outcomes = [(_failure_result(cfg, s, m, exc), elapsed) for m in methods]
-                for result, seconds in outcomes:
-                    status = "ok"
-                    if result.failure is not None:
-                        status = f"failed ({result.failure.split(':')[0]})"
-                    print(f"seed {s} {result.method}: {status} in {seconds:.2f} s", file=sys.stderr)
-                    results[s, result.method] = result
+    if cfg.jobs > 1:
+        with ProcessPoolExecutor(max_workers=min(cfg.jobs, len(tasks))) as pool:
+            submitted = {}
+            for s, methods in tasks:
+                future = pool.submit(_run_task, cfg, s, methods, out_dir, data_path)
+                submitted[future] = (s, methods, time.perf_counter())
+            try:
+                for future in as_completed(submitted):
+                    s, methods, t0 = submitted[future]
+                    try:
+                        outcomes = future.result()
+                    except Exception as exc:  # noqa: BLE001 - isolate per-task failures
+                        elapsed = time.perf_counter() - t0
+                        outcomes = [(_failure_result(cfg, s, m, exc), elapsed) for m in methods]
+                    report(s, outcomes)
+            except BaseException:
+                # without this the pool's exit would wait for the whole plan
+                for future in submitted:
+                    future.cancel()
+                raise
+    else:
+        if data is None:
+            data = build_eval_data(cfg, data_path)
+        for s, methods in tasks:
+            report(s, _run_task(cfg, s, methods, out_dir, data_path, data))
 
     points, classification = [], []
     for key in plan:

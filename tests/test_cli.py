@@ -4,6 +4,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import time
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -413,6 +414,35 @@ def test_failed_method_keeps_every_cell_in_both_tables(tmp_path, capsys):
     assert all(r.status == "failed:CollectionError" for r in rows if r.method == "swag")
 
 
+def dying_worker(cfg, seed_index, method, *rest):
+    """Stand-in for sweep._worker: swag kills its worker process at once and
+    every other method waits, so each is unfinished when the pool breaks."""
+    if method == "swag":
+        os._exit(3)
+    time.sleep(60.0)
+
+
+def test_dying_worker_fails_its_tasks_not_the_run(tmp_path, monkeypatch, capsys):
+    # forked workers inherit the patched module global
+    monkeypatch.setattr(sweep, "_worker", dying_worker)
+    ini = tmp_path / "three.ini"
+    methods = ("swag", "softmax", "mc_dropout")
+    ini.write_text(TINY_INI.replace("methods = softmax", "methods = " + ",".join(methods)))
+    out = tmp_path / "run"
+    assert cli.main(["run", "--config", str(ini), "--out", str(out), "--jobs", "2"]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    failed = [line for line in err.splitlines() if line.startswith("FAILED ")]
+    assert [line.split(": ")[:2] for line in failed] == [
+        [f"FAILED seed 0 {m}", "BrokenProcessPool"] for m in methods
+    ]
+    points = sweep.read_results_csv(out / "results.csv")
+    rows = sweep.read_classification_csv(out / "classification.csv")
+    n = len(methods) * len(sweep.plan_conditions(load_config(ini)))
+    assert len(points) == len(rows) == n
+    assert {x.status for x in points + rows} == {"failed:BrokenProcessPool"}
+
+
 def test_unknown_config_key_is_usage_error(tmp_path, capsys):
     bad_ini = tmp_path / "bad.ini"
     bad_ini.write_text("[sgd]\nlr = 0.1\n")
@@ -684,8 +714,12 @@ def test_inspect_damaged_dataset_is_an_error_not_a_traceback(dataset_path, tmp_p
     blob = dataset_path.read_bytes()
     flipped = bytearray(blob)
     flipped[8 + 5] ^= 1  # bit 40 of the sample count, which starts at byte 8
+    # whole files that declare 0 samples x 64 features and 3 samples x 0 features
+    header = data_mod._HEADER
+    no_samples = header.pack(data_mod._MAGIC, 1, 0, 64, 8, 8, 1, header.size)
+    no_features = header.pack(data_mod._MAGIC, 1, 3, 0, 0, 0, 0, header.size) + b"\x00\x01\x00"
     path = tmp_path / "damaged.dfd1"
-    for damaged in (blob[:100], blob[:-1], bytes(flipped)):
+    for damaged in (blob[:100], blob[:-1], bytes(flipped), no_samples, no_features):
         path.write_bytes(damaged)
         assert cli.main(["inspect", str(path)]) == 1
         assert "error:" in capsys.readouterr().err

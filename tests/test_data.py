@@ -506,6 +506,10 @@ def test_dataset_damaged_headers(tmp_path):
         (blob[:-1], "truncated"),
         (blob + b"\x00", "trailing bytes"),
         (blob[:-1] + b"\x02", "labels must be 0 or 1"),
+        # a whole file of 0 samples x 64 features, and of 3 samples x 0 features
+        (data._HEADER.pack(data._MAGIC, 1, 0, 64, 8, 8, 1, data._HEADER.size), "empty dataset"),
+        (data._HEADER.pack(data._MAGIC, 1, 3, 0, 0, 0, 0, data._HEADER.size) + b"\x00\x01\x00",
+         "empty dataset"),
     ]
     path = tmp_path / "damaged.dfd1"
     for content, message in cases:

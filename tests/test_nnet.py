@@ -599,6 +599,12 @@ def test_checkpoint_damaged_headers_and_config(tmp_path):
         (with_config(text.replace(b"input_dim=4", b"input_dim=four")), "bad NetConfig field"),
         (with_config(text.replace(b"input_dim=4\n", b"")), "missing NetConfig field"),
         (with_config(text.replace(b"output_dim=2", b"output_dim=1")), "bad NetConfig field"),
+        (with_config(text + b"input_dim=7\n"), "repeated NetConfig field 'input_dim'"),
+        (with_config(text + b"width=7\n"), "unknown NetConfig field 'width'"),
+        (with_config(text + b"input_dim\n"), "NetConfig line without '='"),
+        (with_config(text + b"\n"), "NetConfig line without '='"),
+        # a well-formed config whose network is not the payload's size
+        (with_config(text.replace(b"input_dim=4", b"input_dim=7")), "parameters in the payload"),
         (blob + b"\x01\x00\x00\x00\x03\x00", "truncated section header"),
         (blob + b"\x00\x00\x00\x00\x00", "trailing bytes"),
     ]

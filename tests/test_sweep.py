@@ -4,6 +4,7 @@ layout, plan execution, and the CSV containers."""
 import csv
 import dataclasses
 import io
+import os
 import pickle
 import re
 import time
@@ -735,6 +736,78 @@ def test_dead_task_fails_every_method_in_it(tiny_cfg, monkeypatch, capsys):
     for method in ("ensemble", "two_stage"):
         prefix = f"seed 0 {method}: failed (BrokenProcessPool) in "
         assert sum(line.startswith(prefix) for line in lines) == 1, lines
+
+
+REAL_WORKER = sweep._worker
+
+
+def dying_worker(cfg, seed_index, method, out_dir, members, data_path):
+    """Stand-in for sweep._worker: softmax runs for real, swag kills its
+    worker process once softmax is done, and every other method waits, so it
+    is unfinished when the pool breaks."""
+    flag = Path(out_dir) / "softmax.done"
+    if method == "softmax":
+        result = REAL_WORKER(cfg, seed_index, method, out_dir, members, data_path)
+        flag.touch()
+        return result
+    if method == "swag":
+        deadline = time.monotonic() + 20.0
+        while not flag.exists() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        time.sleep(0.2)  # lets softmax's result reach the main process
+        os._exit(3)
+    time.sleep(60.0)
+
+
+def test_dying_worker_fails_only_unfinished_work(tiny_cfg, tmp_path, monkeypatch):
+    # forked workers inherit the patched module global; with two workers,
+    # the last of the four tasks has not started when swag's worker dies
+    monkeypatch.setattr(sweep, "_worker", dying_worker)
+    methods = ("softmax", "swag", "mc_dropout", "bnn")
+    cfg = dataclasses.replace(tiny_cfg, methods=methods, jobs=2)
+    path = tmp_path / "dataset.dfd1"
+    data_mod.write_dataset(path, sweep.prepare_dataset(cfg))
+    result = sweep.run_plan(cfg, out_dir=tmp_path, data_path=path)
+    alone = sweep.run_plan(dataclasses.replace(cfg, methods=("softmax",), jobs=1), data_path=path)
+
+    assert [f.split(": ")[:2] for f in result.failures] == [
+        [f"seed 0 {m}", "BrokenProcessPool"] for m in methods[1:]
+    ]
+    assert alone.failures == []
+    assert method_tables(result, "softmax") == tables_as_csv(alone)
+    conditions = [(c.kind, c.level) for c in sweep.plan_conditions(cfg)]
+    for method in methods[1:]:
+        points = [p for p in result.points if p.method == method]
+        rows = [r for r in result.classification if r.method == method]
+        assert [(p.condition, p.level) for p in points] == conditions
+        assert [(r.condition, r.level) for r in rows] == conditions
+        assert {x.status for x in points + rows} == {"failed:BrokenProcessPool"}
+
+
+class PendingPool(InlineExecutor):
+    """Stand-in for ProcessPoolExecutor whose tasks never start."""
+
+    futures = []
+
+    def submit(self, fn, *args):
+        future = Future()
+        self.futures.append(future)
+        return future
+
+
+def interrupt(futures):
+    raise KeyboardInterrupt
+
+
+def test_interrupt_cancels_every_pending_task(tiny_cfg, monkeypatch):
+    monkeypatch.setattr(sweep, "ProcessPoolExecutor", PendingPool)
+    monkeypatch.setattr(PendingPool, "futures", [])
+    monkeypatch.setattr(sweep, "as_completed", interrupt)
+    cfg = dataclasses.replace(tiny_cfg, methods=("softmax", "ensemble", "two_stage"), jobs=2)
+    with pytest.raises(KeyboardInterrupt):
+        sweep.run_plan(cfg)
+    assert len(PendingPool.futures) == 2
+    assert all(future.cancelled() for future in PendingPool.futures)
 
 
 def sleeping_head(seed_index, method):

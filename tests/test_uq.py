@@ -119,7 +119,8 @@ def test_mc_dropout_spreads_and_is_seeded():
 
 
 def net_config_for(params: int) -> nnet.NetConfig:
-    # any config; only the parameter count matters for posterior algebra here
+    # any config; only the parameter count matters for posterior algebra here.
+    # A posterior file needs the real count: this network has 6 parameters.
     return nnet.NetConfig(input_dim=1, hidden_dims=(1,), output_dim=2, seed=0)
 
 
@@ -383,7 +384,7 @@ def test_decisions_from_scores():
 
 
 def test_swag_posterior_roundtrip(tmp_path):
-    posterior = manual_posterior(params=5, k=3)
+    posterior = manual_posterior(params=6, k=3)
     path = tmp_path / "posterior.dfb1"
     uq.save_swag_posterior(path, posterior)
     back = uq.load_swag_posterior(path)
@@ -395,7 +396,9 @@ def test_swag_posterior_roundtrip(tmp_path):
 
 
 def test_bnn_posterior_roundtrip(tmp_path):
-    posterior = make_bnn_posterior([0.5, -1.0, 2.0], [-5.0, -4.0, -3.0], prior=1.5)
+    posterior = make_bnn_posterior(
+        [0.5, -1.0, 2.0, 0.25, 0.0, -0.75], [-5.0, -4.0, -3.0, -2.5, -4.5, -3.5], prior=1.5
+    )
     path = tmp_path / "posterior.dfb1"
     uq.save_bnn_posterior(path, posterior)
     back = uq.load_bnn_posterior(path)
@@ -405,9 +408,9 @@ def test_bnn_posterior_roundtrip(tmp_path):
 
 
 def test_posterior_files_reject_missing_sections(tmp_path):
-    config = net_config_for(3)
+    config = net_config_for(6)
     path = tmp_path / "plain.dfb1"
-    nnet.write_checkpoint(path, config, np.zeros(3))
+    nnet.write_checkpoint(path, config, np.zeros(6))
     with pytest.raises(CollectionError, match="missing posterior section"):
         uq.load_swag_posterior(path)
     with pytest.raises(CollectionError, match="missing posterior section"):
