@@ -65,9 +65,14 @@ class NetConfig:
         return "".join(f"{k}={v}\n" for k, v in sorted(fields.items()))
 
     @property
-    def parameter_count(self) -> int:
+    def layer_dims(self) -> list:
+        """(fan_in, fan_out) of each dense layer, input to output."""
         dims = (self.input_dim, *self.hidden_dims, self.output_dim)
-        return sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(dims, dims[1:]))
+        return list(zip(dims[:-1], dims[1:]))
+
+    @property
+    def parameter_count(self) -> int:
+        return sum((fan_in + 1) * fan_out for fan_in, fan_out in self.layer_dims)
 
     @classmethod
     def from_text(cls, text: str) -> "NetConfig":
@@ -132,7 +137,7 @@ class Network:
 
     @property
     def parameter_count(self) -> int:
-        return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
+        return self.config.parameter_count
 
     def copy(self) -> "Network":
         return Network(
@@ -145,9 +150,8 @@ class Network:
 def init_network(config: NetConfig) -> Network:
     """He-initialized network, deterministic under config.seed."""
     rng = child_rng(config.seed, "init")
-    dims = (config.input_dim, *config.hidden_dims, config.output_dim)
     weights, biases = [], []
-    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
+    for fan_in, fan_out in config.layer_dims:
         weights.append(rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(fan_in, fan_out)))
         biases.append(np.zeros(fan_out))
     return Network(config=config, weights=weights, biases=biases)

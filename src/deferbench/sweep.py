@@ -20,8 +20,8 @@ mapping. Adding a method means adding one table row and one fit function
 The plan runs as independent tasks. A seed's ensemble and deferral head
 share one task, so the committee goes from one to the other inside the
 process that trained it; every other task is one method. --jobs 1 runs the
-tasks in a plain loop in this process; --jobs N hands all of them to a
-process pool at once. A worker process that dies breaks the pool: every
+tasks in a plain loop in this process; --jobs N keeps at most N of them in a
+process pool at a time. A worker process that dies breaks the pool: every
 task not finished by then gets failure rows, and the run still ends.
 """
 
@@ -31,6 +31,7 @@ import csv as _csv
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
 from operator import attrgetter
 from pathlib import Path
@@ -715,23 +716,20 @@ def run_plan(
 ) -> PlanResult:
     """Train and evaluate every (seed, method) pair of the plan.
 
-    The plan is a list of independent tasks (see _plan_tasks). With --jobs 1
-    they run in-process, one after the other; otherwise every task is
-    submitted at once to a process pool of min(jobs, tasks) workers, which
-    starts them in plan order. When a task finishes, one stderr line reports
-    each of its methods with that method's own time, so a seed's ensemble
-    line appears only when its deferral head, which shares the task, has
-    trained too. A task that dies as a whole (its future raises, as every
-    unfinished task's does once a worker process dies) gives failure rows to
-    every method in it, timed from its submission. An interrupt (such as
-    KeyboardInterrupt) cancels every task the pool has not yet queued for
-    its workers and re-raises; the pool's exit still waits for the tasks its
-    workers run and for the up to jobs + 1 that CPython's pool has queued.
-    Results and failures are merged in plan order (seeds outer, methods in
-    configuration order), so the output is independent of scheduling.
-    data_path, when given, names the dataset file that pool workers load
-    instead of regenerating it. Without data, a serial run builds it once; a
-    pool run leaves it to the workers.
+    The plan is a list of independent tasks (see _plan_tasks). --jobs 1 runs
+    them in-process in turn; otherwise a pool of min(jobs, tasks) workers
+    gets them in plan order, one more each time one finishes, so none waits
+    queued. Each finished task prints one stderr line per method with that
+    method's own time (a seed's ensemble line waits for its deferral head,
+    which shares the task). A task whose future raises, as the running ones'
+    do when a worker process dies, gives failure rows to every method in it,
+    timed from its submission; once the pool is broken, every later task
+    gets them timed 0 s. An interrupt cancels every task not yet started and
+    re-raises, so the pool's exit waits at most for the tasks its workers run.
+    Results are merged in plan order (seeds outer, methods in configuration
+    order), so the output is independent of scheduling. Pool workers load
+    the dataset from data_path, when given, instead of regenerating it;
+    without data, a serial run builds it once.
     """
     plan = [(s, m) for s in range(cfg.n_seeds) for m in cfg.methods]
     tasks = _plan_tasks(cfg)
@@ -746,23 +744,33 @@ def run_plan(
             results[s, result.method] = result
 
     if cfg.jobs > 1:
-        with ProcessPoolExecutor(max_workers=min(cfg.jobs, len(tasks))) as pool:
-            submitted = {}
-            for s, methods in tasks:
-                future = pool.submit(_run_task, cfg, s, methods, out_dir, data_path)
-                submitted[future] = (s, methods, time.perf_counter())
+        workers = min(cfg.jobs, len(tasks))
+        running: dict = {}  # future -> (seed, methods, submission time)
+
+        def collect_one():
+            future = next(as_completed(running))
+            s, methods, t0 = running.pop(future)
             try:
-                for future in as_completed(submitted):
-                    s, methods, t0 = submitted[future]
+                outcomes = future.result()
+            except Exception as exc:  # noqa: BLE001 - isolate per-task failures
+                elapsed = time.perf_counter() - t0
+                outcomes = [(_failure_result(cfg, s, m, exc), elapsed) for m in methods]
+            report(s, outcomes)
+
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            try:
+                for s, methods in tasks:
+                    if len(running) == workers:
+                        collect_one()
                     try:
-                        outcomes = future.result()
-                    except Exception as exc:  # noqa: BLE001 - isolate per-task failures
-                        elapsed = time.perf_counter() - t0
-                        outcomes = [(_failure_result(cfg, s, m, exc), elapsed) for m in methods]
-                    report(s, outcomes)
+                        future = pool.submit(_run_task, cfg, s, methods, out_dir, data_path)
+                        running[future] = (s, methods, time.perf_counter())
+                    except BrokenProcessPool as exc:
+                        report(s, [(_failure_result(cfg, s, m, exc), 0.0) for m in methods])
+                while running:
+                    collect_one()
             except BaseException:
-                # without this the pool's exit would wait for the whole plan
-                for future in submitted:
+                for future in running:
                     future.cancel()
                 raise
     else:

@@ -803,11 +803,41 @@ def test_interrupt_cancels_every_pending_task(tiny_cfg, monkeypatch):
     monkeypatch.setattr(sweep, "ProcessPoolExecutor", PendingPool)
     monkeypatch.setattr(PendingPool, "futures", [])
     monkeypatch.setattr(sweep, "as_completed", interrupt)
-    cfg = dataclasses.replace(tiny_cfg, methods=("softmax", "ensemble", "two_stage"), jobs=2)
+    cfg = dataclasses.replace(tiny_cfg, methods=("softmax", "swag", "mc_dropout"), jobs=2)
     with pytest.raises(KeyboardInterrupt):
         sweep.run_plan(cfg)
+    # two of the three tasks were submitted, and neither may start
     assert len(PendingPool.futures) == 2
     assert all(future.cancelled() for future in PendingPool.futures)
+
+
+def starting_worker(cfg, seed_index, method, out_dir, members, data_path):
+    """Stand-in for sweep._worker that marks its start and runs for 0.3 s."""
+    (Path(out_dir) / f"{method}.started").touch()
+    time.sleep(0.3)
+    raise RuntimeError("stand-in")
+
+
+def test_interrupted_pool_starts_no_further_task(tiny_cfg, tmp_path, monkeypatch):
+    # a real pool: a call it has already queued for its workers cannot be
+    # cancelled, so only the tasks running at the interrupt may ever start
+    def interrupt_once_started(futures):
+        deadline = time.monotonic() + 20.0
+        while not any(tmp_path.glob("*.started")) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        time.sleep(0.1)  # lets the pool queue whatever it will
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(sweep, "_worker", starting_worker)
+    monkeypatch.setattr(sweep, "as_completed", interrupt_once_started)
+    methods = ("softmax", "swag", "mc_dropout", "bnn")
+    cfg = dataclasses.replace(tiny_cfg, methods=methods, jobs=2)
+    with pytest.raises(KeyboardInterrupt):
+        sweep.run_plan(cfg, out_dir=tmp_path)
+    # the pool's exit has waited for every call it had queued
+    started = {p.name.split(".")[0] for p in tmp_path.glob("*.started")}
+    assert "softmax" in started
+    assert started <= {"softmax", "swag"}
 
 
 def sleeping_head(seed_index, method):
