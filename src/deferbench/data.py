@@ -92,16 +92,6 @@ class Dataset:
             raise ConfigError("dataset has no split tags; call split() first")
         return self.splits == which
 
-    def subset(self, mask) -> "Dataset":
-        """Rows selected by a boolean or index mask, in new arrays."""
-        mask = np.asarray(mask)
-        return Dataset(
-            features=self.features[mask],
-            labels=self.labels[mask],
-            spatial_shape=self.spatial_shape,
-            splits=None,
-        )
-
     def copy(self) -> "Dataset":
         return Dataset(
             features=self.features.copy(),

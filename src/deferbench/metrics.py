@@ -207,11 +207,11 @@ class CurvePoint:
     status: str = "ok"
 
 
-def deferral_curve_point(decisions, labels, scores=None) -> CurvePoint:
+def deferral_curve_point(decisions, labels, scores) -> CurvePoint:
     """Deferral rate, remainder bAcc / per-class accuracy, positive-deferral fraction.
 
-    decisions: per-sample class (0/1) or DEFER. scores, when given, are the
-    positive-class scores used for AUC/pAUC on the non-deferred remainder.
+    decisions: per-sample class (0/1) or DEFER. scores are the positive-class
+    scores used for AUC/pAUC on the non-deferred remainder.
     """
     decisions = np.asarray(decisions)
     labels = np.asarray(labels)
@@ -234,10 +234,9 @@ def deferral_curve_point(decisions, labels, scores=None) -> CurvePoint:
         counts = ConfusionCounts.from_predictions(kept_labels, decisions[kept])
         bacc = balanced_accuracy(counts)
         acc0, acc1 = per_class_accuracy(counts)
-        if scores is not None:
-            kept_scores = np.asarray(scores, dtype=np.float64)[kept]
-            auc_v = auc(kept_scores, kept_labels)
-            pauc_v = pauc(kept_scores, kept_labels)
+        kept_scores = np.asarray(scores, dtype=np.float64)[kept]
+        auc_v = auc(kept_scores, kept_labels)
+        pauc_v = pauc(kept_scores, kept_labels)
 
     return CurvePoint(
         deferral_rate=rate,

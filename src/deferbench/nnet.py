@@ -528,10 +528,3 @@ def read_checkpoint(path):
     if not reader.at_end:
         raise FormatError(f"{path}: trailing bytes after the last section")
     return config, params, sections
-
-
-def load_network(path) -> Network:
-    config, params, _ = read_checkpoint(path)
-    net = init_network(config)
-    set_params(net, params)
-    return net

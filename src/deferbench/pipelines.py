@@ -103,7 +103,6 @@ class ExtendedPrediction:
 
     decisions: np.ndarray  # (S,) in {0, 1, DEFER}
     scores: np.ndarray  # (S,) p1 / (p0 + p1)
-    defer_probability: np.ndarray  # (S,)
 
 
 def predict_extended(net: nnet.Network, batch) -> ExtendedPrediction:
@@ -115,9 +114,7 @@ def predict_extended(net: nnet.Network, batch) -> ExtendedPrediction:
     decisions[decisions == DEFER_OUTPUT] = DEFER
     kept_mass = probs[:, 0] + probs[:, 1]
     scores = np.where(kept_mass > 0.0, probs[:, 1] / np.maximum(kept_mass, 1e-300), 0.5)
-    return ExtendedPrediction(
-        decisions=decisions, scores=scores, defer_probability=probs[:, DEFER_OUTPUT]
-    )
+    return ExtendedPrediction(decisions=decisions, scores=scores)
 
 
 def binary_entropy(p) -> np.ndarray:
@@ -200,11 +197,6 @@ def save_single_model(dirpath, network: nnet.Network, manifest: dict) -> None:
     write_manifest(dirpath / MANIFEST_NAME, manifest)
 
 
-def load_single_model(dirpath):
-    network = nnet.load_network(dirpath / MODEL_NAME)
-    return network, read_manifest(dirpath / MANIFEST_NAME)
-
-
 def save_ensemble(dirpath, members, manifest: dict) -> None:
     """Member files plus an index naming them in committee order."""
     dirpath.mkdir(parents=True, exist_ok=True)
@@ -216,12 +208,3 @@ def save_ensemble(dirpath, members, manifest: dict) -> None:
     with atomic_open(dirpath / ENSEMBLE_INDEX_NAME, "w", encoding="utf-8") as fh:
         fh.write("".join(f"{n}\n" for n in names))
     write_manifest(dirpath / MANIFEST_NAME, manifest)
-
-
-def load_ensemble(dirpath):
-    index = dirpath / ENSEMBLE_INDEX_NAME
-    names = [line.strip() for line in _read_lines(index) if line.strip()]
-    if not names:
-        raise FormatError(f"{index}: empty committee index")
-    members = [nnet.load_network(dirpath / name) for name in names]
-    return members, read_manifest(dirpath / MANIFEST_NAME)

@@ -28,6 +28,7 @@ task not finished by then gets failure rows, and the run still ends.
 from __future__ import annotations
 
 import csv as _csv
+import math
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
@@ -69,7 +70,6 @@ from deferbench.pipelines import (
 )
 from deferbench.rng import child_seed
 from deferbench.uq import (
-    decisions_from_scores,
     ensemble_predict,
     mc_dropout_predict,
     positive_probability,
@@ -81,7 +81,13 @@ CLASSIFICATION_NAME = "classification.csv"
 
 
 def _parse_cell(raw: str) -> Optional[float]:
-    return None if raw == "" else float(raw)
+    """None for an empty cell; else a finite float, as a run only writes those."""
+    if raw == "":
+        return None
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite value {raw!r}")
+    return value
 
 
 # (column, attribute, parser) per column of each table, in file order
@@ -269,8 +275,8 @@ def uq_sweep(scores, uncertainty, labels, steps: int) -> list:
     Samples at or above the threshold are deferred, so the first point defers
     only the most uncertain ties and the last point defers everything
     (deferral rate exactly 1). Rates are non-decreasing along the sweep. A
-    constant uncertainty cannot rank samples and collapses to one point
-    flagged "degenerate".
+    constant uncertainty cannot rank samples: its one threshold defers
+    everything, and that single point is flagged "degenerate".
     """
     scores = np.asarray(scores, dtype=np.float64)
     uncertainty = np.asarray(uncertainty, dtype=np.float64)
@@ -283,22 +289,15 @@ def uq_sweep(scores, uncertainty, labels, steps: int) -> list:
 
     hi = float(uncertainty.max())
     lo = float(uncertainty.min())
-    if hi == lo:
-        point = deferral_curve_point(
-            decisions_from_scores(scores, np.ones_like(scores, dtype=bool)), labels, scores
-        )
-        point.param_kind = "threshold"
-        point.param_value = hi
-        point.status = "degenerate"
-        return [point]
-
-    taus = np.linspace(hi, lo, steps)
-    predicted = decisions_from_scores(scores, np.zeros(scores.shape, dtype=bool))
+    taus = [hi] if hi == lo else np.linspace(hi, lo, steps).tolist()
+    predicted = (scores >= 0.5).astype(np.int64)
     points = threshold_curve(predicted, labels, scores, uncertainty, taus)
-    for point, tau in zip(points, taus.tolist()):
+    for point, tau in zip(points, taus):
         point.param_kind = "threshold"
         point.param_value = tau
-        if point.bacc is None:
+        if hi == lo:
+            point.status = "degenerate"
+        elif point.bacc is None:
             point.status = "absent"
     return points
 

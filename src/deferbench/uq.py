@@ -24,7 +24,6 @@ from deferbench.errors import (
     RankError,
 )
 from deferbench.losses import LossSpec, softmax
-from deferbench.metrics import DEFER
 from deferbench.rng import child_rng
 
 
@@ -154,14 +153,6 @@ def swag_collect(
     )
 
 
-def swag_covariance(posterior: SwagPosterior) -> np.ndarray:
-    """Dense (P, P) covariance implied by the posterior; tests and small P only."""
-    if posterior.rank < 2:
-        raise RankError(f"rank {posterior.rank} posterior has no low-rank part")
-    d = posterior.deviations
-    return 0.5 * np.diag(posterior.diagonal_variance()) + d @ d.T / (2.0 * (d.shape[1] - 1))
-
-
 def swag_sample(posterior: SwagPosterior, rng: np.random.Generator) -> np.ndarray:
     """One weight draw: mean + sqrt(diag/2)*z1 + D z2 / sqrt(2(K-1))."""
     if posterior.rank < 2:
@@ -239,17 +230,11 @@ class BnnPosterior:
         return self.mean + self.stddev() * rng.standard_normal(self.mean.shape[0])
 
 
-def bnn_kl(posterior: BnnPosterior) -> float:
-    """KL(q || N(0, prior^2)) summed over independent weight posteriors."""
-    var = np.exp(2.0 * posterior.log_stddev)
-    p2 = posterior.prior_stddev**2
-    terms = (
-        np.log(posterior.prior_stddev)
-        - posterior.log_stddev
-        + (var + posterior.mean**2) / (2.0 * p2)
-        - 0.5
-    )
-    return float(terms.sum())
+def _kl_to_prior(mean, log_std, std, prior_stddev: float):
+    """KL(N(mean, std^2) || N(0, prior_stddev^2)) summed over independent
+    weights, with std = exp(log_std): the penalty ``bnn_train`` minimizes."""
+    p2 = prior_stddev**2
+    return (np.log(prior_stddev) - log_std + (std**2 + mean**2) / (2.0 * p2) - 0.5).sum()
 
 
 @dataclass
@@ -302,7 +287,7 @@ def bnn_train(
             eps = rng_weights.standard_normal(mean.shape[0])
             np.add(mean, std * eps, out=theta)
             xb, yb = batch[idx], targets[idx]
-            kl = (np.log(bnn.prior_stddev) - log_std + (std**2 + mean**2) / (2.0 * p2) - 0.5).sum()
+            kl = _kl_to_prior(mean, log_std, std, bnn.prior_stddev)
             logits, cache = nnet._forward_cached(work, xb, None)
             if not np.all(np.isfinite(logits)):
                 raise DivergenceError(f"training diverged at epoch {epoch}: non-finite logits")
@@ -334,22 +319,6 @@ def bnn_predict(posterior: BnnPosterior, batch: np.ndarray, n_samples: int, seed
 
 
 # ---------------------------------------------------------------------------
-# Threshold deferral
-# ---------------------------------------------------------------------------
-
-
-def decisions_from_scores(scores, defer_mask) -> np.ndarray:
-    """Predicted class (score >= 0.5) with deferred positions set to DEFER."""
-    scores = np.asarray(scores, dtype=np.float64)
-    defer_mask = np.asarray(defer_mask, dtype=bool)
-    if scores.shape != defer_mask.shape:
-        raise InputShapeError("scores and defer mask must align")
-    decisions = (scores >= 0.5).astype(np.int64)
-    decisions[defer_mask] = DEFER
-    return decisions
-
-
-# ---------------------------------------------------------------------------
 # Posterior serialization on top of the weight container
 # ---------------------------------------------------------------------------
 
@@ -367,24 +336,6 @@ def save_swag_posterior(path, posterior: SwagPosterior) -> None:
     )
 
 
-def load_swag_posterior(path) -> SwagPosterior:
-    config, mean, sections = nnet.read_checkpoint(path)
-    for name in ("second_moment", "deviation", "collected_count"):
-        if name not in sections:
-            raise CollectionError(f"{path}: missing posterior section {name!r}")
-    flat = sections["deviation"]
-    p = mean.shape[0]
-    if flat.shape[0] % p != 0:
-        raise CollectionError(f"{path}: deviation payload is not a multiple of {p}")
-    return SwagPosterior(
-        net_config=config,
-        mean=mean,
-        second_moment=sections["second_moment"],
-        deviations=flat.reshape(p, -1, order="F"),
-        collected=int(sections["collected_count"][0]),
-    )
-
-
 def save_bnn_posterior(path, posterior: BnnPosterior) -> None:
     nnet.write_checkpoint(
         path,
@@ -394,17 +345,4 @@ def save_bnn_posterior(path, posterior: BnnPosterior) -> None:
             "log_stddev": posterior.log_stddev,
             "prior_stddev": np.array([posterior.prior_stddev], dtype=np.float64),
         },
-    )
-
-
-def load_bnn_posterior(path) -> BnnPosterior:
-    config, mean, sections = nnet.read_checkpoint(path)
-    for name in ("log_stddev", "prior_stddev"):
-        if name not in sections:
-            raise CollectionError(f"{path}: missing posterior section {name!r}")
-    return BnnPosterior(
-        net_config=config,
-        mean=mean,
-        log_stddev=sections["log_stddev"],
-        prior_stddev=float(sections["prior_stddev"][0]),
     )

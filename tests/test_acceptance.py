@@ -231,14 +231,9 @@ def test_acceptance_5_posterior_checks(capsys):
     )
 
     def kl_of(mean_v, log_std):
-        return uq.bnn_kl(
-            uq.BnnPosterior(
-                net_config=posterior.net_config,
-                mean=np.array([mean_v]),
-                log_stddev=np.array([log_std]),
-                prior_stddev=1.0,
-            )
-        )
+        # the KL penalty exactly as bnn_train computes it at every step
+        log_std = np.array([log_std])
+        return float(uq._kl_to_prior(np.array([mean_v]), log_std, np.exp(log_std), 1.0))
 
     kl_checks = (
         abs(kl_of(0.0, 0.0)) < 1e-12

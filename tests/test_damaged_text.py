@@ -129,6 +129,37 @@ def test_classification_level_that_is_not_an_integer_names_the_row(tmp_path):
         sweep.read_classification_csv(path)
 
 
+GOOD_ROWS = {
+    "results": "softmax,id,0,0,threshold,0.5,0.25,0.75,0.8,0.1,0.7,0.8,0.3,ok",
+    "classification": "softmax,id,0,0,0.8,0.1,0.75,0.7,0.8,ok",
+}
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN", "Infinity"])
+@pytest.mark.parametrize("name, columns", [
+    ("results", sweep.RESULTS_COLUMNS), ("classification", sweep.CLASSIFICATION_COLUMNS),
+])
+def test_non_finite_cell_names_the_row(tmp_path, name, columns, cell):
+    # a run writes only finite numbers, so a non-finite cell is damage
+    good = GOOD_ROWS[name]
+    bad = good.replace(",0.75,", f",{cell},", 1)
+    path = tmp_path / name
+    path.write_text(",".join(columns) + f"\n{good}\n{bad}\n")
+    with pytest.raises(FormatError, match=f"row 3: non-finite value '{cell}'"):
+        FORMATS[name][1](path)
+
+
+def test_cli_report_rejects_a_non_finite_rate(tmp_path, capsys):
+    results = tmp_path / "results.csv"
+    row = GOOD_ROWS["results"].replace(",0.25,", ",nan,", 1)
+    results.write_text(",".join(sweep.RESULTS_COLUMNS) + f"\n{row}\n")
+    out = tmp_path / "out"
+    assert cli.main(["report", "--out", str(out), "--results", str(results)]) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "row 2" in err and "Traceback" not in err
+    assert not out.exists() or not any(out.rglob("*.svg"))
+
+
 def test_repeated_manifest_key_names_the_line(tmp_path, capsys):
     # write_manifest never repeats a key, so a second value is damage, not an update
     (tmp_path / pipelines.MANIFEST_NAME).write_text("a=1\nmethod=softmax\na=2\n")

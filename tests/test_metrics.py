@@ -253,7 +253,7 @@ def test_pauc_frozen_values_on_tied_inputs():
 def test_curve_point_hand_case():
     labels = np.array([0, 0, 1, 1])
     decisions = np.array([0, DEFER, 1, DEFER])
-    point = deferral_curve_point(decisions, labels)
+    point = deferral_curve_point(decisions, labels, np.array([0.2, 0.4, 0.7, 0.6]))
     assert point.deferral_rate == 0.5
     assert point.frac_positives_deferred == 0.5
     assert point.bacc == 1.0
@@ -261,9 +261,9 @@ def test_curve_point_hand_case():
 
 
 def test_curve_point_everything_deferred():
-    point = deferral_curve_point(np.full(5, DEFER), np.array([0, 0, 0, 1, 1]))
+    point = deferral_curve_point(np.full(5, DEFER), np.array([0, 0, 0, 1, 1]), np.full(5, 0.5))
     assert point.deferral_rate == 1.0
-    assert point.bacc is None
+    assert point.bacc is None and point.auc is None and point.pauc is None
     assert point.frac_positives_deferred == 1.0
 
 
@@ -301,7 +301,7 @@ def test_curve_point_frozen_values_on_tied_inputs():
 
 def test_curve_point_rejects_empty():
     with pytest.raises(InputShapeError):
-        deferral_curve_point(np.array([]), np.array([]))
+        deferral_curve_point(np.array([]), np.array([]), np.array([]))
 
 
 # ---------------------------------------------------------------------------

@@ -158,7 +158,6 @@ def test_predict_extended_defer_row():
     out = pipelines.predict_extended(net, np.zeros((4, 3)))
     np.testing.assert_array_equal(out.decisions, DEFER)
     np.testing.assert_allclose(out.scores, 0.75, atol=1e-12)  # 0.375 / (0.125 + 0.375)
-    np.testing.assert_allclose(out.defer_probability, 0.5, atol=1e-12)
 
 
 def test_predict_extended_kept_row():
@@ -166,7 +165,6 @@ def test_predict_extended_kept_row():
     out = pipelines.predict_extended(net, np.zeros((2, 3)))
     np.testing.assert_array_equal(out.decisions, 0)
     np.testing.assert_allclose(out.scores, 1.0 / 3.0, atol=1e-12)
-    np.testing.assert_allclose(out.defer_probability, 0.1, atol=1e-12)
 
 
 def test_predict_extended_needs_three_outputs():
@@ -321,26 +319,26 @@ def test_single_model_bundle_roundtrip(tmp_path):
 
     bundle = tmp_path / "model"
     pipelines.save_single_model(bundle, net, {"method": "softmax", "seed": 8})
-    loaded, manifest = pipelines.load_single_model(bundle)
-    assert manifest["method"] == "softmax"
+    assert sorted(p.name for p in bundle.iterdir()) == [
+        pipelines.MANIFEST_NAME, pipelines.MODEL_NAME
+    ]
+    config, params, sections = nnet.read_checkpoint(bundle / pipelines.MODEL_NAME)
+    assert config == net.config and sections == {}
+    np.testing.assert_array_equal(params, nnet.get_params(net))
+    loaded = nnet.with_params(nnet.init_network(config), params)
     np.testing.assert_array_equal(nnet.forward(loaded, x), nnet.forward(net, x))
+    manifest = pipelines.read_manifest(bundle / pipelines.MANIFEST_NAME)
+    assert manifest == {"method": "softmax", "seed": "8"}
 
 
 def test_ensemble_bundle_preserves_member_order(tmp_path):
     members = [constant_binary_net(float(i)) for i in range(4)]
     bundle = tmp_path / "committee"
     pipelines.save_ensemble(bundle, members, {"method": "ensemble"})
-    loaded, manifest = pipelines.load_ensemble(bundle)
-    assert manifest["method"] == "ensemble"
-    assert len(loaded) == 4
-    x = np.zeros((2, 3))
-    for original, back in zip(members, loaded):
-        np.testing.assert_array_equal(nnet.forward(back, x), nnet.forward(original, x))
-
-
-def test_ensemble_bundle_rejects_empty_index(tmp_path):
-    bundle = tmp_path / "committee"
-    pipelines.save_ensemble(bundle, [constant_binary_net(0.0)], {})
-    (bundle / pipelines.ENSEMBLE_INDEX_NAME).write_text("\n")
-    with pytest.raises(FormatError, match="empty committee index"):
-        pipelines.load_ensemble(bundle)
+    names = (bundle / pipelines.ENSEMBLE_INDEX_NAME).read_text().splitlines()
+    assert names == [f"member_{i:02d}.dfb1" for i in range(4)]
+    for original, name in zip(members, names):
+        config, params, _ = nnet.read_checkpoint(bundle / name)
+        assert config == original.config
+        np.testing.assert_array_equal(params, nnet.get_params(original))
+    assert pipelines.read_manifest(bundle / pipelines.MANIFEST_NAME) == {"method": "ensemble"}

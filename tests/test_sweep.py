@@ -31,7 +31,7 @@ from deferbench.errors import ConfigError, DeferBenchError, FormatError, InputSh
 from deferbench.metrics import DEFER, CurvePoint, deferral_curve_point
 from deferbench.nnet import SgdConfig
 from deferbench.rng import child_seed
-from deferbench.uq import SwagCollectConfig, decisions_from_scores
+from deferbench.uq import SwagCollectConfig
 
 
 def tiny_config(**overrides):
@@ -170,8 +170,18 @@ def test_uq_sweep_constant_uncertainty_degenerates():
 
 
 def per_threshold_sweep(scores, uncertainty, labels, steps):
-    """The non-degenerate uq_sweep as one deferral_curve_point call per threshold."""
-    predicted = decisions_from_scores(scores, np.zeros(scores.shape, dtype=bool))
+    """uq_sweep as one deferral_curve_point call per threshold.
+
+    A constant uncertainty ranks nothing: it gives one point that defers
+    every sample, at the constant, flagged "degenerate".
+    """
+    if uncertainty.max() == uncertainty.min():
+        point = deferral_curve_point(np.full(scores.shape, DEFER), labels, scores)
+        point.param_kind = "threshold"
+        point.param_value = float(uncertainty[0])
+        point.status = "degenerate"
+        return [point]
+    predicted = (scores >= 0.5).astype(np.int64)
     points = []
     for tau in np.linspace(uncertainty.max(), uncertainty.min(), steps):
         point = deferral_curve_point(np.where(uncertainty >= tau, DEFER, predicted), labels, scores)
@@ -196,9 +206,7 @@ def sweep_cases(draw):
                                     max_size=n_labels)), dtype=np.int64)
     levels = draw(st.integers(1, 8))
     uncertainty = np.array(draw(st.lists(st.integers(0, levels), min_size=n, max_size=n)))
-    uncertainty = uncertainty / levels  # few levels, so thresholds tie
-    if uncertainty.max() == uncertainty.min():
-        uncertainty[0] += 1.0  # a constant uncertainty takes the degenerate path
+    uncertainty = uncertainty / levels  # few levels, so thresholds tie; some are constant
     return scores, uncertainty, labels, draw(st.integers(2, 30))
 
 
@@ -320,20 +328,20 @@ def test_model_inputs_affine():
 
 def test_corruption_touches_only_the_test_split(tiny_cfg, eval_data):
     ds = data_mod.split(sweep.prepare_dataset(tiny_cfg), child_seed(tiny_cfg.seed, "split"))
-    train = ds.subset(ds.split_mask(data_mod.TRAIN))
-    test = ds.subset(ds.split_mask(data_mod.TEST))
-    np.testing.assert_array_equal(eval_data.x_train, sweep.model_inputs(train.features))
-    np.testing.assert_array_equal(eval_data.y_test, test.labels)
+    train, test = ds.split_mask(data_mod.TRAIN), ds.split_mask(data_mod.TEST)
+    np.testing.assert_array_equal(eval_data.x_train, sweep.model_inputs(ds.features[train]))
+    np.testing.assert_array_equal(eval_data.y_test, ds.labels[test])
 
     noisy = eval_data.x_tests[sweep.Condition("noise", 1)]
     clean = eval_data.x_tests[sweep.Condition("id")]
     assert not np.array_equal(noisy, clean)
-    np.testing.assert_array_equal(clean, sweep.model_inputs(test.features))
+    np.testing.assert_array_equal(clean, sweep.model_inputs(ds.features[test]))
 
 
 def test_id_condition_equals_level_zero_corruption_bytes(tiny_cfg, eval_data):
     ds = data_mod.split(sweep.prepare_dataset(tiny_cfg), child_seed(tiny_cfg.seed, "split"))
-    test = ds.subset(ds.split_mask(data_mod.TEST))
+    mask = ds.split_mask(data_mod.TEST)
+    test = data_mod.Dataset(ds.features[mask], ds.labels[mask], ds.spatial_shape)
     spec = data_mod.CorruptionSpec(kind="noise", level=0)
     corrupted = data_mod.corrupt(test, spec, child_seed(tiny_cfg.seed, "corrupt"))
     a = sweep.model_inputs(corrupted.features)
@@ -362,9 +370,9 @@ def test_split_eval_data_owns_the_dataset_buffer(tiny_cfg, eval_data):
         (data_mod.TEST, clean, again.y_test),
     ):
         assert np.shares_memory(x, buffer)
-        subset = reference.subset(reference.split_mask(which))
-        np.testing.assert_array_equal(x, sweep.model_inputs(subset.features))
-        np.testing.assert_array_equal(y, subset.labels)
+        mask = reference.split_mask(which)
+        np.testing.assert_array_equal(x, sweep.model_inputs(reference.features[mask]))
+        np.testing.assert_array_equal(y, reference.labels[mask])
     # the buffer holds the train, val and test blocks, in that order
     np.testing.assert_array_equal(buffer, np.concatenate([again.x_train, again.x_val, clean]))
     for cond, x in again.x_tests.items():

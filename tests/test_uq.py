@@ -13,7 +13,6 @@ from deferbench.errors import (
     RankError,
 )
 from deferbench.losses import LossSpec
-from deferbench.metrics import DEFER
 from deferbench.rng import child_rng
 
 CE = LossSpec("cross_entropy")
@@ -175,18 +174,9 @@ def manual_posterior(params=3, k=4, seed=3):
     )
 
 
-def test_swag_covariance_formula():
-    posterior = manual_posterior()
-    d = posterior.deviations
-    expected = 0.5 * np.diag(posterior.diagonal_variance()) + d @ d.T / (2.0 * (4 - 1))
-    np.testing.assert_allclose(uq.swag_covariance(posterior), expected, atol=1e-14)
-
-
 def test_swag_low_rank_needs_two_columns():
     posterior = manual_posterior()
     posterior.deviations = posterior.deviations[:, :1]
-    with pytest.raises(RankError):
-        uq.swag_covariance(posterior)
     with pytest.raises(RankError):
         uq.swag_sample(posterior, np.random.default_rng(0))
 
@@ -195,7 +185,10 @@ def test_swag_sample_first_moment():
     posterior = manual_posterior()
     rng = np.random.default_rng(4)
     draws = np.stack([uq.swag_sample(posterior, rng) for _ in range(4000)])
-    scale = np.sqrt(np.diag(uq.swag_covariance(posterior)) / 4000)
+    # diagonal of 0.5 * diag(var) + D D^T / (2 (K - 1))
+    d = posterior.deviations
+    variance = 0.5 * posterior.diagonal_variance() + (d**2).sum(axis=1) / (2.0 * (d.shape[1] - 1))
+    scale = np.sqrt(variance / 4000)
     assert np.all(np.abs(draws.mean(axis=0) - posterior.mean) < 5.0 * scale)
 
 
@@ -230,26 +223,32 @@ def make_bnn_posterior(mean, log_stddev, prior=1.0):
     )
 
 
+def bnn_kl(mean, log_stddev, prior=1.0) -> float:
+    """The KL penalty that bnn_train adds to each step's loss."""
+    log_stddev = np.asarray(log_stddev, dtype=np.float64)
+    mean = np.asarray(mean, dtype=np.float64)
+    return float(uq._kl_to_prior(mean, log_stddev, np.exp(log_stddev), prior))
+
+
 def test_bnn_kl_hand_values():
     # q == prior: zero divergence
-    assert uq.bnn_kl(make_bnn_posterior([0.0], [0.0])) == pytest.approx(0.0, abs=1e-15)
+    assert bnn_kl([0.0], [0.0]) == pytest.approx(0.0, abs=1e-15)
     # unit-variance posterior shifted by 1: KL = mean^2 / 2
-    assert uq.bnn_kl(make_bnn_posterior([1.0], [0.0])) == pytest.approx(0.5, abs=1e-12)
+    assert bnn_kl([1.0], [0.0]) == pytest.approx(0.5, abs=1e-12)
     # mean 0, stddev 1/2: log 2 + (1/4 - 1)/2
     expected = LOG2 + (0.25 - 1.0) / 2.0
-    assert uq.bnn_kl(make_bnn_posterior([0.0], [np.log(0.5)])) == pytest.approx(expected, abs=1e-12)
+    assert bnn_kl([0.0], [np.log(0.5)]) == pytest.approx(expected, abs=1e-12)
     # sums over independent coordinates
-    both = make_bnn_posterior([1.0, 0.0], [0.0, np.log(0.5)])
-    assert uq.bnn_kl(both) == pytest.approx(0.5 + expected, abs=1e-12)
+    assert bnn_kl([1.0, 0.0], [0.0, np.log(0.5)]) == pytest.approx(0.5 + expected, abs=1e-12)
+    # prior stddev 2, q == N(0, 1): log 2 + 1/8 - 1/2
+    assert bnn_kl([0.0], [0.0], prior=2.0) == pytest.approx(LOG2 - 0.375, abs=1e-12)
 
 
 def test_bnn_kl_nonnegative():
     rng = np.random.default_rng(8)
     for _ in range(50):
-        posterior = make_bnn_posterior(
-            rng.standard_normal(6), rng.uniform(-3, 1, 6), prior=rng.uniform(0.5, 2.0)
-        )
-        assert uq.bnn_kl(posterior) >= -1e-12
+        kl = bnn_kl(rng.standard_normal(6), rng.uniform(-3, 1, 6), prior=rng.uniform(0.5, 2.0))
+        assert kl >= -1e-12
 
 
 def bnn_training_setup(seed=9, n=96):
@@ -364,21 +363,6 @@ def test_bnn_config_validation():
 
 
 # ---------------------------------------------------------------------------
-# threshold deferral
-# ---------------------------------------------------------------------------
-
-
-def test_decisions_from_scores():
-    scores = np.array([0.2, 0.5, 0.8, 0.4])
-    mask = np.array([False, False, True, True])
-    np.testing.assert_array_equal(
-        uq.decisions_from_scores(scores, mask), [0, 1, DEFER, DEFER]
-    )
-    with pytest.raises(InputShapeError):
-        uq.decisions_from_scores(scores, mask[:-1])
-
-
-# ---------------------------------------------------------------------------
 # posterior files
 # ---------------------------------------------------------------------------
 
@@ -387,12 +371,15 @@ def test_swag_posterior_roundtrip(tmp_path):
     posterior = manual_posterior(params=6, k=3)
     path = tmp_path / "posterior.dfb1"
     uq.save_swag_posterior(path, posterior)
-    back = uq.load_swag_posterior(path)
-    np.testing.assert_array_equal(back.mean, posterior.mean)
-    np.testing.assert_array_equal(back.second_moment, posterior.second_moment)
-    np.testing.assert_array_equal(back.deviations, posterior.deviations)
-    assert back.collected == posterior.collected
-    assert back.net_config == posterior.net_config
+    config, mean, sections = nnet.read_checkpoint(path)
+    assert config == posterior.net_config
+    np.testing.assert_array_equal(mean, posterior.mean)
+    assert list(sections) == ["second_moment", "deviation", "collected_count"]
+    np.testing.assert_array_equal(sections["second_moment"], posterior.second_moment)
+    # deviations are stored column by column: all of column 0, then column 1, ...
+    columns = [posterior.deviations[:, j] for j in range(posterior.rank)]
+    np.testing.assert_array_equal(sections["deviation"], np.concatenate(columns))
+    np.testing.assert_array_equal(sections["collected_count"], [float(posterior.collected)])
 
 
 def test_bnn_posterior_roundtrip(tmp_path):
@@ -401,17 +388,9 @@ def test_bnn_posterior_roundtrip(tmp_path):
     )
     path = tmp_path / "posterior.dfb1"
     uq.save_bnn_posterior(path, posterior)
-    back = uq.load_bnn_posterior(path)
-    np.testing.assert_array_equal(back.mean, posterior.mean)
-    np.testing.assert_array_equal(back.log_stddev, posterior.log_stddev)
-    assert back.prior_stddev == posterior.prior_stddev
-
-
-def test_posterior_files_reject_missing_sections(tmp_path):
-    config = net_config_for(6)
-    path = tmp_path / "plain.dfb1"
-    nnet.write_checkpoint(path, config, np.zeros(6))
-    with pytest.raises(CollectionError, match="missing posterior section"):
-        uq.load_swag_posterior(path)
-    with pytest.raises(CollectionError, match="missing posterior section"):
-        uq.load_bnn_posterior(path)
+    config, mean, sections = nnet.read_checkpoint(path)
+    assert config == posterior.net_config
+    np.testing.assert_array_equal(mean, posterior.mean)
+    assert list(sections) == ["log_stddev", "prior_stddev"]
+    np.testing.assert_array_equal(sections["log_stddev"], posterior.log_stddev)
+    np.testing.assert_array_equal(sections["prior_stddev"], [1.5])
