@@ -88,14 +88,21 @@ def cmd_run(args) -> int:
     with atomic_open(out / "config.ini", "w", encoding="utf-8") as fh:
         fh.write(emit_config(cfg))
 
-    ds = None
     if data_path is None:
         ds = sweep.prepare_dataset(cfg)
         data_path = out / "dataset.dfd1"
         data_mod.write_dataset(data_path, ds)
-    # without data, a serial plan loads the dataset file once; pool workers
-    # each load it themselves
-    data = sweep.split_eval_data(cfg, ds) if ds is not None and cfg.jobs <= 1 else None
+    else:
+        ds = data_mod.read_dataset(data_path)
+    # a dataset no task can use (labels that are not 0/1, a class too small
+    # to split) stops the run here, before any task starts: the serial plan
+    # splits ds for its tasks, and a pool run splits it only to check, since
+    # each pool task builds its own data from the dataset file
+    if cfg.jobs <= 1:
+        data = sweep.split_eval_data(cfg, ds)
+    else:
+        data_mod.split(ds, child_seed(cfg.seed, "split"))
+        data = None
     # a serial split took ownership of ds and its arrays are views of ds's
     # features; a pool run has no use for ds, so free it before training
     del ds
@@ -172,18 +179,25 @@ def _inspect_checkpoint(path: Path) -> None:
         print(f"section.{name}={sections[name].shape[0]}")
 
 
-def _inspect_results(path: Path) -> None:
-    points = sweep.read_results_csv(path)
-    methods = sorted({p.method for p in points})
-    conditions = sorted({sweep.Condition(p.condition, p.level).label for p in points})
-    seeds = sorted({p.seed for p in points})
-    print("kind=results")
-    print(f"rows={len(points)}")
+def _inspect_table(path: Path, kind: str, read) -> None:
+    records = read(path)
+    methods = sorted({r.method for r in records})
+    conditions = sorted({sweep.Condition(r.condition, r.level).label for r in records})
+    seeds = sorted({r.seed for r in records})
+    print(f"kind={kind}")
+    print(f"rows={len(records)}")
     print(f"methods={','.join(methods)}")
     print(f"conditions={','.join(conditions)}")
     print(f"seeds={','.join(map(str, seeds))}")
-    failed = sum(1 for p in points if p.status.startswith("failed"))
+    failed = sum(1 for r in records if r.status.startswith("failed"))
     print(f"failed_rows={failed}")
+
+
+# kind -> (header columns, reader) of each table inspect describes
+_TABLES = {
+    "results": (sweep.RESULTS_COLUMNS, sweep.read_results_csv),
+    "classification": (sweep.CLASSIFICATION_COLUMNS, sweep.read_classification_csv),
+}
 
 
 def cmd_inspect(args) -> int:
@@ -200,14 +214,21 @@ def cmd_inspect(args) -> int:
     if not path.exists():
         raise UsageError(f"{path}: no such file")
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-    if magic == b"DFD1":
+        head = fh.readline(1024)  # a magic number or a table's header line
+    if head.startswith(b"DFD1"):
         _inspect_dataset(path)
-    elif magic == b"DFB1":
+        return 0
+    if head.startswith(b"DFB1"):
         _inspect_checkpoint(path)
-    else:
-        _inspect_results(path)
-    return 0
+        return 0
+    for kind, (columns, read) in _TABLES.items():
+        if head.rstrip(b"\r\n") == ",".join(columns).encode():
+            _inspect_table(path, kind, read)
+            return 0
+    raise FormatError(
+        f"{path}: not a format inspect reads (a DFD1 dataset, a DFB1 weight file, "
+        "a results or classification table, or a model bundle directory)"
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -2,16 +2,17 @@
 inverted dropout after the last hidden layer, and momentum SGD with weight
 decay and weighted minibatch sampling.
 
-Everything is double precision and deterministic under a seed. Parameters are
-addressable as one flat vector, which is what the weight-posterior methods
-(SWAG, variational nets) operate on. Gradients are hand-derived backprop for
-this fixed topology; no autodiff.
+Everything is double precision and deterministic under a seed. A network is
+one flat parameter vector, and its layers are views of it; SGD, the
+weight-posterior methods (SWAG, variational nets), checkpoint selection and
+the DFB1 container all work on that vector. Gradients are hand-derived
+backprop for this fixed topology; no autodiff.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -127,53 +128,49 @@ class SgdConfig:
             raise ConfigError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
 
 
-@dataclass
 class Network:
-    """Dense feed-forward net; weights[i] is (fan_in, fan_out), biases[i] is (fan_out,)."""
+    """Dense feed-forward net held as one float64 vector, ``params``: per
+    layer, row-major weights then bias. ``weights[i]`` (fan_in, fan_out) and
+    ``biases[i]`` (fan_out,) are views of it, so updating ``params`` in place
+    updates every layer. ``Network(config, params)`` wraps a float64 vector
+    without copying it."""
 
-    config: NetConfig
-    weights: list = field(default_factory=list)
-    biases: list = field(default_factory=list)
+    def __init__(self, config: NetConfig, params: np.ndarray):
+        params = np.asarray(params, dtype=np.float64)
+        if params.shape != (config.parameter_count,):
+            raise InputShapeError(
+                f"expected {config.parameter_count} parameters, got shape {params.shape}"
+            )
+        self.config = config
+        self.params = params
+        self.weights, self.biases = [], []
+        offset = 0
+        for fan_in, fan_out in config.layer_dims:
+            end = offset + fan_in * fan_out
+            self.weights.append(params[offset:end].reshape(fan_in, fan_out))
+            self.biases.append(params[end : end + fan_out])
+            offset = end + fan_out
 
     @property
     def parameter_count(self) -> int:
         return self.config.parameter_count
 
     def copy(self) -> "Network":
-        return Network(
-            config=self.config,
-            weights=[w.copy() for w in self.weights],
-            biases=[b.copy() for b in self.biases],
-        )
+        return Network(self.config, self.params.copy())
 
 
 def init_network(config: NetConfig) -> Network:
     """He-initialized network, deterministic under config.seed."""
     rng = child_rng(config.seed, "init")
-    weights, biases = [], []
-    for fan_in, fan_out in config.layer_dims:
-        weights.append(rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(fan_in, fan_out)))
-        biases.append(np.zeros(fan_out))
-    return Network(config=config, weights=weights, biases=biases)
+    net = Network(config, np.zeros(config.parameter_count))
+    for w, (fan_in, fan_out) in zip(net.weights, config.layer_dims):
+        w[...] = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(fan_in, fan_out))
+    return net
 
 
 def get_params(net: Network) -> np.ndarray:
-    """Flat parameter vector: per layer, row-major weights then bias."""
-    parts = []
-    for w, b in zip(net.weights, net.biases):
-        parts.append(w.ravel())
-        parts.append(b)
-    return np.concatenate(parts)
-
-
-def _param_views(net: Network, flat: np.ndarray) -> list:
-    """(weight, bias) views into a flat vector laid out as ``get_params`` lays it out."""
-    views, offset = [], 0
-    for w, b in zip(net.weights, net.biases):
-        end = offset + w.size
-        views.append((flat[offset:end].reshape(w.shape), flat[end : end + b.size]))
-        offset = end + b.size
-    return views
+    """A copy of the flat parameter vector: per layer, row-major weights then bias."""
+    return net.params.copy()
 
 
 def set_params(net: Network, flat: np.ndarray) -> None:
@@ -183,29 +180,7 @@ def set_params(net: Network, flat: np.ndarray) -> None:
         raise InputShapeError(
             f"expected {net.parameter_count} parameters, got shape {flat.shape}"
         )
-    for w, b, (flat_w, flat_b) in zip(net.weights, net.biases, _param_views(net, flat)):
-        w[...] = flat_w
-        b[...] = flat_b
-
-
-def bind_params(net: Network) -> np.ndarray:
-    """Move the parameters into one flat buffer and rebind the layers as views of it.
-
-    Returns the buffer, laid out as ``get_params`` lays it out; updating it in
-    place updates the network, with no ``set_params`` copy.
-    """
-    flat = get_params(net)
-    views = _param_views(net, flat)
-    net.weights = [w for w, _ in views]
-    net.biases = [b for _, b in views]
-    return flat
-
-
-def with_params(net: Network, flat: np.ndarray) -> Network:
-    """Copy of ``net`` carrying the given flat parameter vector."""
-    out = net.copy()
-    set_params(out, flat)
-    return out
+    net.params[...] = flat
 
 
 def draw_dropout_mask(rng: np.random.Generator, shape, rate: float) -> np.ndarray:
@@ -282,31 +257,29 @@ def forward(net: Network, batch, dropout_on: bool = False, rng=None) -> np.ndarr
     return _inference_logits(net, batch, mask)
 
 
-def _gradient_buffer(net: Network):
-    """A flat gradient vector and its per-layer views, for ``_backward_cached``."""
-    flat = np.empty(net.parameter_count)
-    return flat, _param_views(net, flat)
+def _gradient_buffer(net: Network) -> Network:
+    """A network shaped like ``net`` whose ``params`` is an unset gradient
+    vector, for ``_backward_cached`` to write through its layer views."""
+    return Network(net.config, np.empty(net.parameter_count))
 
 
-def _backward_cached(net: Network, cache, dlogits: np.ndarray, grad_views) -> None:
-    """Write the gradient of the (already reduced) loss into ``grad_views``,
-    the per-layer views of a flat vector from ``_gradient_buffer``."""
+def _backward_cached(net: Network, cache, dlogits: np.ndarray, grad: Network) -> None:
+    """Write the gradient of the (already reduced) loss into the layers of
+    ``grad``, a ``_gradient_buffer``; ``grad.params`` is then the flat gradient."""
     activations, last_input, dropout_mask = cache
     n_layers = len(net.weights)
 
     delta = dlogits
-    grad_w, grad_b = grad_views[-1]
-    np.matmul(last_input.T, delta, out=grad_w)
-    delta.sum(axis=0, out=grad_b)
+    np.matmul(last_input.T, delta, out=grad.weights[-1])
+    delta.sum(axis=0, out=grad.biases[-1])
 
     for i in range(n_layers - 2, -1, -1):
         delta = delta @ net.weights[i + 1].T
         if i == n_layers - 2 and dropout_mask is not None:
             delta = delta * dropout_mask
         delta = delta * (activations[i + 1] > 0.0)
-        grad_w, grad_b = grad_views[i]
-        np.matmul(activations[i].T, delta, out=grad_w)
-        delta.sum(axis=0, out=grad_b)
+        np.matmul(activations[i].T, delta, out=grad.weights[i])
+        delta.sum(axis=0, out=grad.biases[i])
 
 
 def backward(net: Network, batch, targets, loss: LossSpec, dropout_mask=None) -> np.ndarray:
@@ -317,9 +290,9 @@ def backward(net: Network, batch, targets, loss: LossSpec, dropout_mask=None) ->
         raise LabelError(f"expected {batch.shape[0]} targets, got shape {targets.shape}")
     logits, cache = _forward_cached(net, batch, dropout_mask)
     dlogits = loss.grad(logits, targets) / batch.shape[0]
-    grad, grad_views = _gradient_buffer(net)
-    _backward_cached(net, cache, dlogits, grad_views)
-    return grad
+    grad = _gradient_buffer(net)
+    _backward_cached(net, cache, dlogits, grad)
+    return grad.params
 
 
 def mean_loss(net: Network, batch, targets, loss: LossSpec) -> float:
@@ -399,8 +372,8 @@ def train(
     rate = net.config.dropout_rate
     use_dropout = rate > 0.0 and len(net.weights) > 1
 
-    params = bind_params(net)
-    grad, grad_views = _gradient_buffer(net)
+    params = net.params  # the layers are views of it
+    grad = _gradient_buffer(net)
     velocity = np.zeros_like(params)
     checkpoints, epoch_losses = [], []
 
@@ -422,11 +395,11 @@ def train(
             if not np.isfinite(batch_loss):
                 raise DivergenceError(f"training diverged at epoch {epoch}: loss={batch_loss}")
             loss_sum += batch_loss
-            _backward_cached(net, cache, dlogits / xb.shape[0], grad_views)
-            grad += sgd.weight_decay * params
+            _backward_cached(net, cache, dlogits / xb.shape[0], grad)
+            grad.params += sgd.weight_decay * params
             velocity *= sgd.momentum
-            velocity += grad
-            params -= sgd.learning_rate * velocity  # the layers are views of params
+            velocity += grad.params
+            params -= sgd.learning_rate * velocity
         checkpoints.append(params.copy())
         epoch_losses.append(loss_sum / steps_per_epoch)
 

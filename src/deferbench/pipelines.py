@@ -66,10 +66,9 @@ def train_classifier(
     net = nnet.init_network(config)
     result = nnet.train(net, x_train, y_train, loss, sgd, sample_weights=sample_weights)
 
-    probe = result.network.copy()
     val_curve = []
     for params in result.checkpoints:
-        nnet.set_params(probe, params)
+        probe = nnet.Network(config, params)
         if by_loss:
             val_curve.append(nnet.mean_loss(probe, x_val, y_val, loss))
             continue
@@ -80,11 +79,8 @@ def train_classifier(
             )
         val_curve.append(value)
     epoch = int(np.argmin(val_curve) if by_loss else np.argmax(val_curve))
-
-    # the probe is a private copy; it becomes the chosen network
-    nnet.set_params(probe, result.checkpoints[epoch])
     return SelectedModel(
-        network=probe,
+        network=nnet.Network(config, result.checkpoints[epoch]),
         epoch=epoch,
         criterion="loss" if by_loss else "pauc",
         val_curve=val_curve,

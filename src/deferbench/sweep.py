@@ -648,9 +648,8 @@ def _seed_dir(out_dir, seed_index) -> Optional[Path]:
     return path
 
 
-def _worker(cfg, seed_index, method, out_dir, members, data_path):
-    """One method of a pool task: rebuilds the (deterministic) data in the worker."""
-    data = build_eval_data(cfg, data_path)
+def _worker(cfg, seed_index, method, out_dir, members, data):
+    """One method of a pool task, on the data its task built in the worker."""
     return run_method(cfg, data, seed_index, method, _seed_dir(out_dir, seed_index), members)
 
 
@@ -686,19 +685,24 @@ def _plan_tasks(cfg: RunConfig) -> list:
 def _run_task(cfg, seed_index, methods, out_dir, data_path, data=None) -> list:
     """(result, seconds) per method of one task, run in order in this process.
 
-    With data, each method runs on it; without, each method is one _worker
-    call that builds its own. A method's failure becomes its failure rows and
-    leaves the others running. The ensemble's committee goes to the deferral
-    head as networks and is cleared from every result, so nothing returned
-    holds weights; without it the head trains its own. seconds is the time
-    of that method alone.
+    With data, each method runs on it; without, as in a pool worker, the
+    task builds the (deterministic) data once and each method is one _worker
+    call on it. A method's failure becomes its failure rows and leaves the
+    others running; a failed data build raises, and run_plan fails every
+    method of the task. The ensemble's committee goes to the deferral head as
+    networks and is cleared from every result, so nothing returned holds
+    weights; without it the head trains its own. seconds is the time of that
+    method alone.
     """
+    pooled = data is None
+    if pooled:
+        data = build_eval_data(cfg, data_path)
     outcomes, committee = [], None
     for method in methods:
         t0 = time.perf_counter()
         try:
-            if data is None:
-                result = _worker(cfg, seed_index, method, out_dir, committee, data_path)
+            if pooled:
+                result = _worker(cfg, seed_index, method, out_dir, committee, data)
             else:
                 seed_dir = _seed_dir(out_dir, seed_index)
                 result = run_method(cfg, data, seed_index, method, seed_dir, committee)
@@ -726,9 +730,9 @@ def run_plan(
     gets them timed 0 s. An interrupt cancels every task not yet started and
     re-raises, so the pool's exit waits at most for the tasks its workers run.
     Results are merged in plan order (seeds outer, methods in configuration
-    order), so the output is independent of scheduling. Pool workers load
-    the dataset from data_path, when given, instead of regenerating it;
-    without data, a serial run builds it once.
+    order), so the output is independent of scheduling. Each pool task
+    builds the data once, loading the dataset from data_path, when given,
+    instead of regenerating it; without data, a serial run builds it once.
     """
     plan = [(s, m) for s in range(cfg.n_seeds) for m in cfg.methods]
     tasks = _plan_tasks(cfg)

@@ -178,8 +178,7 @@ def posterior_networks(posterior, n_samples: int, seed: int) -> list:
     if n_samples < 1:
         raise ConfigError("n_samples must be positive")
     rng = child_rng(seed, posterior.SAMPLE_STREAM)
-    template = nnet.init_network(posterior.net_config)
-    return [nnet.with_params(template, posterior.draw(rng)) for _ in range(n_samples)]
+    return [nnet.Network(posterior.net_config, posterior.draw(rng)) for _ in range(n_samples)]
 
 
 def swag_predict(posterior: SwagPosterior, batch: np.ndarray, n_samples: int, seed: int):
@@ -270,13 +269,14 @@ def bnn_train(
     kl_w = bnn.kl_weight if bnn.kl_weight is not None else 1.0 / steps_per_epoch
     p2 = bnn.prior_stddev**2
 
-    mean = nnet.get_params(net).copy()
+    mean = nnet.get_params(net)
     log_std = np.full_like(mean, bnn.init_log_stddev)
     v_mean = np.zeros_like(mean)
     v_log = np.zeros_like(log_std)
-    work = net.copy()
-    theta = nnet.bind_params(work)  # the sampled weights; work's layers view it
-    g, grad_views = nnet._gradient_buffer(work)
+    theta = np.empty_like(mean)  # the sampled weights, set every step
+    work = nnet.Network(net.config, theta)
+    grad = nnet._gradient_buffer(work)
+    g = grad.params
     epoch_losses = []
 
     for epoch in range(1, sgd.epochs + 1):
@@ -295,7 +295,7 @@ def bnn_train(
             step_loss = float(sample_loss.mean()) + kl_w * kl
             if not np.isfinite(step_loss):
                 raise DivergenceError(f"training diverged at epoch {epoch}: loss={step_loss}")
-            nnet._backward_cached(work, cache, dlogits / xb.shape[0], grad_views)
+            nnet._backward_cached(work, cache, dlogits / xb.shape[0], grad)
             g_mean = g + kl_w * mean / p2
             g_log = g * eps * std + kl_w * (std**2 / p2 - 1.0)
             v_mean *= sgd.momentum

@@ -13,7 +13,7 @@ import pytest
 
 from deferbench import cli
 from deferbench import data as data_mod
-from deferbench import nnet, sweep
+from deferbench import nnet, pipelines, sweep
 from deferbench.config import emit_config, load_config
 
 TINY_INI = """\
@@ -524,6 +524,40 @@ def test_dataset_shape_is_checked_before_the_run_writes(tmp_path, capsys, reques
     assert not out.exists()
 
 
+# A dataset no task can use: a --data file with a label byte that is not 0/1,
+# and a generated dataset with too few positives to split. It must stop the
+# run with one error before any task starts, at every --jobs.
+UNUSABLE_DATASETS = {
+    "label_byte_7": TINY_INI.replace("n_samples = 600", "n_samples = 300"),
+    "two_positives": TINY_INI.replace("n_samples = 600", "n_samples = 60")
+    .replace("positive_fraction = 0.05", "positive_fraction = 0.04"),
+}
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("case", list(UNUSABLE_DATASETS))
+def test_unusable_dataset_stops_the_run_before_any_task(tmp_path, capsys, case, jobs):
+    ini = tmp_path / "cfg.ini"
+    ini.write_text(UNUSABLE_DATASETS[case])
+    extra, message = [], "error: class 1 has 2 samples"
+    if case == "label_byte_7":
+        bad = tmp_path / "bad.dfd1"
+        assert cli.main(["generate", "--config", str(ini), "--out", str(bad)]) == 0
+        blob = bytearray(bad.read_bytes())
+        blob[-1] = 7  # the last sample's label
+        bad.write_bytes(bytes(blob))
+        extra, message = ["--data", str(bad)], f"error: {bad}: labels must be 0 or 1"
+    capsys.readouterr()
+    out = tmp_path / "run"
+    rc = cli.main(["run", "--config", str(ini), "--out", str(out), "--jobs", jobs, *extra])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and err.startswith(message)
+    assert "FAILED" not in err and "Traceback" not in err
+    assert not (out / sweep.RESULTS_NAME).exists()
+    assert not (out / sweep.CLASSIFICATION_NAME).exists()
+
+
 # ---------------------------------------------------------------------------
 # report
 # ---------------------------------------------------------------------------
@@ -679,6 +713,39 @@ def test_inspect_results(run_dir, capsys):
     assert "methods=softmax" in stdout
     assert "conditions=blur1,id,noise1" in stdout
     assert "failed_rows=0" in stdout
+
+
+def test_inspect_classification(run_dir, capsys):
+    assert cli.main(["inspect", str(run_dir / "classification.csv")]) == 0
+    stdout = capsys.readouterr().out.splitlines()
+    assert stdout == [
+        "kind=classification",
+        "rows=3",
+        "methods=softmax",
+        "conditions=blur1,id,noise1",
+        "seeds=0",
+        "failed_rows=0",
+    ]
+
+
+def test_inspect_rejects_a_file_of_no_format_it_reads(run_dir, tmp_path, capsys):
+    members = [nnet.init_network(nnet.NetConfig(4, (3,), 2, seed=k)) for k in range(2)]
+    pipelines.save_ensemble(tmp_path / "ensemble", members, {"method": "ensemble"})
+    empty = tmp_path / "empty"
+    empty.write_bytes(b"")
+    paths = (
+        run_dir / "config.ini",
+        run_dir / "report" / "id.svg",
+        tmp_path / "ensemble" / pipelines.ENSEMBLE_INDEX_NAME,
+        empty,
+    )
+    for path in paths:
+        assert cli.main(["inspect", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {path}: not a format inspect reads")
+        for name in ("DFD1", "DFB1", "results", "classification", "bundle"):
+            assert name in captured.err
 
 
 def test_inspect_bundle(run_dir, capsys):

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from deferbench import nnet, uq
+from deferbench import nnet, pipelines, uq
 from deferbench.errors import (
     ConfigError,
     DivergenceError,
@@ -75,18 +75,12 @@ def test_param_roundtrip_is_bitwise():
     np.testing.assert_array_equal(nnet.get_params(other), flat)
 
 
-def test_with_params_leaves_original_untouched():
-    net = tiny_net(seed=5)
-    before = nnet.get_params(net).copy()
-    shifted = nnet.with_params(net, before + 1.0)
-    np.testing.assert_array_equal(nnet.get_params(net), before)
-    np.testing.assert_array_equal(nnet.get_params(shifted), before + 1.0)
-
-
 def test_set_params_rejects_wrong_length():
     net = tiny_net()
     with pytest.raises(InputShapeError):
         nnet.set_params(net, np.zeros(net.parameter_count + 1))
+    with pytest.raises(InputShapeError):
+        nnet.Network(net.config, np.zeros(net.parameter_count - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +243,7 @@ def test_backward_with_dropout_mask_matches_masked_loss():
     analytic = nnet.backward(net, x, y, CE, dropout_mask=mask)
 
     def masked_loss(flat):
-        probe = nnet.with_params(net, flat)
+        probe = nnet.Network(net.config, flat)
         logits, _ = nnet._forward_cached(probe, x, mask)
         return float(CE.loss(logits, y).mean())
 
@@ -441,17 +435,54 @@ def test_training_trajectories_are_frozen(trainer, kind):
     assert got == FROZEN_TRAJECTORIES[(trainer, kind)]
 
 
-def test_bind_params_makes_the_layers_views_of_one_buffer():
+def test_layers_are_views_of_params():
     net = tiny_net(seed=8)
     before = nnet.get_params(net)
-    flat = nnet.bind_params(net)
-    np.testing.assert_array_equal(flat, before)
-    flat += 1.0
+    net.params += 1.0
     np.testing.assert_array_equal(nnet.get_params(net), before + 1.0)
     rebuilt = tiny_net(seed=8)
     nnet.set_params(rebuilt, before + 1.0)
     x, _ = toy_problem(n=5)
     np.testing.assert_array_equal(nnet.forward(net, x), nnet.forward(rebuilt, x))
+    # Network(config, params) wraps the vector it is given, and get_params copies it
+    assert nnet.Network(net.config, net.params).params is net.params
+    assert not np.shares_memory(nnet.get_params(net), net.params)
+
+
+def assert_layers_view_params(net):
+    """Every layer of net is a view of net.params, in get_params's layout."""
+    saved = net.params.copy()
+    net.params[...] = np.arange(net.parameter_count)
+    offset = 0
+    for w, b in zip(net.weights, net.biases):
+        for layer in (w, b):
+            np.testing.assert_array_equal(layer.ravel(), np.arange(offset, offset + layer.size))
+            offset += layer.size
+    assert offset == net.parameter_count
+    net.params[...] = saved
+
+
+def test_every_network_the_package_returns_is_one_vector():
+    config = nnet.NetConfig(3, (4, 5), 2, seed=1)
+    net = nnet.init_network(config)
+    x, y = toy_problem(n=60, input_dim=3, seed=2)
+    sgd = nnet.SgdConfig(learning_rate=0.05, epochs=2, batch_size=16, seed=3)
+    mean = nnet.get_params(net)
+    posterior = uq.BnnPosterior(config, mean, np.full(mean.shape[0], -2.0), 1.0)
+    copy = net.copy()
+    networks = [
+        net,
+        copy,
+        nnet._gradient_buffer(net),
+        nnet.train(net, x, y, CE, sgd).network,
+        *uq.posterior_networks(posterior, 2, seed=4),
+        pipelines.train_classifier(x, y, x, y, config, sgd).network,
+    ]
+    for network in networks:
+        assert_layers_view_params(network)
+    assert not np.shares_memory(copy.params, net.params)
+    copy.params += 1.0
+    np.testing.assert_array_equal(net.params, mean)
 
 
 # ---------------------------------------------------------------------------
@@ -528,7 +559,7 @@ def test_load_network_restores_forward(tmp_path):
     path = tmp_path / "model.dfb1"
     nnet.write_checkpoint(path, net.config, nnet.get_params(net))
     config, params, _ = nnet.read_checkpoint(path)
-    loaded = nnet.with_params(nnet.init_network(config), params)
+    loaded = nnet.Network(config, params)
     x = np.random.default_rng(64).standard_normal((5, 4))
     np.testing.assert_array_equal(nnet.forward(loaded, x), nnet.forward(net, x))
 

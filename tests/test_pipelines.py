@@ -325,7 +325,7 @@ def test_single_model_bundle_roundtrip(tmp_path):
     config, params, sections = nnet.read_checkpoint(bundle / pipelines.MODEL_NAME)
     assert config == net.config and sections == {}
     np.testing.assert_array_equal(params, nnet.get_params(net))
-    loaded = nnet.with_params(nnet.init_network(config), params)
+    loaded = nnet.Network(config, params)
     np.testing.assert_array_equal(nnet.forward(loaded, x), nnet.forward(net, x))
     manifest = pipelines.read_manifest(bundle / pipelines.MANIFEST_NAME)
     assert manifest == {"method": "softmax", "seed": "8"}

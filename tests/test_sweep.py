@@ -535,10 +535,27 @@ def test_head_first_plans_are_byte_identical_across_jobs(tiny_cfg, tmp_path, met
     assert tables_as_csv(parallel) == tables_as_csv(serial)
 
 
+def test_a_pool_task_builds_its_data_once(tiny_cfg, tmp_path, monkeypatch):
+    # forked workers inherit the patched module global, and each build appends
+    # one line to a file the main process reads afterwards
+    log = tmp_path / "builds"
+    real_build = sweep.build_eval_data
+
+    def counted_build(cfg, data_path=None):
+        with open(log, "a") as fh:
+            fh.write("build\n")
+        return real_build(cfg, data_path)
+
+    monkeypatch.setattr(sweep, "build_eval_data", counted_build)
+    cfg = dataclasses.replace(tiny_cfg, methods=("ensemble", "two_stage"), jobs=2)
+    assert sweep.run_plan(cfg).failures == []
+    assert log.read_text().splitlines() == ["build"]
+
+
 COMMITTEE = ["network"]  # stands in for the ensemble's committee
 
 
-def handshake_worker(cfg, seed_index, method, out_dir, members, data_path):
+def handshake_worker(cfg, seed_index, method, out_dir, members, data):
     """Stand-in for sweep._worker: softmax returns only once the deferral head
     has started, so it fails when the head waits for softmax to finish. Only
     the head may receive the ensemble's committee."""
@@ -590,7 +607,7 @@ class InlineExecutor:
         return future
 
 
-def instant_worker(cfg, seed_index, method, out_dir, members, data_path):
+def instant_worker(cfg, seed_index, method, out_dir, members, data):
     return sweep.MethodResult(method, seed_index, [], [])
 
 
@@ -749,13 +766,13 @@ def test_dead_task_fails_every_method_in_it(tiny_cfg, monkeypatch, capsys):
 REAL_WORKER = sweep._worker
 
 
-def dying_worker(cfg, seed_index, method, out_dir, members, data_path):
+def dying_worker(cfg, seed_index, method, out_dir, members, data):
     """Stand-in for sweep._worker: softmax runs for real, swag kills its
     worker process once softmax is done, and every other method waits, so it
     is unfinished when the pool breaks."""
     flag = Path(out_dir) / "softmax.done"
     if method == "softmax":
-        result = REAL_WORKER(cfg, seed_index, method, out_dir, members, data_path)
+        result = REAL_WORKER(cfg, seed_index, method, out_dir, members, data)
         flag.touch()
         return result
     if method == "swag":
@@ -819,7 +836,7 @@ def test_interrupt_cancels_every_pending_task(tiny_cfg, monkeypatch):
     assert all(future.cancelled() for future in PendingPool.futures)
 
 
-def starting_worker(cfg, seed_index, method, out_dir, members, data_path):
+def starting_worker(cfg, seed_index, method, out_dir, members, data):
     """Stand-in for sweep._worker that marks its start and runs for 0.3 s."""
     (Path(out_dir) / f"{method}.started").touch()
     time.sleep(0.3)
