@@ -11,12 +11,17 @@ Two generator modes stand in for the real imaging data:
   dominant nuisance, so additive test-time noise genuinely degrades the
   signal, while blurring mostly preserves it.
 
-Memory: the image generator fills one preallocated feature buffer in blocks
-of _ROW_BLOCK rows, so a dataset costs about one copy of its float64
-features while it is built; float32 rounding, the DFD1 writer and the DFD1
-reader also go a block at a time, and ``partition`` groups the split rows
-in place. The block size is an internal constant, not a setting; every
-block size gives the same bytes.
+Memory: features are float32, the precision of the DFD1 container, from
+generation or reading through to the networks, which widen them to float64
+and map them to model inputs a minibatch or an inference block at a time
+(``nnet.model_inputs``). The image generator computes each block of
+_ROW_BLOCK rows in one float64 scratch block and stores it into the float32
+features, so a dataset costs about one float32 copy of its features while it
+is built. The DFD1 reader reads the float32 payload straight into the
+features, the writer writes float32 rows as they are, and ``partition``
+groups the split rows in place. A corrupted copy is float64, because noise
+and blur values are not float32-exact. The block size is an internal
+constant, not a setting; every block size gives the same bytes.
 """
 
 from __future__ import annotations
@@ -49,18 +54,23 @@ _HEADER = struct.Struct("<4sIQQIIIQ")  # magic, version, S, D, H, W, C, label_of
 NOISE_SIGMAS = (0.04, 0.08, 0.12, 0.16, 0.20)
 BLUR_SIGMAS = (0.5, 1.0, 1.5, 2.0, 2.5)
 
-_ROW_BLOCK = 256  # rows per block of the generator and DFD1 I/O; see "Memory"
+_ROW_BLOCK = 256  # rows per block of the generator and the DFD1 writer; see "Memory"
 
 
 @dataclass
 class Dataset:
-    features: np.ndarray  # (S, D) float64
+    # (S, D): float32 raw values (generated or read), or float64 (corrupted);
+    # the networks map float32 rows to model inputs as they read them
+    features: np.ndarray
     labels: np.ndarray  # (S,) int64 in {0, 1}
     spatial_shape: Optional[tuple[int, int, int]] = None  # (H, W, C), H*W*C == D
     splits: Optional[np.ndarray] = None  # (S,) int64 in {TRAIN, VAL, TEST}
 
     def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=np.float64)
+        features = np.asarray(self.features)
+        self.features = features.astype(
+            np.float32 if features.dtype == np.float32 else np.float64, copy=False
+        )
         self.labels = np.asarray(self.labels, dtype=np.int64)
         if self.features.ndim != 2:
             raise InputShapeError(f"features must be 2-D, got shape {self.features.shape}")
@@ -163,7 +173,7 @@ def _blob_features(rng, spec: SynthSpec, labels: np.ndarray) -> np.ndarray:
     centers[:, 1, 1] = +spec.family_spread
     blob = rng.integers(0, 2, size=n)
     x = centers[labels, blob] + spec.overlap_scale * rng.standard_normal((n, d))
-    return x
+    return x.astype(np.float32)
 
 
 def low_frequency_pattern(height: int, width: int) -> np.ndarray:
@@ -189,15 +199,22 @@ def _smooth_background(grid: np.ndarray, height: int, width: int) -> np.ndarray:
     wy = (ys - y0)[None, :, None]
     wx = (xs - x0)[None, None, :]
     rows = (1 - wx) * grid[:, :, x0] + wx * grid[:, :, x1]  # (S, 4, W)
-    return (1 - wy) * rows[:, y0] + wy * rows[:, y1]
+    field = rows[:, y0]
+    field *= 1 - wy
+    lower = rows[:, y1]
+    lower *= wy
+    field += lower
+    return field
 
 
 def _image_features(rng, spec: SynthSpec, labels: np.ndarray) -> np.ndarray:
-    """Image-mode features, built into one preallocated buffer in row blocks.
+    """Image-mode float32 features, built into one preallocated buffer in row blocks.
 
     The per-sample amplitudes and background grids are drawn first, then the
     pixel noise block by block; consecutive draws continue one stream, so
-    the bytes do not depend on _ROW_BLOCK.
+    the bytes do not depend on _ROW_BLOCK. Each block is computed in one
+    float64 scratch block (noise, plus the smooth field, clipped) and
+    rounded to float32 as it is stored.
     """
     h, w, c = spec.spatial_shape
     n = labels.shape[0]
@@ -209,24 +226,27 @@ def _image_features(rng, spec: SynthSpec, labels: np.ndarray) -> np.ndarray:
     background_scale = spec.background_amp * spec.overlap_scale
     noise_scale = spec.pixel_noise * spec.overlap_scale
 
-    images = np.empty((n, h, w, c))
-    noise = np.empty((min(n, _ROW_BLOCK), h, w, c))
+    images = np.empty((n, h, w, c), dtype=np.float32)
+    scratch = np.empty((min(n, _ROW_BLOCK), h, w, c))
     for start in range(0, n, _ROW_BLOCK):
         stop = min(start + _ROW_BLOCK, n)
-        block = images[start:stop]
-        smooth = 0.5 + amplitude[start:stop, None, None] * pattern[None, :, :]
-        smooth += background_scale * _smooth_background(grid[start:stop], h, w)
-        block[...] = smooth[..., None]
-        block_noise = noise[: stop - start]
-        rng.standard_normal(out=block_noise)
-        block_noise *= noise_scale
-        block += block_noise
+        block = scratch[: stop - start]
+        rng.standard_normal(out=block)
+        block *= noise_scale
+        smooth = _smooth_background(grid[start:stop], h, w)
+        smooth *= background_scale
+        smooth += 0.5 + amplitude[start:stop, None, None] * pattern[None, :, :]
+        block += smooth[..., None]
         np.clip(block, 0.0, 1.0, out=block)
+        images[start:stop] = block
     return images.reshape(n, h * w * c)
 
 
 def generate(spec: SynthSpec) -> Dataset:
-    """Synthetic dataset with an exact positive count of round(n * positive_fraction)."""
+    """Synthetic dataset with an exact positive count of round(n * positive_fraction).
+
+    Features are float32: each value is computed in float64 and rounded once.
+    """
     rng = child_rng(spec.seed, "generate")
     labels = _draw_labels(rng, spec.n_samples, spec.positive_fraction)
     if spec.spatial_shape is None:
@@ -234,14 +254,6 @@ def generate(spec: SynthSpec) -> Dataset:
     else:
         features = _image_features(rng, spec, labels)
     return Dataset(features=features, labels=labels, spatial_shape=spec.spatial_shape)
-
-
-def round_to_float32(features: np.ndarray) -> None:
-    """Round float64 features to float32 precision in place, a row block at a
-    time; widening back to float64 is exact."""
-    for start in range(0, features.shape[0], _ROW_BLOCK):
-        block = features[start : start + _ROW_BLOCK]
-        block[...] = block.astype(np.float32)
 
 
 def _round_half_up(x: float) -> int:
@@ -394,11 +406,12 @@ def blur_radius(sigma: float, height: int, width: int) -> int:
 def gaussian_blur(images: np.ndarray, sigma: float) -> np.ndarray:
     """Separable per-channel Gaussian blur with reflect padding, no clipping.
 
-    images: (S, H, W, C); the result is float64. The kernel is normalized
-    after truncation, so a constant image is a fixed point and the operator
-    is linear.
+    images: (S, H, W, C); the result is float64, and float32 images are
+    widened tap by tap, not copied whole. The kernel is normalized after
+    truncation, so a constant image is a fixed point and the operator is
+    linear.
     """
-    images = np.asarray(images, dtype=np.float64)
+    images = np.asarray(images)
     if images.ndim != 4:
         raise InputShapeError(f"expected (S, H, W, C) images, got shape {images.shape}")
     _, h, w, _ = images.shape
@@ -409,7 +422,7 @@ def gaussian_blur(images: np.ndarray, sigma: float) -> np.ndarray:
     term = np.empty(images.shape)  # one weighted tap, reused
     padded = np.pad(images, ((0, 0), (radius, radius), (0, 0), (0, 0)), mode="reflect")
     for tap, weight in enumerate(kernel):
-        acc += np.multiply(padded[:, tap : tap + h, :, :], weight, out=term)
+        acc += np.multiply(padded[:, tap : tap + h, :, :], weight, out=term, dtype=np.float64)
     del padded  # free the row-padded copy before padding the columns
     padded = np.pad(acc, ((0, 0), (0, 0), (radius, radius), (0, 0)), mode="reflect")
     acc[...] = 0.0
@@ -452,7 +465,10 @@ def corrupt(dataset: Dataset, spec: CorruptionSpec, seed: int) -> Dataset:
 
 
 def write_dataset(path, dataset: Dataset) -> None:
-    """Fixed 44-byte header, float32 features row-major, labels as bytes."""
+    """Fixed 44-byte header, float32 features row-major, labels as bytes.
+
+    Float32 rows are written as they are; float64 rows are rounded a row
+    block at a time."""
     s, d = dataset.features.shape
     h, w, c = dataset.spatial_shape if dataset.spatial_shape is not None else (0, 0, 0)
     label_offset = _HEADER.size + s * d * 4
@@ -515,25 +531,27 @@ def read_dataset(path) -> Dataset:
     """Read a DFD1 file, checking every size in the header against the file.
 
     The header checks of ``read_dataset_header`` run before anything sized by
-    the header is read; labels that are not 0/1 are a FormatError too.
+    the header is read; the float32 payload is read straight into the
+    features. Labels that are not 0/1 and features that are not finite are
+    a FormatError too; the latter names the first bad row.
     """
     with open(path, "rb") as fh:
         header = _read_header(fh, path)
         s, d = header.n_samples, header.n_features
-        features = np.empty((s, d))
-        block = np.empty((min(s, _ROW_BLOCK), d), dtype="<f4")
-        for start in range(0, s, _ROW_BLOCK):
-            rows = block[: s - start]
-            if fh.readinto(rows) != rows.nbytes:
-                raise FormatError(f"{path}: truncated while reading")  # file changed under us
-            features[start : start + rows.shape[0]] = rows
+        features = np.empty((s, d), dtype="<f4")
+        if fh.readinto(features) != features.nbytes:
+            raise FormatError(f"{path}: truncated while reading")  # file changed under us
         labels = np.frombuffer(fh.read(s), dtype=np.uint8)
     if labels.shape[0] != s:
         raise FormatError(f"{path}: truncated while reading")
     if np.any(labels > 1):
         raise FormatError(f"{path}: labels must be 0 or 1")
+    # min and max are NaN or infinite exactly when some feature is
+    if not (np.isfinite(features.min()) and np.isfinite(features.max())):
+        row = int(np.argmin(np.isfinite(features).all(axis=1)))
+        raise FormatError(f"{path}: row {row} has a non-finite feature")
     return Dataset(
-        features=features,
+        features=features.astype(np.float32, copy=False),  # a copy only on big-endian hosts
         labels=labels.astype(np.int64),
         spatial_shape=header.spatial_shape,
     )

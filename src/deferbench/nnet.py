@@ -2,7 +2,10 @@
 inverted dropout after the last hidden layer, and momentum SGD with weight
 decay and weighted minibatch sampling.
 
-Everything is double precision and deterministic under a seed. A network is
+Everything is double precision and deterministic under a seed. Float32
+input rows are raw [0, 1] intensities: a network widens them and maps them
+with ``model_inputs`` as they enter it, one minibatch or one inference block
+at a time; rows of any other type already are model inputs. A network is
 one flat parameter vector, and its layers are views of it; SGD, the
 weight-posterior methods (SWAG, variational nets), checkpoint selection and
 the DFB1 container all work on that vector. Gradients are hand-derived
@@ -189,8 +192,28 @@ def draw_dropout_mask(rng: np.random.Generator, shape, rate: float) -> np.ndarra
     return keep.astype(np.float64) / (1.0 - rate)
 
 
+def model_inputs(features: np.ndarray, out=None) -> np.ndarray:
+    """Fixed affine map 2x - 1 from the [0,1] intensity scale to model inputs,
+    computed in float64; out=features maps a float64 array in place.
+
+    Centering the intensities at zero removes the large common-mode
+    component that otherwise makes the output bias, and with it the 0.5-score
+    operating point, swing between epochs under resampled minibatches.
+    Widening float32 is exact, so mapping float32 rows block by block gives
+    the bytes of mapping their float64 copy whole.
+    """
+    out = np.multiply(features, 2.0, out=out, dtype=np.float64)
+    out -= 1.0
+    return out
+
+
 def _check_batch(net: Network, batch) -> np.ndarray:
-    batch = np.asarray(batch, dtype=np.float64)
+    """The batch as an array: float32 rows stay raw intensities, for the
+    caller to map a minibatch or a block at a time; anything else becomes
+    float64 model inputs."""
+    batch = np.asarray(batch)
+    if batch.dtype != np.float32:
+        batch = batch.astype(np.float64, copy=False)
     if batch.ndim != 2 or batch.shape[1] != net.config.input_dim:
         raise InputShapeError(
             f"batch must be (B, {net.config.input_dim}), got shape {batch.shape}"
@@ -199,7 +222,8 @@ def _check_batch(net: Network, batch) -> np.ndarray:
 
 
 def _forward_cached(net: Network, batch: np.ndarray, dropout_mask=None):
-    """Forward pass keeping the intermediates backprop needs.
+    """Forward pass over float64 model inputs, keeping the intermediates
+    backprop needs.
 
     dropout_mask, when given, multiplies the last hidden activation and must
     already include the 1/(1-p) survivor scaling.
@@ -220,8 +244,9 @@ def _forward_cached(net: Network, batch: np.ndarray, dropout_mask=None):
 def _inference_logits(net: Network, batch: np.ndarray, dropout_mask=None) -> np.ndarray:
     """The logits of ``_forward_cached``, computed _ROW_BLOCK rows at a time.
 
-    Only one block's activations are alive at once, next to the logits. The
-    logits are bit-identical to one whole-batch pass: blocks start at
+    Only one block's activations are alive at once, next to the logits;
+    float32 rows are mapped block by block into one reused float64 buffer.
+    The logits are bit-identical to one whole-batch pass: blocks start at
     multiples of _ROW_BLOCK, so every row keeps its place in the BLAS
     kernel's row tiling, and a one-row remainder joins the block before it,
     because numpy hands a one-row product to a matrix-vector routine that
@@ -229,13 +254,19 @@ def _inference_logits(net: Network, batch: np.ndarray, dropout_mask=None) -> np.
     """
     n = batch.shape[0]
     logits = np.empty((n, net.config.output_dim))
+    inputs = None
+    if batch.dtype == np.float32:
+        inputs = np.empty((min(n, _ROW_BLOCK + 1), batch.shape[1]))
     start = 0
     while start < n:
         stop = start + _ROW_BLOCK
         if n - stop <= 1:
             stop = n
+        block = batch[start:stop]
+        if inputs is not None:
+            block = model_inputs(block, out=inputs[: stop - start])
         mask = None if dropout_mask is None else dropout_mask[start:stop]
-        logits[start:stop], _ = _forward_cached(net, batch[start:stop], mask)
+        logits[start:stop] = _forward_cached(net, block, mask)[0]
         start = stop
     return logits
 
@@ -283,8 +314,11 @@ def _backward_cached(net: Network, cache, dlogits: np.ndarray, grad: Network) ->
 
 
 def backward(net: Network, batch, targets, loss: LossSpec, dropout_mask=None) -> np.ndarray:
-    """Gradient of the mean batch loss with respect to the flat parameter vector."""
+    """Gradient of the mean batch loss with respect to the flat parameter
+    vector; the batch is one minibatch, so float32 rows are mapped whole."""
     batch = _check_batch(net, batch)
+    if batch.dtype == np.float32:
+        batch = model_inputs(batch)
     targets = np.asarray(targets, dtype=np.int64)
     if targets.shape != (batch.shape[0],):
         raise LabelError(f"expected {batch.shape[0]} targets, got shape {targets.shape}")
@@ -333,15 +367,28 @@ def draw_minibatch_indices(
 
 
 def _training_inputs(net: Network, batch, targets, loss: LossSpec, sgd: SgdConfig, sample_weights):
-    """Checked (batch, targets, sampling cdf, steps per epoch) of a training run;
-    ``train`` and ``uq.bnn_train`` check their inputs here, once, at entry."""
+    """Checked (rows, targets, sampling cdf, steps per epoch) of a training run;
+    ``train`` and ``uq.bnn_train`` check their inputs here, once, at entry.
+
+    The first item is ``rows(idx)``, the model inputs of the minibatch at row
+    indices idx. Float32 rows are gathered and mapped into one float64
+    buffer that every step reuses, valid until the next call: a fresh
+    minibatch array per step costs more than the map itself."""
     x = _check_batch(net, batch)
     n = x.shape[0]
     y = np.asarray(targets, dtype=np.int64)
     if y.shape != (n,):
         raise LabelError(f"expected {n} targets, got shape {y.shape}")
     y = loss.check_targets(y, net.config.output_dim)
-    return x, y, sampling_cdf(sample_weights, n), max(1, -(-n // sgd.batch_size))
+    if x.dtype == np.float32:
+        inputs = np.empty((sgd.batch_size, x.shape[1]))
+
+        def rows(idx):
+            return model_inputs(x[idx], out=inputs)
+
+    else:
+        rows = x.__getitem__
+    return rows, y, sampling_cdf(sample_weights, n), max(1, -(-n // sgd.batch_size))
 
 
 @dataclass
@@ -362,10 +409,11 @@ def train(
     """Momentum SGD with weighted minibatch sampling; one checkpoint per epoch.
 
     The update is v = momentum*v + (grad + weight_decay*theta); theta -= lr*v.
-    Batch, targets and sample weights are checked once, at entry (``_training_inputs``).
+    Batch, targets and sample weights are checked once, at entry (``_training_inputs``);
+    float32 rows are mapped to model inputs one minibatch at a time.
     Raises DivergenceError naming the epoch if any batch loss goes non-finite.
     """
-    x, y, cdf, steps_per_epoch = _training_inputs(net, batch, targets, loss, sgd, sample_weights)
+    rows, y, cdf, steps_per_epoch = _training_inputs(net, batch, targets, loss, sgd, sample_weights)
     net = net.copy()
     rng_batches = child_rng(sgd.seed, "batches")
     rng_dropout = child_rng(sgd.seed, "dropout")
@@ -381,7 +429,7 @@ def train(
         loss_sum = 0.0
         for _ in range(steps_per_epoch):
             idx = draw_minibatch_indices(rng_batches, cdf, sgd.batch_size)
-            xb, yb = x[idx], y[idx]
+            xb, yb = rows(idx), y[idx]
             mask = None
             if use_dropout:
                 mask = draw_dropout_mask(

@@ -193,13 +193,11 @@ class EvalData:
 def prepare_dataset(cfg: RunConfig) -> data_mod.Dataset:
     """Generate the run's dataset, deterministically in cfg.
 
-    Features pass through the 32-bit container precision so that a run from
-    the in-memory dataset and a run from its saved copy are bit-identical.
+    Its features are float32, the precision of the DFD1 container, so a run
+    from the in-memory dataset and a run from its saved copy are bit-identical.
     """
     spec = replace(cfg.data, seed=child_seed(cfg.seed, "data"))
-    ds = data_mod.generate(spec)
-    data_mod.round_to_float32(ds.features)
-    return ds
+    return data_mod.generate(spec)
 
 
 def build_eval_data(cfg: RunConfig, data_path=None) -> EvalData:
@@ -211,28 +209,16 @@ def build_eval_data(cfg: RunConfig, data_path=None) -> EvalData:
     return split_eval_data(cfg, ds)
 
 
-def model_inputs(features: np.ndarray, out=None) -> np.ndarray:
-    """Fixed affine map 2x - 1 applied to every model input.
-
-    Centering the [0,1] intensity scale at zero removes the large common-mode
-    component that otherwise makes the output bias, and with it the 0.5-score
-    operating point, swing between epochs under resampled minibatches.
-    out=features maps the array in place.
-    """
-    out = np.multiply(features, 2.0, out=out)
-    out -= 1.0
-    return out
-
-
 def split_eval_data(cfg: RunConfig, ds: data_mod.Dataset) -> EvalData:
     """Split a dataset and corrupt its test portion per planned condition.
 
     Takes ownership of ds: ``data.partition`` reorders its feature rows in
     place, so x_train, x_val and the clean test condition are views of that
-    one buffer, and ds must not be used afterwards. Corruption happens on the
-    raw intensity scale; the model-input map is applied after it, in place,
-    to the whole buffer and to each corrupted copy. The clean test rows are
-    mapped last, once every corruption has read them.
+    one buffer, and ds must not be used afterwards. Those views keep the
+    dataset's raw float32 rows, which the networks map to model inputs as
+    they read them (``nnet.model_inputs``). Corruption happens on the raw
+    intensity scale, and each float64 corrupted copy is then mapped in place
+    by the same function.
     """
     ds = data_mod.split(ds, child_seed(cfg.seed, "split"))
     train, val, test = data_mod.partition(ds)
@@ -249,8 +235,7 @@ def split_eval_data(cfg: RunConfig, ds: data_mod.Dataset) -> EvalData:
                 blur_sigmas=cfg.corruption.blur_sigmas,
             )
             x = data_mod.corrupt(test, spec, corrupt_seed).features
-            x_tests[cond] = model_inputs(x, out=x)
-    model_inputs(ds.features, out=ds.features)
+            x_tests[cond] = nnet.model_inputs(x, out=x)
     x_tests[Condition("id")] = test.features
 
     return EvalData(
@@ -493,8 +478,8 @@ def _fit_bnn(cfg, data, seed_index, members):
 
 
 # Learned methods: fit(cfg, data, seed_index, members) returns (inputs,
-# hidden_dims): data with x_train, x_val and x_tests already in the models'
-# input space, and the hidden layers of every model of the cost grid.
+# hidden_dims): data with x_train, x_val and x_tests as the models read them,
+# and the hidden layers of every model of the cost grid.
 
 
 def _fit_one_stage(cfg, data, seed_index, members):

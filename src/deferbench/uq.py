@@ -259,9 +259,10 @@ def bnn_train(
     noise from its own stream, so collapsing the posterior (kl_weight 0,
     stddev underflowing to 0) reproduces the deterministic trajectory.
     The SGD weight_decay setting is ignored: the prior already shrinks means.
-    Inputs are checked once, at entry, by ``nnet._training_inputs`` as in ``nnet.train``.
+    Inputs are checked once, at entry, by ``nnet._training_inputs`` as in ``nnet.train``,
+    and float32 rows are mapped to model inputs one minibatch at a time.
     """
-    batch, targets, cdf, steps_per_epoch = nnet._training_inputs(
+    rows, targets, cdf, steps_per_epoch = nnet._training_inputs(
         net, batch, targets, loss, sgd, sample_weights
     )
     rng_batches = child_rng(sgd.seed, "batches")
@@ -286,7 +287,7 @@ def bnn_train(
             std = np.exp(log_std)
             eps = rng_weights.standard_normal(mean.shape[0])
             np.add(mean, std * eps, out=theta)
-            xb, yb = batch[idx], targets[idx]
+            xb, yb = rows(idx), targets[idx]
             kl = _kl_to_prior(mean, log_std, std, bnn.prior_stddev)
             logits, cache = nnet._forward_cached(work, xb, None)
             if not np.all(np.isfinite(logits)):

@@ -651,6 +651,26 @@ def test_corrupt_level_zero_is_identity_bytes(dataset_path, ini_path, tmp_path):
     assert sha(out) == sha(dataset_path)
 
 
+# SHA-256 of the `deferbench corrupt` outputs of the tiny dataset at level 3,
+# recorded while a dataset was read into float64 features; it is now read as
+# float32 rows, and the corrupted values are the same.
+FROZEN_CORRUPT_SHA256 = {
+    "noise": "b17e5b5d57970463003035dd70466bf52d57e0febfca481486f0ac9a7ae0a7a2",
+    "blur": "731665a3b09e5299192ffc2d1c985004c860c8a3348f6031e18501c8071f7f4d",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(FROZEN_CORRUPT_SHA256))
+def test_corrupt_output_bytes_are_frozen(dataset_path, ini_path, tmp_path, kind):
+    out = tmp_path / f"{kind}.dfd1"
+    rc = cli.main(
+        ["corrupt", "--config", str(ini_path), "--data", str(dataset_path),
+         "--out", str(out), "--kind", kind, "--level", "3"]
+    )
+    assert rc == 0
+    assert sha(out) == FROZEN_CORRUPT_SHA256[kind]
+
+
 def test_corrupt_rejects_unknown_kind(dataset_path, tmp_path):
     with pytest.raises(SystemExit):
         cli.main(
@@ -692,6 +712,21 @@ def test_inspect_dataset(dataset_path, capsys):
     assert "samples=600" in stdout
     assert "positives=30" in stdout
     assert "spatial_shape=8,8,1" in stdout
+
+
+def test_inspect_dataset_lines_are_frozen(dataset_path, capsys):
+    # recorded while a dataset was read into float64 features
+    assert cli.main(["inspect", str(dataset_path)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "kind=dataset",
+        "samples=600",
+        "features=64",
+        "spatial_shape=8,8,1",
+        "positives=30",
+        "negatives=570",
+        "feature_min=0.13710403442382812",
+        "feature_max=0.8284123539924622",
+    ]
 
 
 def test_inspect_weights(tmp_path, capsys):

@@ -3,17 +3,19 @@
 Every reader of a text format (results and classification CSV, bundle
 manifest, INI configuration) must turn truncated or bit-flipped input into a
 ``DeferBenchError``, never a raw traceback. Every bundle writer and the
-configuration echo must leave either the complete file or no file.
+configuration echo must leave either the complete file or no file. A
+dataset file with a non-finite feature is refused the same way.
 """
 
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from deferbench import atomic, cli, config, nnet, pipelines, sweep
+from deferbench import atomic, cli, config, data, nnet, pipelines, sweep
 from deferbench.errors import ConfigError, DeferBenchError, FormatError
 from deferbench.metrics import CurvePoint
 
@@ -168,6 +170,43 @@ def test_repeated_manifest_key_names_the_line(tmp_path, capsys):
     assert cli.main(["inspect", str(tmp_path)]) == 1
     captured = capsys.readouterr()
     assert "error:" in captured.err and "kind=bundle" not in captured.out
+
+
+NON_FINITE_INI = """\
+[data]
+n_samples = 300
+positive_fraction = 0.05
+spatial_shape = 8,8,1
+
+[corruption]
+levels = 1
+"""
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_feature_names_the_row(tmp_path, capsys, value):
+    # one bad pixel in row 5 of a 300-sample file: a run from it would train
+    # on whichever minibatches drew that row, so the reader refuses the file
+    ds = data.generate(data.SynthSpec(n_samples=300, positive_fraction=0.05,
+                                      spatial_shape=(8, 8, 1)))
+    ds.features[5, 17] = value
+    path = tmp_path / "bad.dfd1"
+    data.write_dataset(path, ds)
+    with pytest.raises(FormatError, match="row 5 has a non-finite feature"):
+        data.read_dataset(path)
+
+    ini = tmp_path / "cfg.ini"
+    ini.write_text(NON_FINITE_INI)
+    out = tmp_path / "run"
+    capsys.readouterr()
+    assert cli.main(["inspect", str(path)]) == 1
+    assert cli.main(["run", "--config", str(ini), "--out", str(out), "--data", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert "feature_min" not in captured.out
+    lines = captured.err.splitlines()
+    assert lines == [f"error: {path}: row 5 has a non-finite feature"] * 2
+    assert not (out / sweep.RESULTS_NAME).exists()
+    assert not (out / sweep.CLASSIFICATION_NAME).exists()
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,7 @@ def test_generate_default_counts_and_range():
     assert int(ds.labels.sum()) == 300  # exact 3% positives
     assert ds.features.min() >= 0.0
     assert ds.features.max() <= 1.0
-    assert ds.features.dtype == np.float64
+    assert ds.features.dtype == np.float32
 
 
 def test_generate_positive_count_rounds_half_up():
@@ -88,33 +88,35 @@ def test_low_frequency_pattern_shape():
     np.testing.assert_allclose(pattern, pattern[:, ::-1], atol=1e-12)
 
 
-# SHA-256 of the float64 feature bytes and the int64 label bytes, recorded
-# before the image generator filled its buffer in row blocks. A change that
-# keeps every generated byte keeps them.
+# SHA-256 of the float32 feature bytes and the int64 label bytes. The
+# feature hashes are of generate(spec).features.astype(np.float32), recorded
+# while the generator still returned float64 features (whose own hashes were
+# recorded before it filled its buffer in row blocks); the float32 rounding
+# is what every run used. A change that keeps every generated byte keeps them.
 FROZEN_GENERATOR = {
     "default": (
         data.SynthSpec(),
-        "d242460710d7c70ad4f79d7606d9ef0c27a0d39f77ec4448b11022af4950da22",
+        "8c5afcc7114e5e77110d4e05301827e6e7663c5c22f7cf894bef35dc470da9cd",
         "644f372d5e6400a36917f89c6fa1903957d4d659114663c724cfc4d0472792b1",
     ),
     "ragged_last_block": (
         data.SynthSpec(n_samples=1031, seed=4),
-        "74d48ba075015937d443228238d4db963a56918ac7525266baa44e30195cf4c2",
+        "d9aa88e6cf435c6fbabaef72cafcf9f30137d63154ae592225677ec39aeae415",
         "7eb7983e25f56d4c0a94695c58f840910de78dbc8aa2c32bebb82c4d6305d158",
     ),
     "three_channels": (
         data.SynthSpec(n_samples=500, spatial_shape=(8, 8, 3), seed=5),
-        "4aea232222760c2c033173d2fe4e53853b0259ea2adf4de68ecf655025b531c9",
+        "4be6a12fcbe9d18396267165b0a12823449d7ef6e7a724fc5e5dc6bfd974808d",
         "5413b05dd93ebbffef7a330ece26e437b04b305d8d979aff0be6ced4137d13db",
     ),
     "zero_overlap": (
         data.SynthSpec(n_samples=600, overlap_scale=0.0, seed=6),
-        "1b0c16926fa2b4b2fb7017dd813615cbb9a3bde67f1dbcb808a174da81f2434c",
+        "22668672314242aba070186b2add8061815463b40902d8d10669e33e2a3cf3db",
         "80beb699fd13bf3bcb2947f84e8593a8f0b7e66f221eb1db576521103cfb9883",
     ),
     "blobs": (
         data.SynthSpec(n_samples=700, spatial_shape=None, seed=7),
-        "df7b2194aa59c4b7f3baffb19bd1943ec9c36b991de7880dac152e00e2290ee3",
+        "599f2422b4e0143e90859ee5fa54731dff7d933183eec4e4324a5ecc0c313366",
         "673c6e1ee604df8bea156ec7ec1291364c073abfe92118ca857928924d01045e",
     ),
 }
@@ -150,7 +152,9 @@ def test_generate_peak_memory_is_about_one_copy_of_the_features():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # the features themselves are 1.0; the rest is row-block temporaries
+    # the float32 features themselves are 1.0; the rest is the background
+    # grids and one float64 scratch block with its temporaries
+    assert ds.features.dtype == np.float32
     assert peak <= 1.5 * ds.features.nbytes, peak / ds.features.nbytes
 
 
@@ -521,6 +525,9 @@ def test_read_dataset_does_not_depend_on_the_row_block(tmp_path, monkeypatch, bl
     data.write_dataset(path, ds)
     expected = data.read_dataset(path).features
     monkeypatch.setattr(data, "_ROW_BLOCK", block)
+    again = tmp_path / "again.dfd1"
+    data.write_dataset(again, ds)
+    assert again.read_bytes() == path.read_bytes()
     assert data.read_dataset(path).features.tobytes() == expected.tobytes()
     np.testing.assert_array_equal(expected, ds.features.astype(np.float32))
 
@@ -537,8 +544,9 @@ def test_read_dataset_peak_memory_is_about_one_copy_of_the_features(tmp_path):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # the float64 features are 1.0; the rest is one float32 row block and the labels
-    assert peak <= 1.1 * ds.features.nbytes, peak / ds.features.nbytes
+    # the float32 payload is read into the features, 1.0; the rest is the labels
+    assert ds.features.dtype == np.float32
+    assert peak <= 1.05 * ds.features.nbytes, peak / ds.features.nbytes
 
 
 def test_write_dataset_failure_leaves_no_file(tmp_path):

@@ -416,23 +416,85 @@ def _digest(*arrays) -> str:
     return h.hexdigest()
 
 
-@pytest.mark.parametrize("trainer, kind", sorted(FROZEN_TRAJECTORIES))
-def test_training_trajectories_are_frozen(trainer, kind):
-    rng = np.random.default_rng(71)
-    x = rng.standard_normal((300, 6))
-    y = (x[:, 0] + 0.5 * x[:, 1] > 0.8).astype(np.int64)
+def trajectory_digest(trainer, x, y, loss) -> str:
+    """SHA-256 of a 3-epoch run with dropout 0.25, weight decay and
+    non-uniform sample weights: every checkpoint and loss of ``nnet.train``,
+    or the posterior and losses of ``uq.bnn_train``."""
     weights = np.where(y == 1, 1.0 / y.sum(), 1.0 / (y.shape[0] - y.sum()))
     net = nnet.init_network(nnet.NetConfig(6, (10, 7), 3, dropout_rate=0.25, seed=3))
     sgd = nnet.SgdConfig(learning_rate=0.05, momentum=0.9, weight_decay=1e-3,
                          batch_size=32, epochs=3, seed=11)
     if trainer == "train":
-        result = nnet.train(net, x, y, LOSSES[kind], sgd, sample_weights=weights)
-        got = _digest(*result.checkpoints, nnet.get_params(result.network), result.epoch_losses)
-    else:
-        result = uq.bnn_train(net, x, y, LOSSES[kind], sgd, sample_weights=weights)
-        posterior = result.posterior
-        got = _digest(posterior.mean, posterior.log_stddev, result.epoch_losses)
-    assert got == FROZEN_TRAJECTORIES[(trainer, kind)]
+        result = nnet.train(net, x, y, loss, sgd, sample_weights=weights)
+        return _digest(*result.checkpoints, nnet.get_params(result.network), result.epoch_losses)
+    result = uq.bnn_train(net, x, y, loss, sgd, sample_weights=weights)
+    posterior = result.posterior
+    return _digest(posterior.mean, posterior.log_stddev, result.epoch_losses)
+
+
+@pytest.mark.parametrize("trainer, kind", sorted(FROZEN_TRAJECTORIES))
+def test_training_trajectories_are_frozen(trainer, kind):
+    rng = np.random.default_rng(71)
+    x = rng.standard_normal((300, 6))
+    y = (x[:, 0] + 0.5 * x[:, 1] > 0.8).astype(np.int64)
+    assert trajectory_digest(trainer, x, y, LOSSES[kind]) == FROZEN_TRAJECTORIES[(trainer, kind)]
+
+
+# ---------------------------------------------------------------------------
+# float32 rows: raw intensities, mapped to model inputs as a network reads them
+# ---------------------------------------------------------------------------
+
+
+def raw_rows(n, input_dim, seed):
+    """float32 intensities in [0, 1], and 2x - 1 of their whole float64 copy."""
+    raw = np.random.default_rng(seed).random((n, input_dim), dtype=np.float32)
+    return raw, 2.0 * raw.astype(np.float64) - 1.0
+
+
+@pytest.mark.parametrize("trainer, kind", sorted(FROZEN_TRAJECTORIES))
+def test_float32_rows_train_as_their_mapped_float64_copy(trainer, kind):
+    raw, mapped = raw_rows(300, 6, 72)
+    y = (mapped[:, 0] + 0.5 * mapped[:, 1] > 0.4).astype(np.int64)
+    assert trajectory_digest(trainer, raw, y, LOSSES[kind]) == trajectory_digest(
+        trainer, mapped, y, LOSSES[kind]
+    )
+
+
+@pytest.mark.parametrize("name", sorted(BLOCKED_NETS))
+@pytest.mark.parametrize("n", [1, B - 1, B, B + 1, 2 * B + 1])
+def test_float32_rows_infer_as_their_mapped_float64_copy(name, n):
+    input_dim, hidden, output_dim, loss = BLOCKED_NETS[name]
+    net = tiny_net(input_dim, hidden, output_dim, dropout=0.2, seed=n)
+    raw, mapped = raw_rows(n, input_dim, n)
+    y = np.random.default_rng(n).integers(0, 2, size=n)
+
+    assert nnet.forward(net, raw).tobytes() == nnet.forward(net, mapped).tobytes()
+    assert nnet.mean_loss(net, raw, y, loss) == nnet.mean_loss(net, mapped, y, loss)
+    masked = [nnet.forward(net, x, dropout_on=True, rng=np.random.default_rng(7))
+              for x in (raw, mapped)]
+    assert masked[0].tobytes() == masked[1].tobytes()
+
+
+def test_float32_rows_are_never_widened_whole():
+    # 7,000 x 256 float32 rows: a float64 copy of them is 14.3 MB, and the
+    # trainer and an inference pass widen one minibatch or one block at a time
+    net = tiny_net(256, (64, 64), 2, dropout=0.25, seed=3)
+    raw = np.random.default_rng(4).random((7000, 256), dtype=np.float32)
+    y = (raw[:, 0] > 0.9).astype(np.int64)
+    sgd = nnet.SgdConfig(learning_rate=0.05, weight_decay=1e-3, epochs=1, seed=5)
+    widened = raw.size * 8
+    peaks = {}
+    tracemalloc.start()
+    try:
+        nnet.forward(net, raw)
+        peaks["forward"] = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        nnet.train(net, raw, y, CE, sgd, sample_weights=np.where(y == 1, 5.0, 1.0))
+        peaks["train"] = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    for where, peak in peaks.items():
+        assert peak < widened / 4, (where, peak / widened)
 
 
 def test_layers_are_views_of_params():

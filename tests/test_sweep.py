@@ -323,19 +323,28 @@ def test_split_eval_data_sizes_and_conditions(tiny_cfg, eval_data):
 
 def test_model_inputs_affine():
     x = np.array([[0.0, 0.5, 1.0]])
-    np.testing.assert_array_equal(sweep.model_inputs(x), [[-1.0, 0.0, 1.0]])
+    np.testing.assert_array_equal(nnet.model_inputs(x), [[-1.0, 0.0, 1.0]])
+    # float32 rows are widened before the map, so the float64 result is exact
+    x32 = np.array([[0.0, 0.1, 1.0]], dtype=np.float32)
+    mapped = nnet.model_inputs(x32)
+    assert mapped.dtype == np.float64
+    assert mapped.tobytes() == (2.0 * x32.astype(np.float64) - 1.0).tobytes()
 
 
 def test_corruption_touches_only_the_test_split(tiny_cfg, eval_data):
     ds = data_mod.split(sweep.prepare_dataset(tiny_cfg), child_seed(tiny_cfg.seed, "split"))
     train, test = ds.split_mask(data_mod.TRAIN), ds.split_mask(data_mod.TEST)
-    np.testing.assert_array_equal(eval_data.x_train, sweep.model_inputs(ds.features[train]))
+    # the train rows stay raw float32; the networks map them as they read them
+    assert eval_data.x_train.dtype == np.float32
+    assert eval_data.x_train.tobytes() == ds.features[train].tobytes()
     np.testing.assert_array_equal(eval_data.y_test, ds.labels[test])
 
     noisy = eval_data.x_tests[sweep.Condition("noise", 1)]
     clean = eval_data.x_tests[sweep.Condition("id")]
     assert not np.array_equal(noisy, clean)
-    np.testing.assert_array_equal(clean, sweep.model_inputs(ds.features[test]))
+    assert clean.tobytes() == ds.features[test].tobytes()
+    # a corrupted copy is float64, mapped to model inputs in place
+    assert noisy.dtype == np.float64
 
 
 def test_id_condition_equals_level_zero_corruption_bytes(tiny_cfg, eval_data):
@@ -344,8 +353,9 @@ def test_id_condition_equals_level_zero_corruption_bytes(tiny_cfg, eval_data):
     test = data_mod.Dataset(ds.features[mask], ds.labels[mask], ds.spatial_shape)
     spec = data_mod.CorruptionSpec(kind="noise", level=0)
     corrupted = data_mod.corrupt(test, spec, child_seed(tiny_cfg.seed, "corrupt"))
-    a = sweep.model_inputs(corrupted.features)
+    a = corrupted.features
     b = eval_data.x_tests[sweep.Condition("id")]
+    assert a.dtype == b.dtype == np.float32
     assert a.tobytes() == b.tobytes()
 
 
@@ -353,8 +363,8 @@ def test_prepare_dataset_is_quantized_and_deterministic(tiny_cfg):
     ds1 = sweep.prepare_dataset(tiny_cfg)
     ds2 = sweep.prepare_dataset(tiny_cfg)
     assert ds1.features.tobytes() == ds2.features.tobytes()
-    requantized = ds1.features.astype(np.float32).astype(np.float64)
-    assert requantized.tobytes() == ds1.features.tobytes()
+    # the features are float32, the precision of the DFD1 container
+    assert ds1.features.dtype == np.float32
 
 
 def test_split_eval_data_owns_the_dataset_buffer(tiny_cfg, eval_data):
@@ -371,7 +381,7 @@ def test_split_eval_data_owns_the_dataset_buffer(tiny_cfg, eval_data):
     ):
         assert np.shares_memory(x, buffer)
         mask = reference.split_mask(which)
-        np.testing.assert_array_equal(x, sweep.model_inputs(reference.features[mask]))
+        assert x.tobytes() == reference.features[mask].tobytes()
         np.testing.assert_array_equal(y, reference.labels[mask])
     # the buffer holds the train, val and test blocks, in that order
     np.testing.assert_array_equal(buffer, np.concatenate([again.x_train, again.x_val, clean]))
@@ -403,21 +413,25 @@ def new_arrays(features, out) -> int:
 
 
 def test_split_eval_data_peak_memory():
-    # default 10,000 x 256 images, three conditions: the two corrupted test
-    # copies are 0.2x the input features and the val and test scratch 0.3x
+    # default 10,000 x 256 float32 images, three conditions: the two float64
+    # corrupted test copies are 0.4x the input features and the val and test
+    # scratch 0.3x
     features, out, peak = traced_split_eval_data(
         RunConfig(corruption=CorruptionSettings(levels=1))
     )
-    assert new_arrays(features, out) == 2 * out.x_tests[sweep.Condition("id")].nbytes
-    assert peak <= 0.5 * features.nbytes, peak / features.nbytes
+    assert features.dtype == np.float32
+    assert new_arrays(features, out) == 4 * out.x_tests[sweep.Condition("id")].nbytes
+    assert peak <= 0.95 * features.nbytes, peak / features.nbytes
 
 
 def test_split_eval_data_temporaries_do_not_grow_with_the_conditions():
-    # ten corrupted conditions return 1x the input; beyond that the peak
-    # holds one corruption's temporaries, not a copy of the dataset
+    # ten float64 corrupted conditions return 2x the float32 input; beyond
+    # that the peak holds one corruption's temporaries, not a copy of the
+    # dataset
     features, out, peak = traced_split_eval_data(RunConfig())
     kept = new_arrays(features, out)
-    assert peak - kept <= 0.5 * features.nbytes, (peak - kept) / features.nbytes
+    assert kept == 2 * features.nbytes
+    assert peak - kept <= 0.8 * features.nbytes, (peak - kept) / features.nbytes
 
 
 def test_run_from_file_matches_in_memory(tiny_cfg, eval_data, tmp_path):
