@@ -47,12 +47,13 @@ def cmd_generate(args) -> int:
     cfg = _load_run_config(args)
     out = _output_file(args.out)
     ds = sweep.prepare_dataset(cfg)
+    # a dataset no run could split is refused before it is written
+    tagged = data_mod.split(ds, child_seed(cfg.seed, "split"))
     data_mod.write_dataset(out, ds)
     pos = int(ds.labels.sum())
     prevalence = 100.0 * pos / ds.n_samples
     print(f"wrote {out}: {ds.n_samples} samples, {ds.n_features} features")
     print(f"positives={pos} negatives={ds.n_samples - pos} prevalence={prevalence:.2f}%")
-    tagged = data_mod.split(ds, child_seed(cfg.seed, "split"))
     sizes = {name: int(tagged.split_mask(which).sum())
              for which, name in sorted(data_mod.SPLIT_NAMES.items())}
     print(f"split sizes (seed {cfg.seed}): " + " ".join(f"{k}={v}" for k, v in sizes.items()))
@@ -82,32 +83,22 @@ def cmd_run(args) -> int:
         # the file's own image shape, not the generator's, bounds the blur levels
         header = data_mod.read_dataset_header(data_path)
         cfg.corruption.check_images(header.spatial_shape, str(data_path))
+    ds = sweep.prepare_dataset(cfg) if data_path is None else data_mod.read_dataset(data_path)
+    # a dataset no task can use (labels that are not 0/1, a class too small
+    # to split) stops the run here, before it writes anything; each process
+    # that runs tasks builds its own data from the dataset file
+    data_mod.split(ds, child_seed(cfg.seed, "split"))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _clear_run_outputs(out, data_path)
     with atomic_open(out / "config.ini", "w", encoding="utf-8") as fh:
         fh.write(emit_config(cfg))
-
     if data_path is None:
-        ds = sweep.prepare_dataset(cfg)
         data_path = out / "dataset.dfd1"
         data_mod.write_dataset(data_path, ds)
-    else:
-        ds = data_mod.read_dataset(data_path)
-    # a dataset no task can use (labels that are not 0/1, a class too small
-    # to split) stops the run here, before any task starts: the serial plan
-    # splits ds for its tasks, and a pool run splits it only to check, since
-    # each pool task builds its own data from the dataset file
-    if cfg.jobs <= 1:
-        data = sweep.split_eval_data(cfg, ds)
-    else:
-        data_mod.split(ds, child_seed(cfg.seed, "split"))
-        data = None
-    # a serial split took ownership of ds and its arrays are views of ds's
-    # features; a pool run has no use for ds, so free it before training
-    del ds
+    del ds  # the tasks read the file back; keep no second copy while they train
 
-    result = sweep.run_plan(cfg, out_dir=out, data=data, data_path=data_path)
+    result = sweep.run_plan(cfg, out_dir=out, data_path=data_path)
     sweep.write_results_csv(out / sweep.RESULTS_NAME, result.points)
     sweep.write_classification_csv(out / sweep.CLASSIFICATION_NAME, result.classification)
     try:

@@ -42,7 +42,7 @@ class UnsupportedCorruptionError(DeferBenchError):
 
 
 class UsageError(DeferBenchError):
-    """An API used out of order (e.g. prediction before a threshold is set)."""
+    """A command-line argument names a path the command cannot use (exit code 2)."""
 
 
 class FormatError(DeferBenchError):

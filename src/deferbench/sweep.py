@@ -19,10 +19,11 @@ mapping. Adding a method means adding one table row and one fit function
 
 The plan runs as independent tasks. A seed's ensemble and deferral head
 share one task, so the committee goes from one to the other inside the
-process that trained it; every other task is one method. --jobs 1 runs the
-tasks in a plain loop in this process; --jobs N keeps at most N of them in a
-process pool at a time. A worker process that dies breaks the pool: every
-task not finished by then gets failure rows, and the run still ends.
+process that trained it; every other task is one method. Each process that
+runs tasks builds the run's data once, and --jobs only decides who runs
+them: --jobs 1 in a plain loop in this process, --jobs N at most N at a time
+in a process pool. A worker process that dies breaks the pool: every task
+not finished by then gets failure rows, and the run still ends.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from operator import attrgetter
 from pathlib import Path
 from typing import Optional
@@ -634,7 +636,7 @@ def _seed_dir(out_dir, seed_index) -> Optional[Path]:
 
 
 def _worker(cfg, seed_index, method, out_dir, members, data):
-    """One method of a pool task, on the data its task built in the worker."""
+    """One method of a task, on the data its process built."""
     return run_method(cfg, data, seed_index, method, _seed_dir(out_dir, seed_index), members)
 
 
@@ -667,30 +669,30 @@ def _plan_tasks(cfg: RunConfig) -> list:
     return [(s, methods) for s in range(cfg.n_seeds) for methods in groups]
 
 
-def _run_task(cfg, seed_index, methods, out_dir, data_path, data=None) -> list:
+@lru_cache(maxsize=1)
+def _task_data(cfg: RunConfig, data_path) -> EvalData:
+    """The run's evaluation data, built once per process; a failed build is not kept."""
+    return build_eval_data(cfg, data_path)
+
+
+def _run_task(cfg, seed_index, methods, out_dir, data_path) -> list:
     """(result, seconds) per method of one task, run in order in this process.
 
-    With data, each method runs on it; without, as in a pool worker, the
-    task builds the (deterministic) data once and each method is one _worker
-    call on it. A method's failure becomes its failure rows and leaves the
-    others running; a failed data build raises, and run_plan fails every
-    method of the task. The ensemble's committee goes to the deferral head as
-    networks and is cleared from every result, so nothing returned holds
-    weights; without it the head trains its own. seconds is the time of that
-    method alone.
+    The task takes the run's data from _task_data, loading the dataset from
+    data_path, when given, instead of generating it; each method is one
+    _worker call on it. A method's failure becomes its failure rows and
+    leaves the others running; a failed data build raises, which stops a
+    serial run and, in a pool, fails every method of the task. The
+    ensemble's committee goes to the deferral head as networks and is
+    cleared from every result, so nothing returned holds weights; without it
+    the head trains its own. seconds is the time of that method alone.
     """
-    pooled = data is None
-    if pooled:
-        data = build_eval_data(cfg, data_path)
+    data = _task_data(cfg, data_path)
     outcomes, committee = [], None
     for method in methods:
         t0 = time.perf_counter()
         try:
-            if pooled:
-                result = _worker(cfg, seed_index, method, out_dir, committee, data)
-            else:
-                seed_dir = _seed_dir(out_dir, seed_index)
-                result = run_method(cfg, data, seed_index, method, seed_dir, committee)
+            result = _worker(cfg, seed_index, method, out_dir, committee, data)
         except Exception as exc:  # noqa: BLE001 - isolate per-method failures
             result = _failure_result(cfg, seed_index, method, exc)
         if result.committee is not None:
@@ -699,25 +701,24 @@ def _run_task(cfg, seed_index, methods, out_dir, data_path, data=None) -> list:
     return outcomes
 
 
-def run_plan(
-    cfg: RunConfig, out_dir=None, data: Optional[EvalData] = None, data_path=None
-) -> PlanResult:
+def run_plan(cfg: RunConfig, out_dir=None, data_path=None) -> PlanResult:
     """Train and evaluate every (seed, method) pair of the plan.
 
-    The plan is a list of independent tasks (see _plan_tasks). --jobs 1 runs
+    The plan is a list of independent tasks (see _plan_tasks), each one
+    _run_task call with the same arguments at every --jobs. --jobs 1 runs
     them in-process in turn; otherwise a pool of min(jobs, tasks) workers
     gets them in plan order, one more each time one finishes, so none waits
-    queued. Each finished task prints one stderr line per method with that
-    method's own time (a seed's ensemble line waits for its deferral head,
-    which shares the task). A task whose future raises, as the running ones'
-    do when a worker process dies, gives failure rows to every method in it,
-    timed from its submission; once the pool is broken, every later task
-    gets them timed 0 s. An interrupt cancels every task not yet started and
-    re-raises, so the pool's exit waits at most for the tasks its workers run.
-    Results are merged in plan order (seeds outer, methods in configuration
-    order), so the output is independent of scheduling. Each pool task
-    builds the data once, loading the dataset from data_path, when given,
-    instead of regenerating it; without data, a serial run builds it once.
+    queued. Each process that runs tasks builds the data once (_task_data),
+    so a pool's main process holds none, and the cache is cleared when the
+    plan ends. Each finished task prints one stderr line per method with
+    that method's own time (a seed's ensemble line waits for its deferral
+    head, which shares the task). A task whose future raises, as the running
+    ones' do when a worker process dies, gives failure rows to every method
+    in it, timed from its submission; once the pool is broken, every later
+    task gets them timed 0 s. An interrupt cancels every task not yet
+    started and re-raises, so the pool's exit waits at most for the tasks
+    its workers run. Results are merged in plan order (seeds outer, methods
+    in configuration order), so the output is independent of scheduling.
     """
     plan = [(s, m) for s in range(cfg.n_seeds) for m in cfg.methods]
     tasks = _plan_tasks(cfg)
@@ -731,41 +732,42 @@ def run_plan(
             print(f"seed {s} {result.method}: {status} in {seconds:.2f} s", file=sys.stderr)
             results[s, result.method] = result
 
-    if cfg.jobs > 1:
-        workers = min(cfg.jobs, len(tasks))
-        running: dict = {}  # future -> (seed, methods, submission time)
+    try:
+        if cfg.jobs > 1:
+            workers = min(cfg.jobs, len(tasks))
+            running: dict = {}  # future -> (seed, methods, submission time)
 
-        def collect_one():
-            future = next(as_completed(running))
-            s, methods, t0 = running.pop(future)
-            try:
-                outcomes = future.result()
-            except Exception as exc:  # noqa: BLE001 - isolate per-task failures
-                elapsed = time.perf_counter() - t0
-                outcomes = [(_failure_result(cfg, s, m, exc), elapsed) for m in methods]
-            report(s, outcomes)
+            def collect_one():
+                future = next(as_completed(running))
+                s, methods, t0 = running.pop(future)
+                try:
+                    outcomes = future.result()
+                except Exception as exc:  # noqa: BLE001 - isolate per-task failures
+                    elapsed = time.perf_counter() - t0
+                    outcomes = [(_failure_result(cfg, s, m, exc), elapsed) for m in methods]
+                report(s, outcomes)
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            try:
-                for s, methods in tasks:
-                    if len(running) == workers:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                try:
+                    for s, methods in tasks:
+                        if len(running) == workers:
+                            collect_one()
+                        try:
+                            future = pool.submit(_run_task, cfg, s, methods, out_dir, data_path)
+                            running[future] = (s, methods, time.perf_counter())
+                        except BrokenProcessPool as exc:
+                            report(s, [(_failure_result(cfg, s, m, exc), 0.0) for m in methods])
+                    while running:
                         collect_one()
-                    try:
-                        future = pool.submit(_run_task, cfg, s, methods, out_dir, data_path)
-                        running[future] = (s, methods, time.perf_counter())
-                    except BrokenProcessPool as exc:
-                        report(s, [(_failure_result(cfg, s, m, exc), 0.0) for m in methods])
-                while running:
-                    collect_one()
-            except BaseException:
-                for future in running:
-                    future.cancel()
-                raise
-    else:
-        if data is None:
-            data = build_eval_data(cfg, data_path)
-        for s, methods in tasks:
-            report(s, _run_task(cfg, s, methods, out_dir, data_path, data))
+                except BaseException:
+                    for future in running:
+                        future.cancel()
+                    raise
+        else:
+            for s, methods in tasks:
+                report(s, _run_task(cfg, s, methods, out_dir, data_path))
+    finally:
+        _task_data.cache_clear()
 
     points, classification = [], []
     for key in plan:

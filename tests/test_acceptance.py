@@ -4,7 +4,8 @@ Criteria 1-5 are analytic or oracle checks and run in seconds. Criterion 6
 runs a scoped in-distribution benchmark (three threshold methods, five
 seeds). Criterion 7 runs the full default benchmark through the command line
 and shares its artifacts with criterion 9. Criterion 8 reruns a reduced
-configuration twice and compares bytes.
+configuration twice and compares bytes. Criteria 6, 7 and 9 are marked
+``slow``: ``-m "not slow"`` runs the rest.
 """
 
 import hashlib
@@ -264,7 +265,7 @@ def id_benchmark():
         corruption=CorruptionSettings(levels=0),
     )
     start = time.perf_counter()
-    result = sweep.run_plan(cfg, data=sweep.build_eval_data(cfg))
+    result = sweep.run_plan(cfg)
     return cfg, result, time.perf_counter() - start
 
 
@@ -285,6 +286,7 @@ def _bacc_at(pts, rate):
     )
 
 
+@pytest.mark.slow
 def test_acceptance_6_id_deferral_gain(capsys, id_benchmark):
     cfg, result, elapsed = id_benchmark
     gains = {}
@@ -320,6 +322,7 @@ def full_run(tmp_path_factory):
     return out, rc, elapsed
 
 
+@pytest.mark.slow
 def test_acceptance_7_full_benchmark_and_corruption_drop(capsys, full_run):
     out, rc, elapsed = full_run
     cfg = RunConfig()
@@ -363,26 +366,31 @@ def test_acceptance_7_full_benchmark_and_corruption_drop(capsys, full_run):
         if len([g for g in root.iter(f"{SVG_NS}g") if g.get("data-panel")]) != 2:
             problems.append(f"{name}: bad panel structure")
 
-    # direction of learned-vs-threshold comparison is reported, not asserted
-    def mean_bacc_at_20(method):
-        vals = []
-        for seed in range(cfg.n_seeds):
-            pts = _id_curve(points, method, seed)
-            if pts:
-                vals.append(_bacc_at(pts, 0.2))
-        return float(np.mean(vals))
+    # direction of learned-vs-threshold comparison is reported, not asserted;
+    # np.interp clamps beyond a curve's last rate, so only curves with points
+    # on both sides of 20%, at most 0.1 apart, are averaged
+    def family_bacc_at_20(methods):
+        vals, n = [], 0
+        for method in methods:
+            for seed in range(cfg.n_seeds):
+                pts = _id_curve(points, method, seed)
+                n += 1
+                below = [p.deferral_rate for p in pts if p.deferral_rate <= 0.2]
+                above = [p.deferral_rate for p in pts if p.deferral_rate >= 0.2]
+                if below and above and min(above) - max(below) <= 0.1:
+                    vals.append(_bacc_at(pts, 0.2))
+        mean = f"{np.mean(vals):.3f}" if vals else "uncovered"
+        return f"{mean} ({len(vals)} of {n} seed curves)"
 
-    learned = np.mean([mean_bacc_at_20(m) for m in ("one_stage", "two_stage")])
-    threshold = np.mean(
-        [mean_bacc_at_20(m) for m in ("softmax", "ensemble", "swag", "mc_dropout", "bnn")]
-    )
+    learned = family_bacc_at_20(("one_stage", "two_stage"))
+    threshold = family_bacc_at_20(("softmax", "ensemble", "swag", "mc_dropout", "bnn"))
     drop_text = ", ".join(f"{m} {d:+.3f}" for m, d in drops.items())
     _report(
         capsys, 7,
         not problems,
         (
             f"noise-3 bAcc drops: {drop_text} (need >= +0.02); "
-            f"observed ID bAcc@20%: learned {learned:.3f} vs threshold {threshold:.3f} "
+            f"observed ID bAcc@20%: learned {learned} vs threshold {threshold} "
             f"(reported only); {len(points)} rows, {len(svg_names)} SVGs, {elapsed:.0f}s"
         )
         if not problems
@@ -429,6 +437,7 @@ def test_acceptance_8_run_determinism(capsys, tmp_path):
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.slow
 def test_acceptance_9_sweep_mechanics(capsys, full_run):
     out, _, _ = full_run
     points = sweep.read_results_csv(out / "results.csv")

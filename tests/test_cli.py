@@ -556,6 +556,21 @@ def test_unusable_dataset_stops_the_run_before_any_task(tmp_path, capsys, case, 
     assert "FAILED" not in err and "Traceback" not in err
     assert not (out / sweep.RESULTS_NAME).exists()
     assert not (out / sweep.CLASSIFICATION_NAME).exists()
+    # the dataset is split before anything is written, so no file looks complete
+    assert not (out / "dataset.dfd1").exists()
+    assert not (out / "config.ini").exists()
+
+
+def test_generate_refuses_a_dataset_no_run_can_split(tmp_path, capsys):
+    ini = tmp_path / "cfg.ini"
+    ini.write_text(UNUSABLE_DATASETS["two_positives"])
+    out = tmp_path / "small.dfd1"
+    assert cli.main(["generate", "--config", str(ini), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("error:") == 1
+    assert captured.err.startswith("error: class 1 has 2 samples")
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -449,8 +449,8 @@ def test_run_from_file_matches_in_memory(tiny_cfg, eval_data, tmp_path):
 
 
 @pytest.fixture(scope="module")
-def softmax_plan(tiny_cfg, eval_data):
-    return sweep.run_plan(tiny_cfg, data=eval_data)
+def softmax_plan(tiny_cfg):
+    return sweep.run_plan(tiny_cfg)
 
 
 def test_run_plan_row_counts_and_provenance(tiny_cfg, softmax_plan):
@@ -471,19 +471,15 @@ def test_run_plan_row_counts_and_provenance(tiny_cfg, softmax_plan):
 
 def test_run_plan_merges_in_plan_order_independent_of_seed(tiny_cfg, eval_data):
     cfg = dataclasses.replace(tiny_cfg, n_seeds=2)
-    plan = sweep.run_plan(cfg, data=eval_data)
+    plan = sweep.run_plan(cfg)
     alone = sweep.run_method(cfg, eval_data, 1, "softmax")
     seed1 = [p for p in plan.points if p.seed == 1]
     assert points_as_csv(seed1) == points_as_csv(alone.points)
 
 
-def test_two_stage_points_unaffected_by_committee_reuse(tiny_cfg, eval_data):
-    with_ensemble = sweep.run_plan(
-        dataclasses.replace(tiny_cfg, methods=("ensemble", "two_stage")), data=eval_data
-    )
-    alone = sweep.run_plan(
-        dataclasses.replace(tiny_cfg, methods=("two_stage",)), data=eval_data
-    )
+def test_two_stage_points_unaffected_by_committee_reuse(tiny_cfg):
+    with_ensemble = sweep.run_plan(dataclasses.replace(tiny_cfg, methods=("ensemble", "two_stage")))
+    alone = sweep.run_plan(dataclasses.replace(tiny_cfg, methods=("two_stage",)))
     shared = [p for p in with_ensemble.points if p.method == "two_stage"]
     assert points_as_csv(shared) == points_as_csv(alone.points)
 
@@ -497,13 +493,13 @@ def test_parallel_execution_is_byte_identical(tiny_cfg, tmp_path):
     assert points_as_csv(serial.points) == points_as_csv(parallel.points)
 
 
-def test_failed_method_keeps_the_plan_running(tiny_cfg, eval_data):
+def test_failed_method_keeps_the_plan_running(tiny_cfg):
     cfg = dataclasses.replace(
         tiny_cfg,
         methods=("swag", "softmax"),
         swag=SwagCollectConfig(burn_in_frac=0.9, max_rank=20),  # keeps < 2 snapshots
     )
-    result = sweep.run_plan(cfg, data=eval_data)
+    result = sweep.run_plan(cfg)
     assert len(result.failures) == 1
     assert "swag" in result.failures[0] and "CollectionError" in result.failures[0]
 
@@ -549,21 +545,59 @@ def test_head_first_plans_are_byte_identical_across_jobs(tiny_cfg, tmp_path, met
     assert tables_as_csv(parallel) == tables_as_csv(serial)
 
 
-def test_a_pool_task_builds_its_data_once(tiny_cfg, tmp_path, monkeypatch):
-    # forked workers inherit the patched module global, and each build appends
-    # one line to a file the main process reads afterwards
-    log = tmp_path / "builds"
+def log_builds(monkeypatch, log):
+    """Make every build of the evaluation data append its process id to log.
+
+    Forked workers inherit the patched module global, so the main process
+    reads every worker's builds from the file afterwards."""
     real_build = sweep.build_eval_data
 
-    def counted_build(cfg, data_path=None):
+    def logged_build(cfg, data_path=None):
         with open(log, "a") as fh:
-            fh.write("build\n")
+            fh.write(f"{os.getpid()}\n")
         return real_build(cfg, data_path)
 
-    monkeypatch.setattr(sweep, "build_eval_data", counted_build)
-    cfg = dataclasses.replace(tiny_cfg, methods=("ensemble", "two_stage"), jobs=2)
+    monkeypatch.setattr(sweep, "build_eval_data", logged_build)
+
+
+def test_a_serial_run_builds_its_data_once(tiny_cfg, tmp_path, monkeypatch):
+    log = tmp_path / "builds"
+    log_builds(monkeypatch, log)
+    cfg = dataclasses.replace(tiny_cfg, n_seeds=2, methods=("softmax", "ensemble", "two_stage"))
     assert sweep.run_plan(cfg).failures == []
-    assert log.read_text().splitlines() == ["build"]
+    assert log.read_text().splitlines() == [str(os.getpid())]
+    # no evaluation data outlives the run
+    assert sweep._task_data.cache_info().currsize == 0
+
+
+def test_a_pool_run_builds_its_data_once_per_worker(tiny_cfg, tmp_path, monkeypatch):
+    # four tasks on two workers: each worker builds once, the main process never
+    log = tmp_path / "builds"
+    log_builds(monkeypatch, log)
+    cfg = dataclasses.replace(tiny_cfg, n_seeds=2, methods=("softmax", "mc_dropout"), jobs=2)
+    assert sweep.run_plan(cfg).failures == []
+    pids = log.read_text().splitlines()
+    assert 1 <= len(pids) == len(set(pids)) <= 2
+    assert str(os.getpid()) not in pids
+    assert sweep._task_data.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_every_method_runs_through_worker(tiny_cfg, tmp_path, monkeypatch, jobs):
+    # one task path at every --jobs; only who runs the task differs
+    log = tmp_path / "calls"
+
+    def logged_worker(cfg, seed_index, method, *rest):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()} {method}\n")
+        return REAL_WORKER(cfg, seed_index, method, *rest)
+
+    monkeypatch.setattr(sweep, "_worker", logged_worker)
+    cfg = dataclasses.replace(tiny_cfg, methods=("softmax", "ensemble", "two_stage"), jobs=jobs)
+    assert sweep.run_plan(cfg).failures == []
+    calls = [line.split() for line in log.read_text().splitlines()]
+    assert sorted(method for _, method in calls) == ["ensemble", "softmax", "two_stage"]
+    assert {pid == str(os.getpid()) for pid, _ in calls} == {jobs == 1}
 
 
 COMMITTEE = ["network"]  # stands in for the ensemble's committee
@@ -617,7 +651,10 @@ class InlineExecutor:
 
     def submit(self, fn, *args):
         future = Future()
-        future.set_result(fn(*args))
+        try:
+            future.set_result(fn(*args))
+        except Exception as exc:  # noqa: BLE001 - a pool reports it through the future
+            future.set_exception(exc)
         return future
 
 
@@ -637,6 +674,43 @@ def test_pool_has_at_most_one_worker_per_task(tiny_cfg, monkeypatch, jobs, worke
     )
     assert sweep.run_plan(cfg).failures == []
     assert InlineExecutor.created == [workers]
+
+
+def failing_first_build(monkeypatch) -> list:
+    """Make the first build of the evaluation data fail; returns the attempts."""
+    real_build, attempts = sweep.build_eval_data, []
+
+    def build(cfg, data_path=None):
+        attempts.append(data_path)
+        if len(attempts) == 1:
+            raise FormatError("damaged")
+        return real_build(cfg, data_path)
+
+    monkeypatch.setattr(sweep, "build_eval_data", build)
+    return attempts
+
+
+def test_a_failed_pool_build_fails_its_task_and_the_next_task_builds_again(
+    tiny_cfg, monkeypatch
+):
+    monkeypatch.setattr(sweep, "ProcessPoolExecutor", InlineExecutor)
+    attempts = failing_first_build(monkeypatch)
+    cfg = dataclasses.replace(tiny_cfg, methods=("ensemble", "two_stage", "softmax"), jobs=2)
+    result = sweep.run_plan(cfg)
+    assert result.failures == [
+        "seed 0 ensemble: FormatError: damaged", "seed 0 two_stage: FormatError: damaged"
+    ]
+    assert len(attempts) == 2
+    assert sweep._task_data.cache_info().currsize == 0
+
+
+def test_a_failed_serial_build_stops_the_plan(tiny_cfg, monkeypatch):
+    attempts = failing_first_build(monkeypatch)
+    cfg = dataclasses.replace(tiny_cfg, methods=("softmax", "mc_dropout"))
+    with pytest.raises(FormatError, match="damaged"):
+        sweep.run_plan(cfg)
+    assert len(attempts) == 1
+    assert sweep._task_data.cache_info().currsize == 0
 
 
 def walk_objects(obj, seen=None):
@@ -800,14 +874,15 @@ def dying_worker(cfg, seed_index, method, out_dir, members, data):
 
 def test_dying_worker_fails_only_unfinished_work(tiny_cfg, tmp_path, monkeypatch):
     # forked workers inherit the patched module global; with two workers,
-    # the last of the four tasks has not started when swag's worker dies
-    monkeypatch.setattr(sweep, "_worker", dying_worker)
+    # the last of the four tasks has not started when swag's worker dies.
+    # A serial run reaches _worker too, so the baseline runs before the patch.
     methods = ("softmax", "swag", "mc_dropout", "bnn")
     cfg = dataclasses.replace(tiny_cfg, methods=methods, jobs=2)
     path = tmp_path / "dataset.dfd1"
     data_mod.write_dataset(path, sweep.prepare_dataset(cfg))
-    result = sweep.run_plan(cfg, out_dir=tmp_path, data_path=path)
     alone = sweep.run_plan(dataclasses.replace(cfg, methods=("softmax",), jobs=1), data_path=path)
+    monkeypatch.setattr(sweep, "_worker", dying_worker)
+    result = sweep.run_plan(cfg, out_dir=tmp_path, data_path=path)
 
     assert [f.split(": ")[:2] for f in result.failures] == [
         [f"seed 0 {m}", "BrokenProcessPool"] for m in methods[1:]
@@ -887,17 +962,14 @@ def sleeping_head(seed_index, method):
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
-def test_progress_lines_carry_each_methods_own_time(
-    tiny_cfg, eval_data, monkeypatch, capsys, jobs
-):
+def test_progress_lines_carry_each_methods_own_time(tiny_cfg, monkeypatch, capsys, jobs):
     # the head runs after the ensemble in the same task and sleeps; the
     # ensemble's line must not include that time
     monkeypatch.setattr(sweep, "ProcessPoolExecutor", InlineExecutor)
-    monkeypatch.setattr(sweep, "run_method", lambda cfg, data, s, m, *rest: sleeping_head(s, m))
     monkeypatch.setattr(sweep, "_worker", lambda cfg, s, m, *rest: sleeping_head(s, m))
     cfg = dataclasses.replace(tiny_cfg, methods=("ensemble", "two_stage"), jobs=jobs)
     capsys.readouterr()
-    assert sweep.run_plan(cfg, data=eval_data).failures == []
+    assert sweep.run_plan(cfg).failures == []
     pattern = re.compile(r"seed 0 (\w+): ok in (\d+\.\d\d) s")
     seconds = dict(pattern.fullmatch(line).groups() for line in capsys.readouterr().err.splitlines())
     assert float(seconds["ensemble"]) < 0.3
@@ -935,11 +1007,11 @@ def test_failures_are_listed_in_plan_order(tiny_cfg, tmp_path, monkeypatch, caps
         assert sum(entry.startswith(line + " in ") for entry in lines) == 2, line
 
 
-def test_one_progress_line_per_finished_task(tiny_cfg, eval_data, capsys):
+def test_one_progress_line_per_finished_task(tiny_cfg, capsys):
     cfg = dataclasses.replace(tiny_cfg, n_seeds=2, methods=("swag", "softmax"),
                               swag=SwagCollectConfig(burn_in_frac=0.9, max_rank=20))
     capsys.readouterr()
-    sweep.run_plan(cfg, data=eval_data)
+    sweep.run_plan(cfg)
     captured = capsys.readouterr()
     assert captured.out == ""
     pattern = re.compile(r"seed (\d) (\w+): (ok|failed \((\w+)\)) in \d+\.\d\d s")
