@@ -80,10 +80,11 @@ def cmd_run(args) -> int:
     if data_path is not None:
         if not Path(data_path).is_file():
             raise UsageError(f"{data_path}: no such dataset file")
+        ds = data_mod.read_dataset(data_path)
         # the file's own image shape, not the generator's, bounds the blur levels
-        header = data_mod.read_dataset_header(data_path)
-        cfg.corruption.check_images(header.spatial_shape, str(data_path))
-    ds = sweep.prepare_dataset(cfg) if data_path is None else data_mod.read_dataset(data_path)
+        cfg.corruption.check_images(ds.spatial_shape, str(data_path))
+    else:
+        ds = sweep.prepare_dataset(cfg)
     # a dataset no task can use (labels that are not 0/1, a class too small
     # to split) stops the run here, before it writes anything; each process
     # that runs tasks builds its own data from the dataset file

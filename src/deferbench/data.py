@@ -480,17 +480,8 @@ def write_dataset(path, dataset: Dataset) -> None:
         fh.write(dataset.labels.astype(np.uint8).data)
 
 
-@dataclass(frozen=True)
-class DatasetHeader:
-    """Sizes declared by a DFD1 header, checked against the file length."""
-
-    n_samples: int
-    n_features: int
-    spatial_shape: Optional[tuple[int, int, int]]
-
-
-def _read_header(fh, path) -> DatasetHeader:
-    """Read and check the header of an open DFD1 file.
+def _read_header(fh, path) -> tuple:
+    """(samples, features, spatial shape) from the checked header of an open DFD1 file.
 
     Damaged input (a short header, no samples or no features, counts that
     disagree with the file length, a label offset that does not follow the
@@ -518,26 +509,19 @@ def _read_header(fh, path) -> DatasetHeader:
         raise FormatError(f"{path}: trailing bytes after the labels")
     if (h, w, c) != (0, 0, 0) and h * w * c != d:
         raise FormatError(f"{path}: spatial shape {(h, w, c)} does not match {d} features")
-    return DatasetHeader(s, d, (h, w, c) if h * w * c > 0 else None)
-
-
-def read_dataset_header(path) -> DatasetHeader:
-    """The checked header of a DFD1 file, without reading its arrays."""
-    with open(path, "rb") as fh:
-        return _read_header(fh, path)
+    return s, d, (h, w, c) if h * w * c > 0 else None
 
 
 def read_dataset(path) -> Dataset:
     """Read a DFD1 file, checking every size in the header against the file.
 
-    The header checks of ``read_dataset_header`` run before anything sized by
-    the header is read; the float32 payload is read straight into the
+    The header checks of ``_read_header`` run before anything sized by the
+    header is read; the float32 payload is read straight into the
     features. Labels that are not 0/1 and features that are not finite are
     a FormatError too; the latter names the first bad row.
     """
     with open(path, "rb") as fh:
-        header = _read_header(fh, path)
-        s, d = header.n_samples, header.n_features
+        s, d, spatial_shape = _read_header(fh, path)
         features = np.empty((s, d), dtype="<f4")
         if fh.readinto(features) != features.nbytes:
             raise FormatError(f"{path}: truncated while reading")  # file changed under us
@@ -553,5 +537,5 @@ def read_dataset(path) -> Dataset:
     return Dataset(
         features=features.astype(np.float32, copy=False),  # a copy only on big-endian hosts
         labels=labels.astype(np.int64),
-        spatial_shape=header.spatial_shape,
+        spatial_shape=spatial_shape,
     )

@@ -184,16 +184,20 @@ def _band_area(fpr, tpr, band: float) -> float:
 
 @dataclass
 class CurvePoint:
-    """One point of a deferral sweep.
+    """One point of a deferral sweep: one row of results.csv, which stores
+    every field.
 
     bacc is None exactly when it cannot be computed on the non-deferred
     remainder (everything deferred, or a class absent there). Provenance
-    fields identify the run that produced the point.
+    fields identify the run that produced the point. A row of
+    classification.csv is the point that defers nothing, and stores only the
+    provenance, bacc, auc, pauc, acc0, acc1 and status; its other fields keep
+    their defaults.
     """
 
-    deferral_rate: float
-    bacc: Optional[float]
-    frac_positives_deferred: Optional[float]
+    deferral_rate: Optional[float] = None
+    bacc: Optional[float] = None
+    frac_positives_deferred: Optional[float] = None
     auc: Optional[float] = None
     pauc: Optional[float] = None
     acc0: Optional[float] = None

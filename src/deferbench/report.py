@@ -13,7 +13,6 @@ from pathlib import Path
 
 from deferbench.atomic import atomic_open
 from deferbench.errors import FormatError
-from deferbench.metrics import CurvePoint
 from deferbench.sweep import Condition
 
 METHOD_COLORS = {
@@ -214,7 +213,6 @@ def write_report(out_dir, points) -> list:
     SVG already in out_dir/report is removed, so no figure outlives the
     table it was drawn from.
     """
-    points = [p for p in points if isinstance(p, CurvePoint)]
     if not points:
         raise FormatError("no result rows to render")
     groups: dict = {}  # Condition -> its points, in first-seen order

@@ -2,8 +2,11 @@
 
 One run generates an imbalanced dataset, splits it 70/20/10, trains every
 requested method per replication seed, and evaluates on the in-distribution
-test split plus noise- and blur-corrupted copies of it. Rows land in
-results.csv; a zero-deferral classification table lands in classification.csv.
+test split plus noise- and blur-corrupted copies of it. Every row of both
+output tables is a ``metrics.CurvePoint``: results.csv holds each point of
+each deferral curve, and classification.csv the point of each (method,
+condition, seed) that defers nothing, the classifier on its own. One column
+table maps each file column to its point attribute and parser.
 
 Each method is one row of the ``_METHODS`` table: its curve parameter kind
 and a ``fit`` function. A threshold method's fit returns a predictor
@@ -92,34 +95,36 @@ def _parse_cell(raw: str) -> Optional[float]:
     return value
 
 
-# (column, attribute, parser) per column of each table, in file order
-_RESULTS_TABLE = (
-    ("method", "method", str),
-    ("condition", "condition", str),
-    ("level", "level", int),
-    ("seed", "seed", int),
-    ("param_kind", "param_kind", str),
-    ("param_value", "param_value", _parse_cell),
-    ("deferral_rate", "deferral_rate", _parse_cell),
-    ("bacc", "bacc", _parse_cell),
-    ("auc", "auc", _parse_cell),
-    ("pauc", "pauc", _parse_cell),
-    ("acc0", "acc0", _parse_cell),
-    ("acc1", "acc1", _parse_cell),
-    ("frac_pos_deferred", "frac_positives_deferred", _parse_cell),
-    ("status", "status", str),
+# column -> (attribute, parser), for every column of either table
+_COLUMNS = {
+    "method": ("method", str),
+    "condition": ("condition", str),
+    "level": ("level", int),
+    "seed": ("seed", int),
+    "param_kind": ("param_kind", str),
+    "param_value": ("param_value", _parse_cell),
+    "deferral_rate": ("deferral_rate", _parse_cell),
+    "bacc": ("bacc", _parse_cell),
+    "auc": ("auc", _parse_cell),
+    "pauc": ("pauc", _parse_cell),
+    "acc0": ("acc0", _parse_cell),
+    "acc1": ("acc1", _parse_cell),
+    "frac_pos_deferred": ("frac_positives_deferred", _parse_cell),
+    "status": ("status", str),
+}
+
+
+def _table(*columns) -> tuple:
+    """(column, attribute, parser) per column, in file order."""
+    return tuple((column, *_COLUMNS[column]) for column in columns)
+
+
+_RESULTS_TABLE = _table(
+    "method", "condition", "level", "seed", "param_kind", "param_value",
+    "deferral_rate", "bacc", "auc", "pauc", "acc0", "acc1", "frac_pos_deferred", "status",
 )
-_CLASSIFICATION_TABLE = (
-    ("method", "method", str),
-    ("condition", "condition", str),
-    ("level", "level", int),
-    ("seed", "seed", int),
-    ("auc", "auc", _parse_cell),
-    ("pauc", "pauc", _parse_cell),
-    ("bacc", "bacc", _parse_cell),
-    ("acc0", "acc0", _parse_cell),
-    ("acc1", "acc1", _parse_cell),
-    ("status", "status", str),
+_CLASSIFICATION_TABLE = _table(
+    "method", "condition", "level", "seed", "auc", "pauc", "bacc", "acc0", "acc1", "status"
 )
 RESULTS_COLUMNS = tuple(column for column, _, _ in _RESULTS_TABLE)
 CLASSIFICATION_COLUMNS = tuple(column for column, _, _ in _CLASSIFICATION_TABLE)
@@ -154,22 +159,6 @@ def plan_conditions(cfg: RunConfig) -> tuple:
     for level in range(1, cfg.corruption.levels + 1):
         conditions.append(Condition("blur", level))
     return tuple(conditions)
-
-
-@dataclass
-class ClassificationRow:
-    """Zero-deferral quality of a method's classifier under one condition."""
-
-    method: str
-    condition: str
-    level: int
-    seed: int
-    auc: Optional[float] = None
-    pauc: Optional[float] = None
-    bacc: Optional[float] = None
-    acc0: Optional[float] = None
-    acc1: Optional[float] = None
-    status: str = "ok"
 
 
 # ---------------------------------------------------------------------------
@@ -289,19 +278,20 @@ def uq_sweep(scores, uncertainty, labels, steps: int) -> list:
     return points
 
 
-def classification_row(scores, labels, *, method, condition: Condition, seed) -> ClassificationRow:
-    """Plain classifier quality at deferral rate zero."""
+def classification_row(scores, labels) -> CurvePoint:
+    """The curve point that defers nothing: plain classifier quality.
+
+    It holds what classification.csv stores of a point (bacc, auc, pauc,
+    acc0, acc1 and status) and leaves the deferral fields and the curve
+    parameter at their defaults; _tag gives it its provenance.
+    """
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
     decisions = (scores >= 0.5).astype(np.int64)
     counts = ConfusionCounts.from_predictions(labels, decisions)
     acc0, acc1 = per_class_accuracy(counts)
     bacc = balanced_accuracy(counts)
-    return ClassificationRow(
-        method=method,
-        condition=condition.kind,
-        level=condition.level,
-        seed=seed,
+    return CurvePoint(
         auc=auc(scores, labels),
         pauc=pauc(scores, labels),
         bacc=bacc,
@@ -379,15 +369,18 @@ def _saver(sel, manifest):
     return lambda bundle: save_single_model(bundle, sel.network, manifest)
 
 
-def _posterior_saver(write, posterior, manifest):
-    """Bundle writer for a weight posterior: its container plus a manifest."""
+def _posterior_fit(cfg, seed_index, method, posterior, write, manifest):
+    """The fit of a weight posterior: it predicts with networks drawn from it
+    once, and saves its container, written by write, plus a manifest."""
+    seed = _predict_seed(cfg, seed_index, method)
+    nets = uq.posterior_networks(posterior, cfg.uq.n_samples, seed)
 
     def save(bundle):
         bundle.mkdir(parents=True, exist_ok=True)
         write(bundle / POSTERIOR_NAME, posterior)
         write_manifest(bundle / MANIFEST_NAME, manifest)
 
-    return save
+    return lambda x: ensemble_predict(nets, x)[:2], save, None
 
 
 def _train_members(cfg, data, seed_index):
@@ -437,14 +430,8 @@ def _fit_swag(cfg, data, seed_index, members):
         sample_weights=data.sample_weights,
     )
     posterior = uq.swag_collect(result.checkpoints, config, cfg.swag)
-    seed = _predict_seed(cfg, seed_index, "swag")
-    nets = uq.posterior_networks(posterior, cfg.uq.n_samples, seed)
     manifest = {"method": "swag", "rank": posterior.rank, "collected": posterior.collected}
-    return (
-        lambda x: ensemble_predict(nets, x)[:2],
-        _posterior_saver(uq.save_swag_posterior, posterior, manifest),
-        None,
-    )
+    return _posterior_fit(cfg, seed_index, "swag", posterior, uq.save_swag_posterior, manifest)
 
 
 def _fit_mc_dropout(cfg, data, seed_index, members):
@@ -469,14 +456,8 @@ def _fit_bnn(cfg, data, seed_index, members):
         cfg.bnn,
         sample_weights=data.sample_weights,
     ).posterior
-    seed = _predict_seed(cfg, seed_index, "bnn")
-    nets = uq.posterior_networks(posterior, cfg.uq.n_samples, seed)
     manifest = {"method": "bnn", "prior_stddev": cfg.bnn.prior_stddev}
-    return (
-        lambda x: ensemble_predict(nets, x)[:2],
-        _posterior_saver(uq.save_bnn_posterior, posterior, manifest),
-        None,
-    )
+    return _posterior_fit(cfg, seed_index, "bnn", posterior, uq.save_bnn_posterior, manifest)
 
 
 # Learned methods: fit(cfg, data, seed_index, members) returns (inputs,
@@ -525,11 +506,10 @@ def _threshold_eval(cfg, data, seed_index, method, predict):
     points, rows = [], []
     for cond in plan_conditions(cfg):
         scores, uncertainty = predict(data.x_tests[cond])
+        tag = {"method": method, "condition": cond, "seed": seed_index}
         pts = uq_sweep(scores, uncertainty, data.y_test, cfg.uq.threshold_steps)
-        points.extend(_tag(pts, method=method, condition=cond, seed=seed_index))
-        rows.append(
-            classification_row(scores, data.y_test, method=method, condition=cond, seed=seed_index)
-        )
+        points.extend(_tag(pts, **tag))
+        rows.extend(_tag([classification_row(scores, data.y_test)], **tag))
     return points, rows
 
 
@@ -578,13 +558,10 @@ def _learned_eval(cfg, inputs, hidden_dims, seed_index, method, param_kind, bund
             point.param_value = value
             if point.bacc is None:
                 point.status = "absent"
-            points.extend(_tag([point], method=method, condition=cond, seed=seed_index))
+            tag = {"method": method, "condition": cond, "seed": seed_index}
+            points.extend(_tag([point], **tag))
             if sel is best:
-                rows.append(
-                    classification_row(
-                        pred.scores, inputs.y_test, method=method, condition=cond, seed=seed_index
-                    )
-                )
+                rows.extend(_tag([classification_row(pred.scores, inputs.y_test)], **tag))
     if bundle is not None:
         for gi, (sel, value, _) in enumerate(models):
             save_single_model(
@@ -645,11 +622,9 @@ def _failure_result(cfg, seed_index, method, exc) -> MethodResult:
     status = f"failed:{type(exc).__name__}"
     points, classification = [], []
     for cond in plan_conditions(cfg):
-        point = CurvePoint(None, None, None, param_kind=_METHODS[method][0], status=status)
-        points.extend(_tag([point], method=method, condition=cond, seed=seed_index))
-        classification.append(
-            ClassificationRow(method, cond.kind, cond.level, seed_index, status=status)
-        )
+        tag = {"method": method, "condition": cond, "seed": seed_index}
+        points.extend(_tag([CurvePoint(param_kind=_METHODS[method][0], status=status)], **tag))
+        classification.extend(_tag([CurvePoint(status=status)], **tag))
     failure = f"{type(exc).__name__}: {exc}"
     return MethodResult(method, seed_index, points, classification, failure=failure)
 
@@ -793,8 +768,8 @@ def _write_table(path, table, records) -> None:
         writer.writerows(map(attrs, records))
 
 
-def _read_table(path, table, make, what) -> list:
-    """Records from a table file; any damage is a FormatError naming the file.
+def _read_table(path, table, what) -> list:
+    """Curve points from a table file; any damage is a FormatError naming the file.
 
     Every row's condition and level must form a valid Condition.
     """
@@ -812,7 +787,7 @@ def _read_table(path, table, make, what) -> list:
                     Condition(fields["condition"], fields["level"])
                 except (ValueError, ConfigError) as exc:
                     raise FormatError(f"{path}: row {lineno}: {exc}") from exc
-                records.append(make(**fields))
+                records.append(CurvePoint(**fields))
     except (UnicodeDecodeError, _csv.Error) as exc:
         raise FormatError(f"{path}: {exc}") from exc
     return records
@@ -823,7 +798,7 @@ def write_results_csv(path, points) -> None:
 
 
 def read_results_csv(path) -> list:
-    return _read_table(path, _RESULTS_TABLE, CurvePoint, "results")
+    return _read_table(path, _RESULTS_TABLE, "results")
 
 
 def write_classification_csv(path, rows) -> None:
@@ -831,4 +806,4 @@ def write_classification_csv(path, rows) -> None:
 
 
 def read_classification_csv(path) -> list:
-    return _read_table(path, _CLASSIFICATION_TABLE, ClassificationRow, "classification")
+    return _read_table(path, _CLASSIFICATION_TABLE, "classification")

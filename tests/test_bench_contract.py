@@ -47,6 +47,26 @@ def test_every_traced_layer_resolves(module_name, attr_path):
     assert callable(value)
 
 
+@pytest.mark.parametrize(
+    "module_name, name, owner_name",
+    [
+        ("sweep", "auc", "metrics"),
+        ("sweep", "deferral_curve_point", "metrics"),
+        ("pipelines", "pauc", "metrics"),
+        ("sweep", "two_stage_features", "pipelines"),
+    ],
+)
+def test_names_the_tracer_rebinds_stay_imported(module_name, name, owner_name):
+    """``bench/test_bench.py`` asserts that the tracer rebinds these
+    module-level imports to its wrapped functions. Dropping one of them
+    fails the benchmark's own test, which only a change to the benchmark may
+    edit, and that test runs apart from this suite; so the premise is
+    checked here, on every run."""
+    module = importlib.import_module(f"deferbench.{module_name}")
+    owner = importlib.import_module(f"deferbench.{owner_name}")
+    assert getattr(module, name, None) is getattr(owner, name)
+
+
 @pytest.mark.parametrize("name, start", [("run_method", 2), ("_worker", 1)])
 def test_task_entry_points_keep_seed_and_method_positions(name, start):
     params = list(inspect.signature(getattr(sweep, name)).parameters)

@@ -524,6 +524,21 @@ def test_dataset_shape_is_checked_before_the_run_writes(tmp_path, capsys, reques
     assert not out.exists()
 
 
+def test_a_damaged_dataset_reports_its_damage_before_its_shape(tmp_path, capsys,
+                                                              blob_dataset_path):
+    # a blob file cannot take the config's blur level either, but the file
+    # is read and checked whole first, its labels included
+    damaged = tmp_path / "damaged.dfd1"
+    damaged.write_bytes(blob_dataset_path.read_bytes()[:-1] + b"\x07")
+    ini = tmp_path / "cfg.ini"
+    ini.write_text(TINY_INI)
+    out = tmp_path / "run"
+    rc = cli.main(["run", "--config", str(ini), "--out", str(out), "--data", str(damaged)])
+    assert rc == 1
+    assert f"error: {damaged}: labels must be 0 or 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # A dataset no task can use: a --data file with a label byte that is not 0/1,
 # and a generated dataset with too few positives to split. It must stop the
 # run with one error before any task starts, at every --jobs.

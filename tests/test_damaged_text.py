@@ -32,8 +32,9 @@ POINTS = [
                param_kind="threshold", status="failed:CollectionError"),
 ]
 ROWS = [
-    sweep.ClassificationRow("softmax", "id", 0, 0, 0.875, 0.0625, 0.75, 0.5, 1.0),
-    sweep.ClassificationRow("bnn", "blur", 5, 4, status="failed:DivergenceError"),
+    CurvePoint(bacc=0.75, auc=0.875, pauc=0.0625, acc0=0.5, acc1=1.0, method="softmax",
+               condition="id", level=0, seed=0),
+    CurvePoint(method="bnn", condition="blur", level=5, seed=4, status="failed:DivergenceError"),
 ]
 MANIFEST = {"method": "mc_dropout", "criterion": "pauc", "selected_epoch": 7,
             "dropout_rate": 0.2}

@@ -413,14 +413,15 @@ def test_dataset_file_blob_mode_has_no_spatial_shape(tmp_path):
     path = tmp_path / "ds.dfd1"
     data.write_dataset(path, ds)
     assert data.read_dataset(path).spatial_shape is None
-    assert data.read_dataset_header(path).spatial_shape is None
 
 
-def test_dataset_header_alone(tmp_path):
+def test_dataset_file_keeps_a_color_image_shape(tmp_path):
     ds = quantized(data.generate(image_spec(spatial_shape=(8, 8, 3))))
     path = tmp_path / "ds.dfd1"
     data.write_dataset(path, ds)
-    assert data.read_dataset_header(path) == data.DatasetHeader(400, 192, (8, 8, 3))
+    back = data.read_dataset(path)
+    assert back.features.shape == (400, 192)
+    assert back.spatial_shape == (8, 8, 3)
 
 
 def test_same_dataset_writes_identical_bytes(tmp_path):
@@ -512,9 +513,6 @@ def test_dataset_damaged_headers(tmp_path):
         path.write_bytes(content)
         with pytest.raises(FormatError, match=message):
             data.read_dataset(path)
-        if message != "labels must be 0 or 1":  # the header reader reads no labels
-            with pytest.raises(FormatError, match=message):
-                data.read_dataset_header(path)
 
 
 @pytest.mark.parametrize("block", [1, 2, 5])

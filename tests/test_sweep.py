@@ -275,10 +275,7 @@ def test_uq_sweep_validation():
 def test_classification_row_hand_case():
     scores = np.array([0.9, 0.4, 0.6, 0.1])
     labels = np.array([1, 0, 1, 0])
-    row = sweep.classification_row(
-        scores, labels, method="softmax", condition=sweep.Condition("noise", 2), seed=3
-    )
-    assert (row.method, row.condition, row.level, row.seed) == ("softmax", "noise", 2, 3)
+    row = sweep.classification_row(scores, labels)
     assert row.bacc == 1.0
     assert row.acc0 == 1.0 and row.acc1 == 1.0
     assert row.auc == 1.0
@@ -286,13 +283,44 @@ def test_classification_row_hand_case():
 
 
 def test_classification_row_single_class_is_absent():
-    row = sweep.classification_row(
-        np.array([0.9, 0.2]), np.array([0, 0]), method="bnn",
-        condition=sweep.Condition("id"), seed=0,
-    )
+    row = sweep.classification_row(np.array([0.9, 0.2]), np.array([0, 0]))
     assert row.bacc is None
     assert row.auc is None
     assert row.status == "absent"
+
+
+@st.composite
+def zero_deferral_cases(draw):
+    n = draw(st.integers(1, 40))
+    # exact 0.5 is a positive decision, its neighbour below a negative one
+    specials = st.sampled_from([0.0, 0.5, np.nextafter(0.5, 0.0), 1.0])
+    scores = np.array(draw(st.lists(st.one_of(st.floats(0.0, 1.0), specials), min_size=n,
+                                    max_size=n)))
+    scores = np.round(scores, draw(st.sampled_from([1, 2, 17])))  # coarse scores tie
+    classes = draw(st.sampled_from([(0, 1), (0,), (1,)]))
+    labels = np.array(draw(st.lists(st.sampled_from(classes), min_size=n, max_size=n)))
+    return scores, labels
+
+
+@settings(max_examples=300, deadline=None)
+@given(zero_deferral_cases())
+def test_classification_row_is_the_zero_deferral_curve_point(case):
+    scores, labels = case
+    row = sweep.classification_row(scores, labels)
+    point = deferral_curve_point((scores >= 0.5).astype(np.int64), labels, scores)
+    stored = [attr for _, attr, _ in sweep._CLASSIFICATION_TABLE if attr != "status"]
+    # repr tells every float apart that the CSV writer would
+    assert [repr(getattr(row, a)) for a in stored] == [repr(getattr(point, a)) for a in stored]
+    assert row.status == ("absent" if row.bacc is None else "ok")
+
+
+def test_classification_rows_carry_the_tags_of_their_condition(tiny_cfg, eval_data):
+    conditions = sweep.plan_conditions(tiny_cfg)
+    for method in ("softmax", "one_stage"):
+        result = sweep.run_method(tiny_cfg, eval_data, 3, method)
+        assert [(r.method, r.condition, r.level, r.seed) for r in result.classification] == [
+            (method, c.kind, c.level, 3) for c in conditions
+        ]
 
 
 # ---------------------------------------------------------------------------
@@ -1099,7 +1127,7 @@ def reference_cell(value) -> str:
 
 @pytest.mark.parametrize("writer, table, make", [
     (sweep.write_results_csv, sweep._RESULTS_TABLE, CurvePoint),
-    (sweep.write_classification_csv, sweep._CLASSIFICATION_TABLE, sweep.ClassificationRow),
+    (sweep.write_classification_csv, sweep._CLASSIFICATION_TABLE, CurvePoint),
 ])
 def test_csv_bytes_match_the_per_cell_reference(tmp_path, writer, table, make):
     values = [None, 0, 7, -0.0, 1e-300, np.nan, np.inf, -np.inf, 0.1, 2 / 3]
