@@ -153,8 +153,7 @@ def _inspect_dataset(path: Path) -> None:
     print("kind=dataset")
     print(f"samples={ds.n_samples}")
     print(f"features={ds.n_features}")
-    shape = "none" if ds.spatial_shape is None else ",".join(map(str, ds.spatial_shape))
-    print(f"spatial_shape={shape}")
+    print(f"spatial_shape={','.join(map(str, ds.spatial_shape))}")
     print(f"positives={int(ds.labels.sum())}")
     print(f"negatives={int((1 - ds.labels).sum())}")
     print(f"feature_min={float(ds.features.min())!r}")

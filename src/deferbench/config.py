@@ -81,12 +81,9 @@ class CorruptionSettings:
 
     def check_images(self, spatial_shape, source: str) -> None:
         """Every planned blur condition must be buildable on images of this
-        (H, W, C) shape; None is blob mode, which cannot be blurred at all."""
+        (H, W, C) shape: the largest kernel must be narrower than both sides."""
         if not self.levels:
             return
-        if spatial_shape is None:
-            raise ConfigError(f"{source} is blob mode (no images); "
-                              "it needs [corruption] levels = 0")
         try:
             blur_radius(self.blur_sigmas[self.levels - 1], *spatial_shape[:2])
         except ConfigError as exc:
@@ -188,10 +185,7 @@ _LAYOUT = {
         "n_samples": ("data.n_samples", _parse_int, None),
         "positive_fraction": ("data.positive_fraction", _parse_float, None),
         "overlap_scale": ("data.overlap_scale", _parse_float, None),
-        "spatial_shape": ("data.spatial_shape", _parse_shape, "none"),
-        "n_features": ("data.n_features", _parse_int, None),
-        "class_separation": ("data.class_separation", _parse_float, None),
-        "family_spread": ("data.family_spread", _parse_float, None),
+        "spatial_shape": ("data.spatial_shape", _parse_shape, None),
         "signal_gap": ("data.signal_gap", _parse_float, None),
         "amplitude_jitter": ("data.amplitude_jitter", _parse_float, None),
         "background_amp": ("data.background_amp", _parse_float, None),

@@ -1,15 +1,12 @@
 """Synthetic imbalanced datasets, stratified splitting, oversampling weights,
 and Gaussian noise/blur corruption for test-time distribution shift.
 
-Two generator modes stand in for the real imaging data:
-
-* blob mode: two Gaussian blob families per class in D dimensions; overlap is
-  controlled by the within-blob standard deviation.
-* image mode: 16x16-style single-channel patches in [0,1] whose class signal
-  is a fixed low-frequency pattern with overlapping per-sample amplitudes,
-  plus a smooth random background and i.i.d. pixel noise. Pixel noise is the
-  dominant nuisance, so additive test-time noise genuinely degrades the
-  signal, while blurring mostly preserves it.
+The generator stands in for the real imaging data: (H, W, C) patches in
+[0,1], 16x16 single-channel by default, whose class signal is a fixed
+low-frequency pattern with overlapping per-sample amplitudes, plus a smooth
+random background and i.i.d. pixel noise. Pixel noise is the dominant
+nuisance, so additive test-time noise genuinely degrades the signal, while
+blurring mostly preserves it. Every dataset carries its image shape.
 
 Memory: features are float32, the precision of the DFD1 container, from
 generation or reading through to the networks, which widen them to float64
@@ -20,8 +17,10 @@ features, so a dataset costs about one float32 copy of its features while it
 is built. The DFD1 reader reads the float32 payload straight into the
 features, the writer writes float32 rows as they are, and ``partition``
 groups the split rows in place. A corrupted copy is float64, because noise
-and blur values are not float32-exact. The block size is an internal
-constant, not a setting; every block size gives the same bytes.
+and blur values are not float32-exact; the blur runs a block of _ROW_BLOCK
+images at a time, so its temporaries are the size of a block. The block size
+is an internal constant, not a setting; every block size gives the same
+bytes.
 """
 
 from __future__ import annotations
@@ -39,7 +38,6 @@ from deferbench.errors import (
     FormatError,
     InputShapeError,
     StratificationError,
-    UnsupportedCorruptionError,
 )
 from deferbench.rng import child_rng
 
@@ -54,7 +52,7 @@ _HEADER = struct.Struct("<4sIQQIIIQ")  # magic, version, S, D, H, W, C, label_of
 NOISE_SIGMAS = (0.04, 0.08, 0.12, 0.16, 0.20)
 BLUR_SIGMAS = (0.5, 1.0, 1.5, 2.0, 2.5)
 
-_ROW_BLOCK = 256  # rows per block of the generator and the DFD1 writer; see "Memory"
+_ROW_BLOCK = 256  # rows per block of the generator, the blur and the DFD1 writer; see "Memory"
 
 
 @dataclass
@@ -63,7 +61,7 @@ class Dataset:
     # the networks map float32 rows to model inputs as they read them
     features: np.ndarray
     labels: np.ndarray  # (S,) int64 in {0, 1}
-    spatial_shape: Optional[tuple[int, int, int]] = None  # (H, W, C), H*W*C == D
+    spatial_shape: tuple[int, int, int]  # (H, W, C), H*W*C == D
     splits: Optional[np.ndarray] = None  # (S,) int64 in {TRAIN, VAL, TEST}
 
     def __post_init__(self):
@@ -78,12 +76,11 @@ class Dataset:
             raise InputShapeError("labels must be one per feature row")
         if not np.all((self.labels == 0) | (self.labels == 1)):
             raise ConfigError("labels must be binary")
-        if self.spatial_shape is not None:
-            h, w, c = self.spatial_shape
-            if h * w * c != self.features.shape[1]:
-                raise ConfigError(
-                    f"spatial shape {self.spatial_shape} does not match D={self.features.shape[1]}"
-                )
+        h, w, c = self.spatial_shape
+        if h * w * c != self.features.shape[1]:
+            raise ConfigError(
+                f"spatial shape {self.spatial_shape} does not match D={self.features.shape[1]}"
+            )
         if self.splits is not None:
             self.splits = np.asarray(self.splits, dtype=np.int64)
             if self.splits.shape != (self.features.shape[0],):
@@ -113,25 +110,19 @@ class Dataset:
 
 @dataclass(frozen=True)
 class SynthSpec:
-    """Generator settings. spatial_shape=None gives blob mode, else image mode.
+    """Generator settings for (H, W, C) images of at least 4x4 pixels.
 
-    overlap_scale multiplies every stochastic spread, so 0 makes the classes
-    separable. In blob mode family_spread places the two blobs of each class;
-    zero overlap with zero family spread collapses each class to a point and
-    is rejected.
+    overlap_scale multiplies every stochastic spread (amplitude jitter,
+    background and pixel noise), so 0 makes the classes separable.
     """
 
     n_samples: int = 10_000
     positive_fraction: float = 0.03
     seed: int = 0
     overlap_scale: float = 1.0
-    spatial_shape: Optional[tuple[int, int, int]] = (16, 16, 1)
-    # blob mode geometry
-    n_features: int = 8
-    class_separation: float = 3.0
-    family_spread: float = 1.5
-    # image mode texture; the defaults put a plain classifier near 0.93 test
-    # bAcc with real amplitude overlap, so deferral has both room and signal
+    spatial_shape: tuple[int, int, int] = (16, 16, 1)
+    # texture; the defaults put a plain classifier near 0.93 test bAcc with
+    # real amplitude overlap, so deferral has both room and signal
     signal_gap: float = 0.08
     amplitude_jitter: float = 0.02
     background_amp: float = 0.02
@@ -146,15 +137,9 @@ class SynthSpec:
             )
         if self.overlap_scale < 0.0:
             raise ConfigError("overlap_scale must be non-negative")
-        if self.spatial_shape is None:
-            if self.overlap_scale == 0.0 and self.family_spread == 0.0:
-                raise ConfigError("degenerate geometry: zero overlap scale with zero spread")
-            if self.n_features < 2:
-                raise ConfigError("blob mode needs at least 2 features")
-        else:
-            h, w, c = self.spatial_shape
-            if h < 4 or w < 4 or c < 1:
-                raise ConfigError(f"spatial shape too small: {self.spatial_shape}")
+        h, w, c = self.spatial_shape
+        if h < 4 or w < 4 or c < 1:
+            raise ConfigError(f"spatial shape too small: {self.spatial_shape}")
 
 
 def _draw_labels(rng, n: int, positive_fraction: float) -> np.ndarray:
@@ -162,18 +147,6 @@ def _draw_labels(rng, n: int, positive_fraction: float) -> np.ndarray:
     labels = np.zeros(n, dtype=np.int64)
     labels[:n_pos] = 1
     return rng.permutation(labels)
-
-
-def _blob_features(rng, spec: SynthSpec, labels: np.ndarray) -> np.ndarray:
-    n, d = labels.shape[0], spec.n_features
-    centers = np.zeros((2, 2, d))  # [class, blob, dim]
-    centers[0, :, 0] = -spec.class_separation / 2.0
-    centers[1, :, 0] = +spec.class_separation / 2.0
-    centers[:, 0, 1] = -spec.family_spread
-    centers[:, 1, 1] = +spec.family_spread
-    blob = rng.integers(0, 2, size=n)
-    x = centers[labels, blob] + spec.overlap_scale * rng.standard_normal((n, d))
-    return x.astype(np.float32)
 
 
 def low_frequency_pattern(height: int, width: int) -> np.ndarray:
@@ -208,7 +181,7 @@ def _smooth_background(grid: np.ndarray, height: int, width: int) -> np.ndarray:
 
 
 def _image_features(rng, spec: SynthSpec, labels: np.ndarray) -> np.ndarray:
-    """Image-mode float32 features, built into one preallocated buffer in row blocks.
+    """Float32 image features, built into one preallocated buffer in row blocks.
 
     The per-sample amplitudes and background grids are drawn first, then the
     pixel noise block by block; consecutive draws continue one stream, so
@@ -249,10 +222,7 @@ def generate(spec: SynthSpec) -> Dataset:
     """
     rng = child_rng(spec.seed, "generate")
     labels = _draw_labels(rng, spec.n_samples, spec.positive_fraction)
-    if spec.spatial_shape is None:
-        features = _blob_features(rng, spec, labels)
-    else:
-        features = _image_features(rng, spec, labels)
+    features = _image_features(rng, spec, labels)
     return Dataset(features=features, labels=labels, spatial_shape=spec.spatial_shape)
 
 
@@ -403,32 +373,45 @@ def blur_radius(sigma: float, height: int, width: int) -> int:
     return radius
 
 
+def _convolve(images: np.ndarray, kernel: np.ndarray, axis: int, out, term) -> None:
+    """out = images reflect-padded by the kernel radius along axis (1: rows,
+    2: columns) and convolved with kernel, summed tap by tap in float64;
+    term holds one weighted tap."""
+    radius = len(kernel) // 2
+    pad = [(0, 0)] * 4
+    pad[axis] = (radius, radius)
+    padded = np.pad(images, pad, mode="reflect")
+    window = [slice(None)] * 4
+    out[...] = 0.0
+    for tap, weight in enumerate(kernel):
+        window[axis] = slice(tap, tap + images.shape[axis])
+        out += np.multiply(padded[tuple(window)], weight, out=term, dtype=np.float64)
+
+
 def gaussian_blur(images: np.ndarray, sigma: float) -> np.ndarray:
     """Separable per-channel Gaussian blur with reflect padding, no clipping.
 
     images: (S, H, W, C); the result is float64, and float32 images are
     widened tap by tap, not copied whole. The kernel is normalized after
     truncation, so a constant image is a fixed point and the operator is
-    linear.
+    linear. Both passes run _ROW_BLOCK images at a time, so besides the
+    result only one block's row pass, weighted tap and padded copy are held.
     """
     images = np.asarray(images)
     if images.ndim != 4:
         raise InputShapeError(f"expected (S, H, W, C) images, got shape {images.shape}")
-    _, h, w, _ = images.shape
-    radius = blur_radius(sigma, h, w)
+    n, h, w, _ = images.shape
+    blur_radius(sigma, h, w)  # raises if the radius reaches an image side
     kernel = gaussian_kernel(sigma)
 
-    acc = np.zeros(images.shape)
-    term = np.empty(images.shape)  # one weighted tap, reused
-    padded = np.pad(images, ((0, 0), (radius, radius), (0, 0), (0, 0)), mode="reflect")
-    for tap, weight in enumerate(kernel):
-        acc += np.multiply(padded[:, tap : tap + h, :, :], weight, out=term, dtype=np.float64)
-    del padded  # free the row-padded copy before padding the columns
-    padded = np.pad(acc, ((0, 0), (0, 0), (radius, radius), (0, 0)), mode="reflect")
-    acc[...] = 0.0
-    for tap, weight in enumerate(kernel):
-        acc += np.multiply(padded[:, :, tap : tap + w, :], weight, out=term)
-    return acc
+    out = np.empty(images.shape)
+    rows = np.empty((min(n, _ROW_BLOCK), *images.shape[1:]))  # one block's row pass
+    term = np.empty_like(rows)
+    for start in range(0, n, _ROW_BLOCK):
+        size = min(_ROW_BLOCK, n - start)
+        _convolve(images[start : start + size], kernel, 1, rows[:size], term[:size])
+        _convolve(rows[:size], kernel, 2, out[start : start + size], term[:size])
+    return out
 
 
 def corrupt(dataset: Dataset, spec: CorruptionSpec, seed: int) -> Dataset:
@@ -436,7 +419,7 @@ def corrupt(dataset: Dataset, spec: CorruptionSpec, seed: int) -> Dataset:
 
     Level 0 returns a byte-identical copy. Noise adds clamped i.i.d. Gaussian
     pixel noise; blur convolves each channel with a normalized Gaussian
-    kernel (radius ceil(3*sigma), reflect padding) and needs a spatial shape.
+    kernel (radius ceil(3*sigma), reflect padding) over each image.
     """
     if spec.level == 0:
         return dataset.copy()
@@ -445,8 +428,6 @@ def corrupt(dataset: Dataset, spec: CorruptionSpec, seed: int) -> Dataset:
         features = rng.normal(0.0, spec.parameter, size=dataset.features.shape)
         features += dataset.features
     else:
-        if dataset.spatial_shape is None:
-            raise UnsupportedCorruptionError("blur requires a dataset with a spatial shape")
         h, w, c = dataset.spatial_shape
         images = dataset.features.reshape(dataset.n_samples, h, w, c)
         features = gaussian_blur(images, spec.parameter).reshape(dataset.n_samples, -1)
@@ -470,7 +451,7 @@ def write_dataset(path, dataset: Dataset) -> None:
     Float32 rows are written as they are; float64 rows are rounded a row
     block at a time."""
     s, d = dataset.features.shape
-    h, w, c = dataset.spatial_shape if dataset.spatial_shape is not None else (0, 0, 0)
+    h, w, c = dataset.spatial_shape
     label_offset = _HEADER.size + s * d * 4
     with atomic_open(path, "wb") as fh:
         fh.write(_HEADER.pack(_MAGIC, _VERSION, s, d, h, w, c, label_offset))
@@ -507,9 +488,9 @@ def _read_header(fh, path) -> tuple:
                           f"and the file has {size}")
     if label_offset + s < size:
         raise FormatError(f"{path}: trailing bytes after the labels")
-    if (h, w, c) != (0, 0, 0) and h * w * c != d:
+    if h * w * c != d:
         raise FormatError(f"{path}: spatial shape {(h, w, c)} does not match {d} features")
-    return s, d, (h, w, c) if h * w * c > 0 else None
+    return s, d, (h, w, c)
 
 
 def read_dataset(path) -> Dataset:

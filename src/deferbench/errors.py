@@ -37,10 +37,6 @@ class StratificationError(DeferBenchError):
     """A stratified split would leave some split without a class."""
 
 
-class UnsupportedCorruptionError(DeferBenchError):
-    """Corruption kind incompatible with the dataset (e.g. blur without spatial shape)."""
-
-
 class UsageError(DeferBenchError):
     """A command-line argument names a path the command cannot use (exit code 2)."""
 

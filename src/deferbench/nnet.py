@@ -485,15 +485,15 @@ def write_checkpoint(path, config: NetConfig, params: np.ndarray, sections=None)
 class _ByteReader:
     """Bounds-checked little-endian reads from an in-memory file image."""
 
-    def __init__(self, blob: bytes, path):
-        self.blob = blob
+    def __init__(self, buf: bytes, path):
+        self.buf = buf
         self.path = path
         self.pos = 0
 
     def take(self, size: int, what: str) -> bytes:
-        if size > len(self.blob) - self.pos:
+        if size > len(self.buf) - self.pos:
             raise FormatError(f"{self.path}: truncated {what}")
-        chunk = self.blob[self.pos : self.pos + size]
+        chunk = self.buf[self.pos : self.pos + size]
         self.pos += size
         return chunk
 
@@ -511,7 +511,7 @@ class _ByteReader:
 
     @property
     def at_end(self) -> bool:
-        return self.pos == len(self.blob)
+        return self.pos == len(self.buf)
 
 
 def read_checkpoint(path):

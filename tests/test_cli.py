@@ -464,7 +464,6 @@ REJECTED_RUNS = {
     "unordered_noise_table": (
         TINY_INI.replace("levels = 1", "levels = 1\nnoise_sigmas = 0.2,0.1"), []
     ),
-    "blur_in_blob_mode": (TINY_INI.replace("spatial_shape = 8,8,1", "spatial_shape = none"), []),
     "blur_wider_than_image": (TINY_INI.replace("levels = 1", "levels = 5"), []),
     "missing_dataset_file": (TINY_INI, ["--data", "/no/such.dfd1"]),
 }
@@ -484,23 +483,9 @@ def test_bad_setting_is_refused_before_the_run_writes(tmp_path, capsys, case, jo
     assert not (out / "dataset.dfd1").exists()
 
 
-@pytest.fixture(scope="module")
-def blob_dataset_path(tmp_path_factory):
-    root = tmp_path_factory.mktemp("blobs")
-    ini = root / "blobs.ini"
-    ini.write_text(
-        TINY_INI.replace("spatial_shape = 8,8,1", "spatial_shape = none")
-        .replace("levels = 1", "levels = 0")
-    )
-    out = root / "blobs.dfd1"
-    assert cli.main(["generate", "--config", str(ini), "--out", str(out)]) == 0
-    return out
-
-
 # A dataset file whose own images cannot take the planned blur levels, under
 # a config whose generator shape could.
 MISMATCHED_DATASETS = {
-    "blob_file_with_blur_levels": (TINY_INI, "blob_dataset_path"),
     "8x8_file_under_16x16_config": (
         TINY_INI.replace("spatial_shape = 8,8,1", "spatial_shape = 16,16,1")
         .replace("levels = 1", "levels = 5"),
@@ -525,18 +510,54 @@ def test_dataset_shape_is_checked_before_the_run_writes(tmp_path, capsys, reques
 
 
 def test_a_damaged_dataset_reports_its_damage_before_its_shape(tmp_path, capsys,
-                                                              blob_dataset_path):
-    # a blob file cannot take the config's blur level either, but the file
+                                                              dataset_path):
+    # an 8x8 file cannot take the config's blur level 5 either, but the file
     # is read and checked whole first, its labels included
     damaged = tmp_path / "damaged.dfd1"
-    damaged.write_bytes(blob_dataset_path.read_bytes()[:-1] + b"\x07")
+    damaged.write_bytes(dataset_path.read_bytes()[:-1] + b"\x07")
     ini = tmp_path / "cfg.ini"
-    ini.write_text(TINY_INI)
+    ini.write_text(MISMATCHED_DATASETS["8x8_file_under_16x16_config"][0])
     out = tmp_path / "run"
     rc = cli.main(["run", "--config", str(ini), "--out", str(out), "--data", str(damaged)])
     assert rc == 1
     assert f"error: {damaged}: labels must be 0 or 1" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.fixture
+def shapeless_dataset(dataset_path, tmp_path):
+    """The tiny dataset under a header that declares a 0x0x0 image shape."""
+    raw = dataset_path.read_bytes()
+    header = data_mod._HEADER
+    fields = list(header.unpack(raw[: header.size]))
+    fields[4:7] = 0, 0, 0
+    path = tmp_path / "shapeless.dfd1"
+    path.write_bytes(header.pack(*fields) + raw[header.size :])
+    return path
+
+
+def test_inspect_refuses_a_dataset_without_an_image_shape(shapeless_dataset, capsys):
+    assert cli.main(["inspect", str(shapeless_dataset)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("error:") == 1
+    assert captured.err.startswith(
+        f"error: {shapeless_dataset}: spatial shape (0, 0, 0) does not match 64 features"
+    )
+    assert list(shapeless_dataset.parent.iterdir()) == [shapeless_dataset]
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_run_refuses_a_dataset_without_an_image_shape(shapeless_dataset, ini_path, capsys, jobs):
+    out = shapeless_dataset.parent / "run"
+    rc = cli.main(["run", "--config", str(ini_path), "--out", str(out), "--jobs", jobs,
+                   "--data", str(shapeless_dataset)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("error:") == 1
+    assert captured.err.startswith(f"error: {shapeless_dataset}: spatial shape (0, 0, 0)")
+    assert list(shapeless_dataset.parent.iterdir()) == [shapeless_dataset]
 
 
 # A dataset no task can use: a --data file with a label byte that is not 0/1,

@@ -40,7 +40,7 @@ def test_emit_is_sorted_key_value_text():
 
 # the config.ini echo of a default run; a change to the INI layout that keeps
 # every byte keeps this hash
-DEFAULT_INI_SHA256 = "81fad83fabe352629ee8cf181642a023a9e3e2f0fc4646202381720fe1ad9c1d"
+DEFAULT_INI_SHA256 = "bc579b9008f30cdd47ee0712d7b1f53092aad38b804b29aa20fcc238d20ada8e"
 
 
 def test_default_config_text_is_frozen():
@@ -78,9 +78,6 @@ NON_DEFAULT = {
     ("data", "positive_fraction"): "0.1",
     ("data", "overlap_scale"): "0.5",
     ("data", "spatial_shape"): "12,12,2",
-    ("data", "n_features"): "6",
-    ("data", "class_separation"): "2.5",
-    ("data", "family_spread"): "1.25",
     ("data", "signal_gap"): "0.1",
     ("data", "amplitude_jitter"): "0.03",
     ("data", "background_amp"): "0.01",
@@ -184,15 +181,13 @@ def test_parse_cell_types_are_checked():
 
 
 def test_parse_spatial_shape_forms():
-    flat = config.parse_config(
-        "[data]\nspatial_shape = none\nn_features = 6\n\n[corruption]\nlevels = 0\n"
-    )
-    assert flat.data.spatial_shape is None
-    assert flat.data.n_features == 6
     image = config.parse_config("[data]\nspatial_shape = 8,8,1\n\n[corruption]\nlevels = 2\n")
     assert image.data.spatial_shape == (8, 8, 1)
     with pytest.raises(ConfigError, match="H,W,C"):
         config.parse_config("[data]\nspatial_shape = 8,8\n")
+    # every dataset is images; no word stands for "no shape"
+    with pytest.raises(ConfigError, match=r"\[data\] spatial_shape: expected an integer"):
+        config.parse_config("[data]\nspatial_shape = none\n\n[corruption]\nlevels = 0\n")
 
 
 def test_parse_kl_weight_auto_and_numeric():
@@ -247,14 +242,13 @@ def test_settings_validation(factory):
 
 
 def test_blur_conditions_must_fit_the_generated_data():
-    blobs = SynthSpec(spatial_shape=None)
-    with pytest.raises(ConfigError, match="levels = 0"):
-        config.RunConfig(data=blobs)
-    assert config.RunConfig(data=blobs, corruption=config.CorruptionSettings(levels=0))
     small = SynthSpec(spatial_shape=(8, 8, 1))
     with pytest.raises(ConfigError, match="blur sigma 2.5 needs radius 8"):
         config.RunConfig(data=small)  # level 5 blurs with sigma 2.5
     assert config.RunConfig(data=small, corruption=config.CorruptionSettings(levels=4))
+    # with no corruption levels any image shape will do
+    tiny = SynthSpec(spatial_shape=(4, 4, 1))
+    assert config.RunConfig(data=tiny, corruption=config.CorruptionSettings(levels=0))
 
 
 def test_load_config(tmp_path):

@@ -8,22 +8,11 @@ import numpy as np
 import pytest
 
 from deferbench import data
-from deferbench.errors import (
-    ConfigError,
-    FormatError,
-    StratificationError,
-    UnsupportedCorruptionError,
-)
+from deferbench.errors import ConfigError, FormatError, StratificationError
 
 
 def image_spec(**overrides):
     base = dict(n_samples=400, positive_fraction=0.1, seed=0)
-    base.update(overrides)
-    return data.SynthSpec(**base)
-
-
-def blob_spec(**overrides):
-    base = dict(n_samples=400, positive_fraction=0.1, seed=0, spatial_shape=None)
     base.update(overrides)
     return data.SynthSpec(**base)
 
@@ -65,20 +54,6 @@ def test_generate_image_classes_differ_in_pattern_amplitude():
     assert gap == pytest.approx(0.08, abs=0.01)
 
 
-def test_blob_mode_zero_overlap_is_separable():
-    ds = data.generate(blob_spec(overlap_scale=0.0))
-    # class centers sit at -+ separation/2 on axis 0
-    predictions = (ds.features[:, 0] > 0.0).astype(np.int64)
-    np.testing.assert_array_equal(predictions, ds.labels)
-
-
-def test_blob_mode_uses_both_families():
-    ds = data.generate(blob_spec(overlap_scale=0.0, n_samples=800))
-    # axis 1 carries the within-class family offset of -+family_spread
-    values = np.unique(np.round(ds.features[:, 1], 6))
-    assert set(values) == {-1.5, 1.5}
-
-
 def test_low_frequency_pattern_shape():
     pattern = data.low_frequency_pattern(15, 15)
     assert pattern.shape == (15, 15)
@@ -113,11 +88,6 @@ FROZEN_GENERATOR = {
         data.SynthSpec(n_samples=600, overlap_scale=0.0, seed=6),
         "22668672314242aba070186b2add8061815463b40902d8d10669e33e2a3cf3db",
         "80beb699fd13bf3bcb2947f84e8593a8f0b7e66f221eb1db576521103cfb9883",
-    ),
-    "blobs": (
-        data.SynthSpec(n_samples=700, spatial_shape=None, seed=7),
-        "599f2422b4e0143e90859ee5fa54731dff7d933183eec4e4324a5ecc0c313366",
-        "673c6e1ee604df8bea156ec7ec1291364c073abfe92118ca857928924d01045e",
     ),
 }
 
@@ -166,8 +136,8 @@ def test_generate_peak_memory_is_about_one_copy_of_the_features():
         {"positive_fraction": 0.5},
         {"overlap_scale": -1.0},
         {"spatial_shape": (2, 16, 1)},
-        {"spatial_shape": None, "n_features": 1},
-        {"spatial_shape": None, "overlap_scale": 0.0, "family_spread": 0.0},
+        {"spatial_shape": (16, 3, 1)},
+        {"spatial_shape": (16, 16, 0)},
     ],
 )
 def test_spec_validation(kwargs):
@@ -181,14 +151,16 @@ def test_spec_validation(kwargs):
 
 
 def test_split_divisible_case_is_exact():
-    ds = data.Dataset(features=np.zeros((100, 2)), labels=np.array([0, 1] * 50))
+    ds = data.Dataset(features=np.zeros((100, 2)), labels=np.array([0, 1] * 50),
+                      spatial_shape=(1, 2, 1))
     tagged = data.split(ds, seed=0)
     sizes = [int(tagged.split_mask(w).sum()) for w in (data.TRAIN, data.VAL, data.TEST)]
     assert sizes == [70, 20, 10]
 
 
 def test_split_sizes_within_one_of_fractions():
-    ds = data.Dataset(features=np.zeros((101, 2)), labels=np.array([0, 1] * 50 + [0]))
+    ds = data.Dataset(features=np.zeros((101, 2)), labels=np.array([0, 1] * 50 + [0]),
+                      spatial_shape=(1, 2, 1))
     tagged = data.split(ds, seed=1)
     for which, frac in zip((data.TRAIN, data.VAL, data.TEST), data.SPLIT_FRACTIONS):
         assert abs(int(tagged.split_mask(which).sum()) - frac * 101) <= 1.0
@@ -205,7 +177,7 @@ def test_split_is_stratified_even_when_rare():
 def test_split_rare_class_reaches_every_split():
     # 4 positives round to (3, 1, 0); the repair moves one into the test split
     labels = np.array([1] * 4 + [0] * 96)
-    ds = data.Dataset(features=np.zeros((100, 2)), labels=labels)
+    ds = data.Dataset(features=np.zeros((100, 2)), labels=labels, spatial_shape=(1, 2, 1))
     tagged = data.split(ds, seed=3)
     for which in (data.TRAIN, data.VAL, data.TEST):
         assert tagged.labels[tagged.split_mask(which)].sum() >= 1
@@ -252,13 +224,15 @@ def test_split_deterministic_and_seed_sensitive():
 
 
 def test_split_rejects_tiny_class():
-    ds = data.Dataset(features=np.zeros((10, 2)), labels=np.array([1, 1] + [0] * 8))
+    ds = data.Dataset(features=np.zeros((10, 2)), labels=np.array([1, 1] + [0] * 8),
+                      spatial_shape=(1, 2, 1))
     with pytest.raises(StratificationError):
         data.split(ds, seed=0)
 
 
 def test_split_rejects_bad_fractions():
-    ds = data.Dataset(features=np.zeros((10, 2)), labels=np.array([0, 1] * 5))
+    ds = data.Dataset(features=np.zeros((10, 2)), labels=np.array([0, 1] * 5),
+                      spatial_shape=(1, 2, 1))
     with pytest.raises(ConfigError):
         data.split(ds, seed=0, fractions=(0.5, 0.5))
     with pytest.raises(ConfigError):
@@ -307,7 +281,8 @@ def test_corrupt_level_zero_is_identity():
 def test_noise_stddev_matches_level_parameter():
     # constant 0.5 images keep the clamp inactive, so the residual is the raw noise
     features = np.full((4000, 256), 0.5)  # ~1e6 pixels
-    ds = data.Dataset(features=features, labels=np.array([0, 1] * 2000))
+    ds = data.Dataset(features=features, labels=np.array([0, 1] * 2000),
+                      spatial_shape=(16, 16, 1))
     spec = data.CorruptionSpec("noise", 3)
     out = data.corrupt(ds, spec, seed=7)
     residual = out.features - 0.5
@@ -373,12 +348,29 @@ def test_blur_reduces_high_frequency_contrast():
     np.testing.assert_array_equal(out.labels, ds.labels)
 
 
-def test_blur_needs_spatial_shape():
-    ds = data.generate(blob_spec())
-    with pytest.raises(UnsupportedCorruptionError):
-        data.corrupt(ds, data.CorruptionSpec("blur", 1), seed=0)
-    # noise works on flat features
-    data.corrupt(ds, data.CorruptionSpec("noise", 1), seed=0)
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_blur_bytes_do_not_depend_on_the_row_block(monkeypatch, dtype):
+    images = np.random.default_rng(12).random((23, 16, 16, 2)).astype(dtype)
+    expected = data.gaussian_blur(images, 2.5)
+    for block in (1, 7, 23):
+        monkeypatch.setattr(data, "_ROW_BLOCK", block)
+        assert data.gaussian_blur(images, 2.5).tobytes() == expected.tobytes(), block
+
+
+def test_blur_peak_memory_is_about_its_output():
+    # float32 images at the widest default kernel, radius 8 on 16-pixel
+    # sides; the padded column copy alone is twice the float64 output when
+    # it is made for all images at once
+    images = np.random.default_rng(13).random((4096, 16, 16, 1)).astype(np.float32)
+    tracemalloc.start()
+    try:
+        out = data.gaussian_blur(images, 2.5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the float64 output is 1.0; the rest is one block's row pass, weighted
+    # tap and padded copy
+    assert peak <= 1.5 * out.nbytes, peak / out.nbytes
 
 
 def test_blur_rejects_kernel_wider_than_image():
@@ -406,13 +398,6 @@ def test_dataset_file_roundtrip(tmp_path):
     np.testing.assert_array_equal(back.features, ds.features)
     np.testing.assert_array_equal(back.labels, ds.labels)
     assert back.spatial_shape == (16, 16, 1)
-
-
-def test_dataset_file_blob_mode_has_no_spatial_shape(tmp_path):
-    ds = quantized(data.generate(blob_spec()))
-    path = tmp_path / "ds.dfd1"
-    data.write_dataset(path, ds)
-    assert data.read_dataset(path).spatial_shape is None
 
 
 def test_dataset_file_keeps_a_color_image_shape(tmp_path):
@@ -456,7 +441,7 @@ def _tiny_dataset_bytes(tmp_path, spatial_shape=(2, 2, 1)):
     return path.read_bytes()
 
 
-@pytest.mark.parametrize("spatial_shape", [(2, 2, 1), None])
+@pytest.mark.parametrize("spatial_shape", [(2, 2, 1), (1, 2, 2)])
 def test_dataset_every_truncation_is_a_format_error(tmp_path, spatial_shape):
     blob = _tiny_dataset_bytes(tmp_path, spatial_shape)
     path = tmp_path / "cut.dfd1"
@@ -500,6 +485,9 @@ def test_dataset_damaged_headers(tmp_path):
         (with_field(7, fields[7] + 1), "label offset"),
         (with_field(6, 2), "spatial shape"),
         (with_field(4, 0), "spatial shape"),
+        # every dataset is images: a header with no image shape is damaged
+        (data._HEADER.pack(*fields[:4], 0, 0, 0, fields[7]) + body,
+         r"spatial shape \(0, 0, 0\) does not match 4 features"),
         (blob[:-1], "truncated"),
         (blob + b"\x00", "trailing bytes"),
         (blob[:-1] + b"\x02", "labels must be 0 or 1"),
@@ -518,7 +506,8 @@ def test_dataset_damaged_headers(tmp_path):
 @pytest.mark.parametrize("block", [1, 2, 5])
 def test_read_dataset_does_not_depend_on_the_row_block(tmp_path, monkeypatch, block):
     rng = np.random.default_rng(6)
-    ds = data.Dataset(features=rng.random((5, 4)), labels=[0, 1, 0, 1, 1])
+    ds = data.Dataset(features=rng.random((5, 4)), labels=[0, 1, 0, 1, 1],
+                      spatial_shape=(2, 2, 1))
     path = tmp_path / "ds.dfd1"
     data.write_dataset(path, ds)
     expected = data.read_dataset(path).features
@@ -534,7 +523,8 @@ def test_read_dataset_peak_memory_is_about_one_copy_of_the_features(tmp_path):
     rng = np.random.default_rng(7)
     features = rng.random((10_000, 256))
     path = tmp_path / "ds.dfd1"
-    data.write_dataset(path, data.Dataset(features=features, labels=np.zeros(10_000, int)))
+    data.write_dataset(path, data.Dataset(features=features, labels=np.zeros(10_000, int),
+                                          spatial_shape=(16, 16, 1)))
     del features
     tracemalloc.start()
     try:
@@ -548,7 +538,7 @@ def test_read_dataset_peak_memory_is_about_one_copy_of_the_features(tmp_path):
 
 
 def test_write_dataset_failure_leaves_no_file(tmp_path):
-    ds = data.Dataset(features=np.zeros((3, 2)), labels=[0, 1, 0])
+    ds = data.Dataset(features=np.zeros((3, 2)), labels=[0, 1, 0], spatial_shape=(1, 2, 1))
     ds.labels = None  # fails after the header and the features are written
     with pytest.raises(AttributeError):
         data.write_dataset(tmp_path / "ds.dfd1", ds)
@@ -557,12 +547,14 @@ def test_write_dataset_failure_leaves_no_file(tmp_path):
 
 def test_dataset_validation():
     with pytest.raises(ConfigError):
-        data.Dataset(features=np.zeros((4, 2)), labels=np.array([0, 1, 2, 0]))
+        data.Dataset(features=np.zeros((4, 2)), labels=np.array([0, 1, 2, 0]),
+                     spatial_shape=(1, 2, 1))
     with pytest.raises(ConfigError):
         data.Dataset(
             features=np.zeros((4, 6)), labels=np.zeros(4, dtype=np.int64),
             spatial_shape=(2, 2, 1),
         )
-    ds = data.Dataset(features=np.zeros((4, 2)), labels=np.array([0, 1, 0, 1]))
+    ds = data.Dataset(features=np.zeros((4, 2)), labels=np.array([0, 1, 0, 1]),
+                      spatial_shape=(1, 2, 1))
     with pytest.raises(ConfigError):
         ds.split_mask(data.TRAIN)

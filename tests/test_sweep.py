@@ -442,24 +442,24 @@ def new_arrays(features, out) -> int:
 
 def test_split_eval_data_peak_memory():
     # default 10,000 x 256 float32 images, three conditions: the two float64
-    # corrupted test copies are 0.4x the input features and the val and test
-    # scratch 0.3x
+    # corrupted test copies are 0.4x the input features, the val and test
+    # scratch 0.3x, and the blur holds one block of images besides its output
     features, out, peak = traced_split_eval_data(
         RunConfig(corruption=CorruptionSettings(levels=1))
     )
     assert features.dtype == np.float32
     assert new_arrays(features, out) == 4 * out.x_tests[sweep.Condition("id")].nbytes
-    assert peak <= 0.95 * features.nbytes, peak / features.nbytes
+    assert peak <= 0.65 * features.nbytes, peak / features.nbytes
 
 
 def test_split_eval_data_temporaries_do_not_grow_with_the_conditions():
     # ten float64 corrupted conditions return 2x the float32 input; beyond
-    # that the peak holds one corruption's temporaries, not a copy of the
-    # dataset
+    # that the peak holds one corruption's temporaries, a block of images
+    # for the blur, not a copy of the dataset
     features, out, peak = traced_split_eval_data(RunConfig())
     kept = new_arrays(features, out)
     assert kept == 2 * features.nbytes
-    assert peak - kept <= 0.8 * features.nbytes, (peak - kept) / features.nbytes
+    assert peak - kept <= 0.3 * features.nbytes, (peak - kept) / features.nbytes
 
 
 def test_run_from_file_matches_in_memory(tiny_cfg, eval_data, tmp_path):
