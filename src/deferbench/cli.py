@@ -10,7 +10,6 @@ errors.
 from __future__ import annotations
 
 import argparse
-import shutil
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -21,7 +20,6 @@ from deferbench.atomic import atomic_open
 from deferbench.config import RunConfig, emit_config, load_config
 from deferbench.errors import ConfigError, DeferBenchError, FormatError, UsageError
 from deferbench.nnet import read_checkpoint
-from deferbench.pipelines import MANIFEST_NAME, read_manifest
 from deferbench.rng import child_seed
 
 
@@ -70,8 +68,6 @@ def _clear_run_outputs(out: Path, data_path) -> None:
     for path in stale:
         if path.is_file() and path.resolve() != keep:
             path.unlink()
-    for seed_dir in (out / "models").glob("seed_*"):
-        shutil.rmtree(seed_dir)
 
 
 def cmd_run(args) -> int:
@@ -99,7 +95,7 @@ def cmd_run(args) -> int:
         data_mod.write_dataset(data_path, ds)
     del ds  # the tasks read the file back; keep no second copy while they train
 
-    result = sweep.run_plan(cfg, out_dir=out, data_path=data_path)
+    result = sweep.run_plan(cfg, data_path=data_path)
     sweep.write_results_csv(out / sweep.RESULTS_NAME, result.points)
     sweep.write_classification_csv(out / sweep.CLASSIFICATION_NAME, result.classification)
     try:
@@ -194,14 +190,7 @@ _TABLES = {
 def cmd_inspect(args) -> int:
     path = Path(args.path)
     if path.is_dir():
-        manifest = path / MANIFEST_NAME
-        if not manifest.exists():
-            raise UsageError(f"{path}: directory has no {MANIFEST_NAME}")
-        entries = read_manifest(manifest)
-        print("kind=bundle")
-        for key, value in entries.items():
-            print(f"{key}={value}")
-        return 0
+        raise UsageError(f"{path}: is a directory; inspect reads files")
     if not path.exists():
         raise UsageError(f"{path}: no such file")
     with open(path, "rb") as fh:
@@ -218,7 +207,7 @@ def cmd_inspect(args) -> int:
             return 0
     raise FormatError(
         f"{path}: not a format inspect reads (a DFD1 dataset, a DFB1 weight file, "
-        "a results or classification table, or a model bundle directory)"
+        "or a results or classification table)"
     )
 
 
@@ -259,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--level", required=True, type=int, metavar="N")
     p.set_defaults(func=cmd_corrupt)
 
-    p = sub.add_parser("inspect", help="describe a dataset, weights, results, or bundle")
+    p = sub.add_parser("inspect", help="describe a dataset, weight, results or classification file")
     p.add_argument("path", metavar="PATH")
     p.set_defaults(func=cmd_inspect)
 

@@ -182,7 +182,7 @@ def _band_area(fpr, tpr, band: float) -> float:
     return float(area / band)
 
 
-@dataclass
+@dataclass(slots=True)
 class CurvePoint:
     """One point of a deferral sweep: one row of results.csv, which stores
     every field.

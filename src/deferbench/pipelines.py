@@ -1,6 +1,6 @@
 """Training pipelines: one trainer with checkpoint selection for every
-network, prediction over the extended label space, committee features for
-the deferral head, and model bundle layout.
+network, prediction over the extended label space, and committee features
+for the deferral head.
 
 Every network trains through ``train_classifier``, and its loss fixes the
 selection rule. Classifiers that defer by an uncertainty threshold train with
@@ -18,8 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from deferbench import nnet
-from deferbench.atomic import atomic_open
-from deferbench.errors import ConfigError, FormatError, InputShapeError, StratificationError
+from deferbench.errors import ConfigError, InputShapeError, StratificationError
 from deferbench.losses import LossSpec, softmax
 from deferbench.metrics import DEFER, pauc
 from deferbench.uq import positive_probability
@@ -136,71 +135,3 @@ def two_stage_features(members, batch) -> np.ndarray:
     mean = samples.mean(axis=0)
     cols = [samples.T, binary_entropy(mean)[:, None], binary_entropy(samples).mean(axis=0)[:, None]]
     return np.concatenate(cols, axis=1)
-
-
-# ---------------------------------------------------------------------------
-# Model bundles: a directory with a manifest and weight containers
-# ---------------------------------------------------------------------------
-
-MANIFEST_NAME = "manifest.txt"
-MODEL_NAME = "model.dfb1"
-POSTERIOR_NAME = "posterior.dfb1"
-ENSEMBLE_INDEX_NAME = "ensemble_index.txt"
-
-
-def write_manifest(path, entries: dict) -> None:
-    """Canonical key=value lines sorted by key, one per line."""
-    lines = []
-    for key in sorted(entries):
-        value = entries[key]
-        if isinstance(value, float):
-            value = repr(value)
-        value = str(value)
-        if "=" in key or "\n" in key or "\n" in value:
-            raise FormatError(f"manifest entry {key!r} contains a delimiter")
-        lines.append(f"{key}={value}\n")
-    with atomic_open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(lines)
-
-
-def _read_lines(path) -> list:
-    """Lines of a UTF-8 text file; bytes that do not decode are a FormatError."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return fh.readlines()
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"{path}: not UTF-8 text: {exc}") from exc
-
-
-def read_manifest(path) -> dict:
-    entries = {}
-    for lineno, line in enumerate(_read_lines(path), start=1):
-        line = line.rstrip("\n")
-        if not line:
-            continue
-        if "=" not in line:
-            raise FormatError(f"{path}: line {lineno} is not key=value")
-        key, value = line.split("=", 1)
-        if key in entries:
-            raise FormatError(f"{path}: line {lineno} repeats key {key!r}")
-        entries[key] = value
-    return entries
-
-
-def save_single_model(dirpath, network: nnet.Network, manifest: dict) -> None:
-    dirpath.mkdir(parents=True, exist_ok=True)
-    nnet.write_checkpoint(dirpath / MODEL_NAME, network.config, nnet.get_params(network))
-    write_manifest(dirpath / MANIFEST_NAME, manifest)
-
-
-def save_ensemble(dirpath, members, manifest: dict) -> None:
-    """Member files plus an index naming them in committee order."""
-    dirpath.mkdir(parents=True, exist_ok=True)
-    names = []
-    for i, member in enumerate(members):
-        name = f"member_{i:02d}.dfb1"
-        nnet.write_checkpoint(dirpath / name, member.config, nnet.get_params(member))
-        names.append(name)
-    with atomic_open(dirpath / ENSEMBLE_INDEX_NAME, "w", encoding="utf-8") as fh:
-        fh.write("".join(f"{n}\n" for n in names))
-    write_manifest(dirpath / MANIFEST_NAME, manifest)

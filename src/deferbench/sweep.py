@@ -10,8 +10,8 @@ table maps each file column to its point attribute and parser.
 
 Each method is one row of the ``_METHODS`` table: its curve parameter kind
 and a ``fit`` function. A threshold method's fit returns a predictor
-``x -> (scores, uncertainty)``, a bundle writer and, for the ensemble, its
-committee networks; the shared evaluator sweeps the deferral threshold over
+``x -> (scores, uncertainty)`` and, for the ensemble, its committee
+networks; the shared evaluator sweeps the deferral threshold over
 the observed uncertainty range. A learned method's fit returns the evaluation
 data mapped once into its models' input space and the models' hidden
 layers; the shared evaluator trains one 3-output network per value of the
@@ -22,11 +22,12 @@ mapping. Adding a method means adding one table row and one fit function
 
 The plan runs as independent tasks. A seed's ensemble and deferral head
 share one task, so the committee goes from one to the other inside the
-process that trained it; every other task is one method. Each process that
-runs tasks builds the run's data once, and --jobs only decides who runs
-them: --jobs 1 in a plain loop in this process, --jobs N at most N at a time
-in a process pool. A worker process that dies breaks the pool: every task
-not finished by then gets failure rows, and the run still ends.
+process that trained it; every other task is one method. A task returns its
+rows and writes no file. Each process that runs tasks builds the run's data
+once, and --jobs only decides who runs them: --jobs 1 in a plain loop in
+this process, --jobs N at most N at a time in a process pool. A worker
+process that dies breaks the pool: every task not finished by then gets
+failure rows, and the run still ends.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from operator import attrgetter
-from pathlib import Path
 from typing import Optional
 
 import numpy as np
@@ -64,14 +64,9 @@ from deferbench.metrics import (
 )
 from deferbench.pipelines import (
     DEFER_OUTPUT,
-    MANIFEST_NAME,
-    POSTERIOR_NAME,
     predict_extended,
-    save_ensemble,
-    save_single_model,
     train_classifier,
     two_stage_features,
-    write_manifest,
 )
 from deferbench.rng import child_seed
 from deferbench.uq import (
@@ -363,24 +358,11 @@ def _classifier(cfg, data, seed_index, method, k=0, dropout=0.0):
     )
 
 
-def _saver(sel, manifest):
-    """Bundle writer for one selected network."""
-    manifest = {"criterion": sel.criterion, "selected_epoch": sel.epoch, **manifest}
-    return lambda bundle: save_single_model(bundle, sel.network, manifest)
-
-
-def _posterior_fit(cfg, seed_index, method, posterior, write, manifest):
-    """The fit of a weight posterior: it predicts with networks drawn from it
-    once, and saves its container, written by write, plus a manifest."""
+def _posterior_fit(cfg, seed_index, method, posterior):
+    """The fit of a weight posterior: it predicts with networks drawn from it once."""
     seed = _predict_seed(cfg, seed_index, method)
     nets = uq.posterior_networks(posterior, cfg.uq.n_samples, seed)
-
-    def save(bundle):
-        bundle.mkdir(parents=True, exist_ok=True)
-        write(bundle / POSTERIOR_NAME, posterior)
-        write_manifest(bundle / MANIFEST_NAME, manifest)
-
-    return lambda x: ensemble_predict(nets, x)[:2], save, None
+    return lambda x: ensemble_predict(nets, x)[:2], None
 
 
 def _train_members(cfg, data, seed_index):
@@ -395,8 +377,8 @@ def _train_members(cfg, data, seed_index):
 
 
 # Threshold methods: fit(cfg, data, seed_index, members) returns
-# (predict(x) -> (scores, uncertainty), save(bundle_dir), committee); the
-# committee is the ensemble's networks, None for every other method.
+# (predict(x) -> (scores, uncertainty), committee); the committee is the
+# ensemble's networks, None for every other method.
 
 
 def _fit_softmax(cfg, data, seed_index, members):
@@ -406,17 +388,12 @@ def _fit_softmax(cfg, data, seed_index, members):
         scores = positive_probability(sel.network, x)
         return scores, softmax_uncertainty(scores)
 
-    return predict, _saver(sel, {"method": "softmax"}), None
+    return predict, None
 
 
 def _fit_ensemble(cfg, data, seed_index, members):
     committee = _train_members(cfg, data, seed_index)
-    manifest = {"method": "ensemble", "n_members": cfg.uq.n_members}
-    return (
-        lambda x: ensemble_predict(committee, x)[:2],
-        lambda bundle: save_ensemble(bundle, committee, manifest),
-        committee,
-    )
+    return lambda x: ensemble_predict(committee, x)[:2], committee
 
 
 def _fit_swag(cfg, data, seed_index, members):
@@ -430,19 +407,13 @@ def _fit_swag(cfg, data, seed_index, members):
         sample_weights=data.sample_weights,
     )
     posterior = uq.swag_collect(result.checkpoints, config, cfg.swag)
-    manifest = {"method": "swag", "rank": posterior.rank, "collected": posterior.collected}
-    return _posterior_fit(cfg, seed_index, "swag", posterior, uq.save_swag_posterior, manifest)
+    return _posterior_fit(cfg, seed_index, "swag", posterior)
 
 
 def _fit_mc_dropout(cfg, data, seed_index, members):
-    rate = cfg.uq.dropout_rate
-    sel = _classifier(cfg, data, seed_index, "mc_dropout", dropout=rate)
+    sel = _classifier(cfg, data, seed_index, "mc_dropout", dropout=cfg.uq.dropout_rate)
     seed = _predict_seed(cfg, seed_index, "mc_dropout")
-    return (
-        lambda x: mc_dropout_predict(sel.network, x, cfg.uq.n_samples, seed)[:2],
-        _saver(sel, {"method": "mc_dropout", "dropout_rate": rate}),
-        None,
-    )
+    return lambda x: mc_dropout_predict(sel.network, x, cfg.uq.n_samples, seed)[:2], None
 
 
 def _fit_bnn(cfg, data, seed_index, members):
@@ -456,8 +427,7 @@ def _fit_bnn(cfg, data, seed_index, members):
         cfg.bnn,
         sample_weights=data.sample_weights,
     ).posterior
-    manifest = {"method": "bnn", "prior_stddev": cfg.bnn.prior_stddev}
-    return _posterior_fit(cfg, seed_index, "bnn", posterior, uq.save_bnn_posterior, manifest)
+    return _posterior_fit(cfg, seed_index, "bnn", posterior)
 
 
 # Learned methods: fit(cfg, data, seed_index, members) returns (inputs,
@@ -513,7 +483,7 @@ def _threshold_eval(cfg, data, seed_index, method, predict):
     return points, rows
 
 
-def _learned_eval(cfg, inputs, hidden_dims, seed_index, method, param_kind, bundle):
+def _learned_eval(cfg, inputs, hidden_dims, seed_index, method, param_kind):
     """One retrained model per cost value; each contributes one curve point.
 
     inputs holds the evaluation data in the models' input space; every model
@@ -522,8 +492,7 @@ def _learned_eval(cfg, inputs, hidden_dims, seed_index, method, param_kind, bund
     zero-deferral classification row comes from the grid model with the
     smallest validation deferral rate (ties broken toward the cost value that
     discourages deferral hardest), read out with its defer output disabled:
-    the renormalized class scores of its curve predictions. Each grid model is
-    saved as bundle/cost_NN once everything is evaluated.
+    the renormalized class scores of its curve predictions.
     """
     models = []
     for gi, value in enumerate(getattr(cfg.sweep, f"{param_kind}_grid")):
@@ -562,17 +531,10 @@ def _learned_eval(cfg, inputs, hidden_dims, seed_index, method, param_kind, bund
             points.extend(_tag([point], **tag))
             if sel is best:
                 rows.extend(_tag([classification_row(pred.scores, inputs.y_test)], **tag))
-    if bundle is not None:
-        for gi, (sel, value, _) in enumerate(models):
-            save_single_model(
-                bundle / f"cost_{gi:02d}",
-                sel.network,
-                {"method": method, param_kind: value, "selected_epoch": sel.epoch},
-            )
     return MethodResult(method, seed_index, points, rows)
 
 
-def run_method(cfg, data, seed_index, method, models_dir=None, members=None) -> MethodResult:
+def run_method(cfg, data, seed_index, method, members=None) -> MethodResult:
     """Train and evaluate one method for one replication seed.
 
     members, when given, is the committee the deferral head builds on;
@@ -581,13 +543,10 @@ def run_method(cfg, data, seed_index, method, models_dir=None, members=None) -> 
     if method not in _METHODS:
         raise ConfigError(f"unknown method {method!r}")
     param_kind, fit = _METHODS[method]
-    bundle = None if models_dir is None else models_dir / method
     if param_kind != "threshold":
         inputs, hidden_dims = fit(cfg, data, seed_index, members)
-        return _learned_eval(cfg, inputs, hidden_dims, seed_index, method, param_kind, bundle)
-    predict, save, committee = fit(cfg, data, seed_index, members)
-    if bundle is not None:
-        save(bundle)
+        return _learned_eval(cfg, inputs, hidden_dims, seed_index, method, param_kind)
+    predict, committee = fit(cfg, data, seed_index, members)
     points, rows = _threshold_eval(cfg, data, seed_index, method, predict)
     return MethodResult(method, seed_index, points, rows, committee)
 
@@ -604,17 +563,9 @@ class PlanResult:
     failures: list  # "seed/method: reason" strings
 
 
-def _seed_dir(out_dir, seed_index) -> Optional[Path]:
-    if out_dir is None:
-        return None
-    path = Path(out_dir) / "models" / f"seed_{seed_index}"
-    path.mkdir(parents=True, exist_ok=True)
-    return path
-
-
-def _worker(cfg, seed_index, method, out_dir, members, data):
+def _worker(cfg, seed_index, method, members, data):
     """One method of a task, on the data its process built."""
-    return run_method(cfg, data, seed_index, method, _seed_dir(out_dir, seed_index), members)
+    return run_method(cfg, data, seed_index, method, members)
 
 
 def _failure_result(cfg, seed_index, method, exc) -> MethodResult:
@@ -650,7 +601,7 @@ def _task_data(cfg: RunConfig, data_path) -> EvalData:
     return build_eval_data(cfg, data_path)
 
 
-def _run_task(cfg, seed_index, methods, out_dir, data_path) -> list:
+def _run_task(cfg, seed_index, methods, data_path) -> list:
     """(result, seconds) per method of one task, run in order in this process.
 
     The task takes the run's data from _task_data, loading the dataset from
@@ -667,7 +618,7 @@ def _run_task(cfg, seed_index, methods, out_dir, data_path) -> list:
     for method in methods:
         t0 = time.perf_counter()
         try:
-            result = _worker(cfg, seed_index, method, out_dir, committee, data)
+            result = _worker(cfg, seed_index, method, committee, data)
         except Exception as exc:  # noqa: BLE001 - isolate per-method failures
             result = _failure_result(cfg, seed_index, method, exc)
         if result.committee is not None:
@@ -676,7 +627,7 @@ def _run_task(cfg, seed_index, methods, out_dir, data_path) -> list:
     return outcomes
 
 
-def run_plan(cfg: RunConfig, out_dir=None, data_path=None) -> PlanResult:
+def run_plan(cfg: RunConfig, data_path=None) -> PlanResult:
     """Train and evaluate every (seed, method) pair of the plan.
 
     The plan is a list of independent tasks (see _plan_tasks), each one
@@ -728,7 +679,7 @@ def run_plan(cfg: RunConfig, out_dir=None, data_path=None) -> PlanResult:
                         if len(running) == workers:
                             collect_one()
                         try:
-                            future = pool.submit(_run_task, cfg, s, methods, out_dir, data_path)
+                            future = pool.submit(_run_task, cfg, s, methods, data_path)
                             running[future] = (s, methods, time.perf_counter())
                         except BrokenProcessPool as exc:
                             report(s, [(_failure_result(cfg, s, m, exc), 0.0) for m in methods])
@@ -740,7 +691,7 @@ def run_plan(cfg: RunConfig, out_dir=None, data_path=None) -> PlanResult:
                     raise
         else:
             for s, methods in tasks:
-                report(s, _run_task(cfg, s, methods, out_dir, data_path))
+                report(s, _run_task(cfg, s, methods, data_path))
     finally:
         _task_data.cache_clear()
 

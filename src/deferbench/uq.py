@@ -317,33 +317,3 @@ def bnn_train(
 def bnn_predict(posterior: BnnPosterior, batch: np.ndarray, n_samples: int, seed: int):
     """N posterior weight draws, each run as a deterministic network."""
     return ensemble_predict(posterior_networks(posterior, n_samples, seed), batch)
-
-
-# ---------------------------------------------------------------------------
-# Posterior serialization on top of the weight container
-# ---------------------------------------------------------------------------
-
-
-def save_swag_posterior(path, posterior: SwagPosterior) -> None:
-    nnet.write_checkpoint(
-        path,
-        posterior.net_config,
-        posterior.mean,
-        sections={
-            "second_moment": posterior.second_moment,
-            "deviation": posterior.deviations.ravel(order="F"),
-            "collected_count": np.array([posterior.collected], dtype=np.float64),
-        },
-    )
-
-
-def save_bnn_posterior(path, posterior: BnnPosterior) -> None:
-    nnet.write_checkpoint(
-        path,
-        posterior.net_config,
-        posterior.mean,
-        sections={
-            "log_stddev": posterior.log_stddev,
-            "prior_stddev": np.array([posterior.prior_stddev], dtype=np.float64),
-        },
-    )

@@ -13,7 +13,7 @@ import pytest
 
 from deferbench import cli
 from deferbench import data as data_mod
-from deferbench import nnet, pipelines, sweep
+from deferbench import nnet, sweep
 from deferbench.config import emit_config, load_config
 
 TINY_INI = """\
@@ -153,15 +153,6 @@ FROZEN_SHA256 = {
     "classification.csv": "6e4b10decac8a1ba47e2022f97089da1d5bda1a3a1730a20b5d26182f4b672e5",
     "dataset.dfd1": "c030fbe38957ea54b94e6c0fcb926bd430ab5e65ef9cbcccbc514b886df9e6eb",
 }
-FROZEN_MODELS_SHA256 = "9b6926090c7aa5465861d41548991a384e84394c384490bec7fc11a314088fe0"
-
-
-def tree_sha(root) -> str:
-    """One SHA-256 over a directory: a "relative-path file-sha256" line per
-    file, in sorted relative-path order."""
-    files = sorted(p for p in root.rglob("*") if p.is_file())
-    lines = "".join(f"{p.relative_to(root).as_posix()} {sha(p)}\n" for p in files)
-    return hashlib.sha256(lines.encode()).hexdigest()
 
 
 def test_run_output_bytes_are_frozen(tmp_path):
@@ -170,7 +161,7 @@ def test_run_output_bytes_are_frozen(tmp_path):
     out = tmp_path / "run"
     assert cli.main(["run", "--config", str(ini), "--out", str(out)]) == 0
     assert {name: sha(out / name) for name in FROZEN_SHA256} == FROZEN_SHA256
-    assert tree_sha(out / "models") == FROZEN_MODELS_SHA256
+    assert not (out / "models").exists()
 
 
 THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -219,7 +210,7 @@ def test_run_output_bytes_are_frozen_across_blas_threads_and_jobs(tmp_path, jobs
         timeout=300,
     )
     assert {name: sha(out / name) for name in FROZEN_SHA256} == FROZEN_SHA256
-    assert tree_sha(out / "models") == FROZEN_MODELS_SHA256
+    assert not (out / "models").exists()
 
 
 def test_run_writes_expected_artifacts(run_dir, ini_path):
@@ -238,10 +229,6 @@ def test_run_writes_expected_artifacts(run_dir, ini_path):
         assert svg.is_file()
         ET.fromstring(svg.read_text())
 
-    bundle = run_dir / "models" / "seed_0" / "softmax"
-    assert (bundle / "manifest.txt").is_file()
-    assert (bundle / "model.dfb1").is_file()
-
 
 def test_rerun_is_byte_identical(run_dir, ini_path, tmp_path):
     out = tmp_path / "run2"
@@ -258,11 +245,10 @@ def test_rerun_into_the_same_directory_leaves_no_stale_output(ini_path, tmp_path
     )
     out = tmp_path / "shared"
     assert cli.main(["run", "--config", str(wide), "--out", str(out)]) == 0
-    assert (out / "models" / "seed_0" / "mc_dropout").is_dir()
     assert (out / "report" / "noise2.svg").is_file()
 
     assert cli.main(["run", "--config", str(ini_path), "--out", str(out)]) == 0
-    assert sorted(p.name for p in (out / "models" / "seed_0").iterdir()) == ["softmax"]
+    assert {p.method for p in sweep.read_results_csv(out / "results.csv")} == {"softmax"}
     assert sorted(p.name for p in (out / "report").iterdir()) == [
         "blur1.svg", "id.svg", "noise1.svg"
     ]
@@ -815,30 +801,19 @@ def test_inspect_classification(run_dir, capsys):
 
 
 def test_inspect_rejects_a_file_of_no_format_it_reads(run_dir, tmp_path, capsys):
-    members = [nnet.init_network(nnet.NetConfig(4, (3,), 2, seed=k)) for k in range(2)]
-    pipelines.save_ensemble(tmp_path / "ensemble", members, {"method": "ensemble"})
+    listing = tmp_path / "listing.txt"
+    listing.write_text("member_00.dfb1\nmember_01.dfb1\n")
     empty = tmp_path / "empty"
     empty.write_bytes(b"")
-    paths = (
-        run_dir / "config.ini",
-        run_dir / "report" / "id.svg",
-        tmp_path / "ensemble" / pipelines.ENSEMBLE_INDEX_NAME,
-        empty,
-    )
+    paths = (run_dir / "config.ini", run_dir / "report" / "id.svg", listing, empty)
     for path in paths:
         assert cli.main(["inspect", str(path)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"error: {path}: not a format inspect reads")
-        for name in ("DFD1", "DFB1", "results", "classification", "bundle"):
+        for name in ("DFD1", "DFB1", "results", "classification"):
             assert name in captured.err
-
-
-def test_inspect_bundle(run_dir, capsys):
-    assert cli.main(["inspect", str(run_dir / "models" / "seed_0" / "softmax")]) == 0
-    stdout = capsys.readouterr().out
-    assert "kind=bundle" in stdout
-    assert "method=softmax" in stdout
+        assert "bundle" not in captured.err
 
 
 def test_inspect_missing_and_bare_directory(tmp_path, capsys):
@@ -846,14 +821,17 @@ def test_inspect_missing_and_bare_directory(tmp_path, capsys):
     assert cli.main(["inspect", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert "no such file" in err
-    assert "manifest.txt" in err
+    assert "is a directory" in err
 
 
-def test_inspect_unreadable_manifest_is_an_error_not_a_traceback(tmp_path, capsys):
+def test_inspect_directory_is_a_usage_error_not_a_traceback(run_dir, tmp_path, capsys):
+    # a run directory, and one holding a directory where a file could be
     (tmp_path / "manifest.txt").mkdir()
-    assert cli.main(["inspect", str(tmp_path)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "Traceback" not in err
+    for path in (run_dir, tmp_path):
+        assert cli.main(["inspect", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: is a directory; inspect reads files\n"
 
 
 def test_inspect_damaged_checkpoint_is_an_error_not_a_traceback(tmp_path, capsys):

@@ -1,8 +1,8 @@
 """Damaged text files and interrupted writes.
 
-Every reader of a text format (results and classification CSV, bundle
-manifest, INI configuration) must turn truncated or bit-flipped input into a
-``DeferBenchError``, never a raw traceback. Every bundle writer and the
+Every reader of a text format (results and classification CSV, INI
+configuration) must turn truncated or bit-flipped input into a
+``DeferBenchError``, never a raw traceback. The checkpoint writer and the
 configuration echo must leave either the complete file or no file. A
 dataset file with a non-finite feature is refused the same way.
 """
@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from deferbench import atomic, cli, config, data, nnet, pipelines, sweep
+from deferbench import atomic, cli, config, data, nnet, sweep
 from deferbench.errors import ConfigError, DeferBenchError, FormatError
 from deferbench.metrics import CurvePoint
 
@@ -36,8 +36,6 @@ ROWS = [
                condition="id", level=0, seed=0),
     CurvePoint(method="bnn", condition="blur", level=5, seed=4, status="failed:DivergenceError"),
 ]
-MANIFEST = {"method": "mc_dropout", "criterion": "pauc", "selected_epoch": 7,
-            "dropout_rate": 0.2}
 
 
 def _write_results(path):
@@ -48,10 +46,6 @@ def _write_classification(path):
     sweep.write_classification_csv(path, ROWS)
 
 
-def _write_manifest(path):
-    pipelines.write_manifest(path, MANIFEST)
-
-
 def _write_ini(path):
     path.write_text(config.emit_config(config.RunConfig(n_seeds=2, methods=("bnn", "softmax"))))
 
@@ -59,7 +53,6 @@ def _write_ini(path):
 FORMATS = {
     "results": (_write_results, sweep.read_results_csv),
     "classification": (_write_classification, sweep.read_classification_csv),
-    "manifest": (_write_manifest, pipelines.read_manifest),
     "ini": (_write_ini, config.load_config),
 }
 
@@ -108,8 +101,7 @@ def test_bit_flips_are_read_or_rejected(blobs, scratch, name, data):
 
 
 @pytest.mark.parametrize("name, error", [
-    ("results", FormatError), ("classification", FormatError), ("manifest", FormatError),
-    ("ini", ConfigError),
+    ("results", FormatError), ("classification", FormatError), ("ini", ConfigError),
 ])
 def test_bytes_that_are_not_utf8_are_named(blobs, tmp_path, name, error):
     path = tmp_path / name
@@ -161,16 +153,6 @@ def test_cli_report_rejects_a_non_finite_rate(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "error:" in err and "row 2" in err and "Traceback" not in err
     assert not out.exists() or not any(out.rglob("*.svg"))
-
-
-def test_repeated_manifest_key_names_the_line(tmp_path, capsys):
-    # write_manifest never repeats a key, so a second value is damage, not an update
-    (tmp_path / pipelines.MANIFEST_NAME).write_text("a=1\nmethod=softmax\na=2\n")
-    with pytest.raises(FormatError, match="line 3 repeats key 'a'"):
-        pipelines.read_manifest(tmp_path / pipelines.MANIFEST_NAME)
-    assert cli.main(["inspect", str(tmp_path)]) == 1
-    captured = capsys.readouterr()
-    assert "error:" in captured.err and "kind=bundle" not in captured.out
 
 
 NON_FINITE_INI = """\
@@ -231,15 +213,8 @@ def test_cli_reports_undecodable_config(blobs, tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_cli_reports_undecodable_manifest(blobs, tmp_path, capsys):
-    (tmp_path / pipelines.MANIFEST_NAME).write_bytes(blobs["manifest"] + b"note=\xff\n")
-    assert cli.main(["inspect", str(tmp_path)]) == 1
-    captured = capsys.readouterr()
-    assert "error:" in captured.err and "kind=bundle" not in captured.out
-
-
 # ---------------------------------------------------------------------------
-# bundle writers and the configuration echo are atomic
+# the checkpoint writer and the configuration echo are atomic
 # ---------------------------------------------------------------------------
 
 
@@ -270,23 +245,6 @@ def test_checkpoint_writer_failure_leaves_no_file(tmp_path):
     with pytest.raises(TypeError):
         nnet.write_checkpoint(tmp_path / "m.dfb1", config_, params, {"bad": object()})
     assert list(tmp_path.iterdir()) == []
-
-
-def test_manifest_writer_failure_leaves_no_file(tmp_path, failing_replace):
-    failing_replace.add(pipelines.MANIFEST_NAME)
-    with pytest.raises(OSError, match="injected"):
-        pipelines.write_manifest(tmp_path / pipelines.MANIFEST_NAME, MANIFEST)
-    assert_no_trace_of(tmp_path, pipelines.MANIFEST_NAME)
-
-
-def test_ensemble_index_writer_failure_leaves_no_index(tmp_path, failing_replace):
-    failing_replace.add(pipelines.ENSEMBLE_INDEX_NAME)
-    config_ = nnet.NetConfig(input_dim=3, hidden_dims=(2,), output_dim=2, seed=0)
-    members = [nnet.init_network(config_) for _ in range(2)]
-    with pytest.raises(OSError, match="injected"):
-        pipelines.save_ensemble(tmp_path / "ensemble", members, {"method": "ensemble"})
-    assert_no_trace_of(tmp_path / "ensemble", pipelines.ENSEMBLE_INDEX_NAME)
-    assert not (tmp_path / "ensemble" / pipelines.MANIFEST_NAME).exists()
 
 
 def test_config_echo_failure_leaves_no_file(tmp_path, failing_replace, capsys):

@@ -1,5 +1,5 @@
-"""Checkpoint selection, extended-space deferral training, committee feature
-construction, and model bundle round-trips."""
+"""Checkpoint selection, extended-space deferral training, and committee
+feature construction."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,6 @@ from deferbench import nnet, pipelines
 from deferbench.errors import (
     ConfigError,
     DeferBenchError,
-    FormatError,
     InputShapeError,
     StratificationError,
 )
@@ -280,65 +279,3 @@ def test_two_stage_head_config_validation():
             nnet.NetConfig(input_dim=3, hidden_dims=(4,), output_dim=3, seed=0),
             sgd, loss=loss,
         )
-
-
-# ---------------------------------------------------------------------------
-# bundles
-# ---------------------------------------------------------------------------
-
-
-def test_manifest_roundtrip(tmp_path):
-    path = tmp_path / "manifest.txt"
-    entries = {"method": "softmax", "alpha": 0.7, "epoch": 3, "note": "id run"}
-    pipelines.write_manifest(path, entries)
-    back = pipelines.read_manifest(path)
-    assert back == {"method": "softmax", "alpha": "0.7", "epoch": "3", "note": "id run"}
-    assert float(back["alpha"]) == 0.7
-
-
-def test_manifest_rejects_delimiters(tmp_path):
-    path = tmp_path / "manifest.txt"
-    with pytest.raises(FormatError, match="delimiter"):
-        pipelines.write_manifest(path, {"bad=key": "x"})
-    with pytest.raises(FormatError, match="delimiter"):
-        pipelines.write_manifest(path, {"key": "line1\nline2"})
-
-
-def test_manifest_read_names_bad_line(tmp_path):
-    path = tmp_path / "manifest.txt"
-    path.write_text("method=softmax\n\nnot a pair\n")
-    with pytest.raises(FormatError, match="line 3"):
-        pipelines.read_manifest(path)
-
-
-def test_single_model_bundle_roundtrip(tmp_path):
-    x, y = separable_problem(seed=8, n=120)
-    config = nnet.NetConfig(input_dim=3, hidden_dims=(6,), output_dim=2, seed=8)
-    sgd = nnet.SgdConfig(learning_rate=0.1, epochs=2, batch_size=32, seed=8)
-    net = nnet.train(nnet.init_network(config), x, y, CE, sgd).network
-
-    bundle = tmp_path / "model"
-    pipelines.save_single_model(bundle, net, {"method": "softmax", "seed": 8})
-    assert sorted(p.name for p in bundle.iterdir()) == [
-        pipelines.MANIFEST_NAME, pipelines.MODEL_NAME
-    ]
-    config, params, sections = nnet.read_checkpoint(bundle / pipelines.MODEL_NAME)
-    assert config == net.config and sections == {}
-    np.testing.assert_array_equal(params, nnet.get_params(net))
-    loaded = nnet.Network(config, params)
-    np.testing.assert_array_equal(nnet.forward(loaded, x), nnet.forward(net, x))
-    manifest = pipelines.read_manifest(bundle / pipelines.MANIFEST_NAME)
-    assert manifest == {"method": "softmax", "seed": "8"}
-
-
-def test_ensemble_bundle_preserves_member_order(tmp_path):
-    members = [constant_binary_net(float(i)) for i in range(4)]
-    bundle = tmp_path / "committee"
-    pipelines.save_ensemble(bundle, members, {"method": "ensemble"})
-    names = (bundle / pipelines.ENSEMBLE_INDEX_NAME).read_text().splitlines()
-    assert names == [f"member_{i:02d}.dfb1" for i in range(4)]
-    for original, name in zip(members, names):
-        config, params, _ = nnet.read_checkpoint(bundle / name)
-        assert config == original.config
-        np.testing.assert_array_equal(params, nnet.get_params(original))
-    assert pipelines.read_manifest(bundle / pipelines.MANIFEST_NAME) == {"method": "ensemble"}

@@ -11,7 +11,7 @@ import time
 import tracemalloc
 from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
-from pathlib import Path
+from functools import partial
 
 import numpy as np
 import pytest
@@ -631,11 +631,11 @@ def test_every_method_runs_through_worker(tiny_cfg, tmp_path, monkeypatch, jobs)
 COMMITTEE = ["network"]  # stands in for the ensemble's committee
 
 
-def handshake_worker(cfg, seed_index, method, out_dir, members, data):
-    """Stand-in for sweep._worker: softmax returns only once the deferral head
-    has started, so it fails when the head waits for softmax to finish. Only
-    the head may receive the ensemble's committee."""
-    flag = Path(out_dir) / "head_started"
+def handshake_worker(flag_dir, cfg, seed_index, method, members, data):
+    """Stand-in for sweep._worker, with flag_dir bound: softmax returns only
+    once the deferral head has started, so it fails when the head waits for
+    softmax to finish. Only the head may receive the ensemble's committee."""
+    flag = flag_dir / "head_started"
     if members != (COMMITTEE if method == "two_stage" else None):
         raise ValueError(f"{method} got members {members!r}")
     if method == "two_stage":
@@ -653,11 +653,11 @@ def handshake_worker(cfg, seed_index, method, out_dir, members, data):
 def test_head_starts_while_an_unrelated_task_runs(tiny_cfg, tmp_path, monkeypatch):
     # forked workers inherit the patched module global; swag is a task of its
     # own, so it shows that the committee goes to the head only
-    monkeypatch.setattr(sweep, "_worker", handshake_worker)
+    monkeypatch.setattr(sweep, "_worker", partial(handshake_worker, tmp_path))
     cfg = dataclasses.replace(
         tiny_cfg, methods=("softmax", "ensemble", "two_stage", "swag"), jobs=2
     )
-    result = sweep.run_plan(cfg, out_dir=tmp_path)
+    result = sweep.run_plan(cfg)
     assert result.failures == []
     assert (tmp_path / "head_started").exists()
 
@@ -686,7 +686,7 @@ class InlineExecutor:
         return future
 
 
-def instant_worker(cfg, seed_index, method, out_dir, members, data):
+def instant_worker(cfg, seed_index, method, members, data):
     return sweep.MethodResult(method, seed_index, [], [])
 
 
@@ -752,10 +752,12 @@ def walk_objects(obj, seen=None):
         children = list(obj.values())
     elif isinstance(obj, (list, tuple, set, frozenset)):
         children = list(obj)
-    elif hasattr(obj, "__dict__") and not isinstance(obj, type):
-        children = list(vars(obj).values())
-    else:
+    elif isinstance(obj, type):
         return
+    else:  # instance attributes, held in __slots__ or in __dict__
+        slots = [name for cls in type(obj).__mro__ for name in getattr(cls, "__slots__", ())]
+        children = [getattr(obj, name) for name in slots if hasattr(obj, name)]
+        children += list(getattr(obj, "__dict__", {}).values())
     for child in children:
         yield from walk_objects(child, seen)
 
@@ -781,7 +783,7 @@ def test_no_weights_cross_a_process_boundary(tiny_cfg, eval_data, tmp_path, monk
     cfg = dataclasses.replace(tiny_cfg, methods=("softmax", "ensemble", "two_stage"), jobs=2)
     path = tmp_path / "dataset.dfd1"
     data_mod.write_dataset(path, sweep.prepare_dataset(cfg))
-    result = sweep.run_plan(cfg, out_dir=tmp_path, data_path=path)
+    result = sweep.run_plan(cfg, data_path=path)
     assert result.failures == []
 
     size = nnet.init_network(sweep._net_config(cfg, eval_data, 0, "ensemble")).parameter_count
@@ -882,13 +884,13 @@ def test_dead_task_fails_every_method_in_it(tiny_cfg, monkeypatch, capsys):
 REAL_WORKER = sweep._worker
 
 
-def dying_worker(cfg, seed_index, method, out_dir, members, data):
-    """Stand-in for sweep._worker: softmax runs for real, swag kills its
-    worker process once softmax is done, and every other method waits, so it
-    is unfinished when the pool breaks."""
-    flag = Path(out_dir) / "softmax.done"
+def dying_worker(flag_dir, cfg, seed_index, method, members, data):
+    """Stand-in for sweep._worker, with flag_dir bound: softmax runs for real,
+    swag kills its worker process once softmax is done, and every other
+    method waits, so it is unfinished when the pool breaks."""
+    flag = flag_dir / "softmax.done"
     if method == "softmax":
-        result = REAL_WORKER(cfg, seed_index, method, out_dir, members, data)
+        result = REAL_WORKER(cfg, seed_index, method, members, data)
         flag.touch()
         return result
     if method == "swag":
@@ -909,8 +911,8 @@ def test_dying_worker_fails_only_unfinished_work(tiny_cfg, tmp_path, monkeypatch
     path = tmp_path / "dataset.dfd1"
     data_mod.write_dataset(path, sweep.prepare_dataset(cfg))
     alone = sweep.run_plan(dataclasses.replace(cfg, methods=("softmax",), jobs=1), data_path=path)
-    monkeypatch.setattr(sweep, "_worker", dying_worker)
-    result = sweep.run_plan(cfg, out_dir=tmp_path, data_path=path)
+    monkeypatch.setattr(sweep, "_worker", partial(dying_worker, tmp_path))
+    result = sweep.run_plan(cfg, data_path=path)
 
     assert [f.split(": ")[:2] for f in result.failures] == [
         [f"seed 0 {m}", "BrokenProcessPool"] for m in methods[1:]
@@ -953,9 +955,10 @@ def test_interrupt_cancels_every_pending_task(tiny_cfg, monkeypatch):
     assert all(future.cancelled() for future in PendingPool.futures)
 
 
-def starting_worker(cfg, seed_index, method, out_dir, members, data):
-    """Stand-in for sweep._worker that marks its start and runs for 0.3 s."""
-    (Path(out_dir) / f"{method}.started").touch()
+def starting_worker(flag_dir, cfg, seed_index, method, members, data):
+    """Stand-in for sweep._worker, with flag_dir bound, that marks its start
+    and runs for 0.3 s."""
+    (flag_dir / f"{method}.started").touch()
     time.sleep(0.3)
     raise RuntimeError("stand-in")
 
@@ -970,12 +973,12 @@ def test_interrupted_pool_starts_no_further_task(tiny_cfg, tmp_path, monkeypatch
         time.sleep(0.1)  # lets the pool queue whatever it will
         raise KeyboardInterrupt
 
-    monkeypatch.setattr(sweep, "_worker", starting_worker)
+    monkeypatch.setattr(sweep, "_worker", partial(starting_worker, tmp_path))
     monkeypatch.setattr(sweep, "as_completed", interrupt_once_started)
     methods = ("softmax", "swag", "mc_dropout", "bnn")
     cfg = dataclasses.replace(tiny_cfg, methods=methods, jobs=2)
     with pytest.raises(KeyboardInterrupt):
-        sweep.run_plan(cfg, out_dir=tmp_path)
+        sweep.run_plan(cfg)
     # the pool's exit has waited for every call it had queued
     started = {p.name.split(".")[0] for p in tmp_path.glob("*.started")}
     assert "softmax" in started

@@ -360,37 +360,3 @@ def test_bnn_config_validation():
         uq.BnnConfig(prior_stddev=0.0)
     with pytest.raises(ConfigError):
         uq.BnnConfig(kl_weight=-1.0)
-
-
-# ---------------------------------------------------------------------------
-# posterior files
-# ---------------------------------------------------------------------------
-
-
-def test_swag_posterior_roundtrip(tmp_path):
-    posterior = manual_posterior(params=6, k=3)
-    path = tmp_path / "posterior.dfb1"
-    uq.save_swag_posterior(path, posterior)
-    config, mean, sections = nnet.read_checkpoint(path)
-    assert config == posterior.net_config
-    np.testing.assert_array_equal(mean, posterior.mean)
-    assert list(sections) == ["second_moment", "deviation", "collected_count"]
-    np.testing.assert_array_equal(sections["second_moment"], posterior.second_moment)
-    # deviations are stored column by column: all of column 0, then column 1, ...
-    columns = [posterior.deviations[:, j] for j in range(posterior.rank)]
-    np.testing.assert_array_equal(sections["deviation"], np.concatenate(columns))
-    np.testing.assert_array_equal(sections["collected_count"], [float(posterior.collected)])
-
-
-def test_bnn_posterior_roundtrip(tmp_path):
-    posterior = make_bnn_posterior(
-        [0.5, -1.0, 2.0, 0.25, 0.0, -0.75], [-5.0, -4.0, -3.0, -2.5, -4.5, -3.5], prior=1.5
-    )
-    path = tmp_path / "posterior.dfb1"
-    uq.save_bnn_posterior(path, posterior)
-    config, mean, sections = nnet.read_checkpoint(path)
-    assert config == posterior.net_config
-    np.testing.assert_array_equal(mean, posterior.mean)
-    assert list(sections) == ["log_stddev", "prior_stddev"]
-    np.testing.assert_array_equal(sections["log_stddev"], posterior.log_stddev)
-    np.testing.assert_array_equal(sections["prior_stddev"], [1.5])
