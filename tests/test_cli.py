@@ -824,14 +824,27 @@ def test_inspect_missing_and_bare_directory(tmp_path, capsys):
     assert "is a directory" in err
 
 
-def test_inspect_directory_is_a_usage_error_not_a_traceback(run_dir, tmp_path, capsys):
-    # a run directory, and one holding a directory where a file could be
-    (tmp_path / "manifest.txt").mkdir()
-    for path in (run_dir, tmp_path):
+def test_inspect_bundle(run_dir, tmp_path, capsys):
+    # a run directory, and a directory laid out as a model bundle once was:
+    # inspect reads files, so both are a usage error that names the path
+    bundle = tmp_path / "softmax"
+    bundle.mkdir()
+    (bundle / "manifest.txt").write_text("kind=bundle\nmethod=softmax\n")
+    (bundle / "model.dfb1").write_bytes(b"DFB1")
+    for path in (run_dir, bundle):
         assert cli.main(["inspect", str(path)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {path}: is a directory; inspect reads files\n"
+
+
+def test_inspect_unreadable_manifest_is_an_error_not_a_traceback(tmp_path, capsys):
+    # a directory holding a directory where a file could be
+    (tmp_path / "manifest.txt").mkdir()
+    assert cli.main(["inspect", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {tmp_path}: is a directory; inspect reads files\n"
 
 
 def test_inspect_damaged_checkpoint_is_an_error_not_a_traceback(tmp_path, capsys):
