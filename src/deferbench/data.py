@@ -18,9 +18,11 @@ is built. The DFD1 reader reads the float32 payload straight into the
 features, the writer writes float32 rows as they are, and ``partition``
 groups the split rows in place. A corrupted copy is float64, because noise
 and blur values are not float32-exact; the blur runs a block of _ROW_BLOCK
-images at a time, so its temporaries are the size of a block. The block size
-is an internal constant, not a setting; every block size gives the same
-bytes.
+images at a time, so its temporaries are the size of a block. A run builds
+each corrupted test copy only when it reads that condition, and drops it
+before it reads the next (``sweep.EvalData.x_tests``), so it holds at most
+one at a time. The block size is an internal constant, not a setting; every
+block size gives the same bytes.
 """
 
 from __future__ import annotations

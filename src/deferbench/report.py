@@ -215,16 +215,17 @@ def write_report(out_dir, points) -> list:
     """
     if not points:
         raise FormatError("no result rows to render")
-    groups: dict = {}  # Condition -> its points, in first-seen order
+    groups: dict = {}  # (condition, level) -> its points, in first-seen order
     for p in points:
-        groups.setdefault(Condition(p.condition, p.level), []).append(p)
+        groups.setdefault((p.condition, p.level), []).append(p)
+    conditions = [Condition(*key) for key in groups]  # raises before any file changes
     report_dir = Path(out_dir) / "report"
     report_dir.mkdir(parents=True, exist_ok=True)
     for stale in report_dir.glob("*.svg"):
         stale.unlink()
 
     written = []
-    for cond, group in groups.items():
+    for cond, group in zip(conditions, groups.values()):
         path = report_dir / f"{cond.label}.svg"
         with atomic_open(path, "w", encoding="utf-8") as fh:
             fh.write(render_condition_svg(group, cond.kind, cond.level))

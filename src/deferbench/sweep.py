@@ -2,7 +2,8 @@
 
 One run generates an imbalanced dataset, splits it 70/20/10, trains every
 requested method per replication seed, and evaluates on the in-distribution
-test split plus noise- and blur-corrupted copies of it. Every row of both
+test split plus noise- and blur-corrupted copies of it, each built when it
+is read and dropped after, so a process holds at most one. Every row of both
 output tables is a ``metrics.CurvePoint``: results.csv holds each point of
 each deferral curve, and classification.csv the point of each (method,
 condition, seed) that defers nothing, the classifier on its own. One column
@@ -23,7 +24,7 @@ mapping. Adding a method means adding one table row and one fit function
 The plan runs as independent tasks. A seed's ensemble and deferral head
 share one task, so the committee goes from one to the other inside the
 process that trained it; every other task is one method. A task returns its
-rows and writes no file. Each process that runs tasks builds the run's data
+rows and writes no file. Each process that runs tasks splits the run's data
 once, and --jobs only decides who runs them: --jobs 1 in a plain loop in
 this process, --jobs N at most N at a time in a process pool. A worker
 process that dies breaks the pool: every task not finished by then gets
@@ -36,6 +37,7 @@ import csv as _csv
 import math
 import sys
 import time
+from collections.abc import Mapping
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
@@ -157,8 +159,48 @@ def plan_conditions(cfg: RunConfig) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# Evaluation data: one split, one corrupted test copy per condition
+# Evaluation data: one split; each corrupted test copy built when it is read
 # ---------------------------------------------------------------------------
+
+
+class _TestInputs(Mapping):
+    """Condition -> model-facing test features, in plan order.
+
+    The clean condition is the test split's float32 rows. Every corrupted
+    condition is built each time it is read: ``data.corrupt`` of the test
+    split, then ``nnet.model_inputs`` in place on that float64 copy. A reader
+    drops each copy before it reads the next, so a process holds at most one
+    corrupted copy at a time; every read of a condition gives the same bytes.
+    """
+
+    def __init__(self, cfg: RunConfig, test: data_mod.Dataset):
+        self._test = test
+        self._seed = child_seed(cfg.seed, "corrupt")
+        self._specs = dict.fromkeys(plan_conditions(cfg))  # the clean condition keeps None
+        for cond in self._specs:
+            if cond.kind != "id":
+                self._specs[cond] = data_mod.CorruptionSpec(
+                    kind=cond.kind,
+                    level=cond.level,
+                    noise_sigmas=cfg.corruption.noise_sigmas,
+                    blur_sigmas=cfg.corruption.blur_sigmas,
+                )
+
+    def __getitem__(self, cond: Condition) -> np.ndarray:
+        spec = self._specs[cond]
+        if spec is None:
+            return self._test.features
+        x = data_mod.corrupt(self._test, spec, self._seed).features
+        return nnet.model_inputs(x, out=x)
+
+    def __contains__(self, cond) -> bool:  # without building a copy
+        return cond in self._specs
+
+    def __iter__(self):
+        return iter(self._specs)
+
+    def __len__(self) -> int:
+        return len(self._specs)
 
 
 @dataclass
@@ -169,7 +211,9 @@ class EvalData:
     y_val: np.ndarray
     sample_weights: np.ndarray
     y_test: np.ndarray
-    x_tests: dict  # Condition -> features
+    # Condition -> features, in plan order; every read of a corrupted
+    # condition builds a new copy (_TestInputs)
+    x_tests: Mapping
 
     @property
     def input_dim(self) -> int:
@@ -196,34 +240,18 @@ def build_eval_data(cfg: RunConfig, data_path=None) -> EvalData:
 
 
 def split_eval_data(cfg: RunConfig, ds: data_mod.Dataset) -> EvalData:
-    """Split a dataset and corrupt its test portion per planned condition.
+    """Split a dataset; its test portion gives every planned condition.
 
     Takes ownership of ds: ``data.partition`` reorders its feature rows in
     place, so x_train, x_val and the clean test condition are views of that
     one buffer, and ds must not be used afterwards. Those views keep the
     dataset's raw float32 rows, which the networks map to model inputs as
-    they read them (``nnet.model_inputs``). Corruption happens on the raw
-    intensity scale, and each float64 corrupted copy is then mapped in place
-    by the same function.
+    they read them (``nnet.model_inputs``). Nothing is corrupted here:
+    x_tests builds each corrupted copy, on the raw intensity scale and then
+    mapped in place by the same function, when it is read.
     """
     ds = data_mod.split(ds, child_seed(cfg.seed, "split"))
     train, val, test = data_mod.partition(ds)
-
-    corrupt_seed = child_seed(cfg.seed, "corrupt")
-    conditions = plan_conditions(cfg)
-    x_tests = dict.fromkeys(conditions)
-    for cond in conditions:
-        if cond.kind != "id":
-            spec = data_mod.CorruptionSpec(
-                kind=cond.kind,
-                level=cond.level,
-                noise_sigmas=cfg.corruption.noise_sigmas,
-                blur_sigmas=cfg.corruption.blur_sigmas,
-            )
-            x = data_mod.corrupt(test, spec, corrupt_seed).features
-            x_tests[cond] = nnet.model_inputs(x, out=x)
-    x_tests[Condition("id")] = test.features
-
     return EvalData(
         x_train=train.features,
         y_train=train.labels,
@@ -231,7 +259,7 @@ def split_eval_data(cfg: RunConfig, ds: data_mod.Dataset) -> EvalData:
         y_val=val.labels,
         sample_weights=data_mod.oversample_weights(train.labels),
         y_test=test.labels,
-        x_tests=x_tests,
+        x_tests=_TestInputs(cfg, test),
     )
 
 
@@ -448,7 +476,7 @@ def _fit_two_stage(cfg, data, seed_index, members):
         data,
         x_train=two_stage_features(members, data.x_train),
         x_val=two_stage_features(members, data.x_val),
-        x_tests={cond: two_stage_features(members, x) for cond, x in data.x_tests.items()},
+        x_tests={cond: two_stage_features(members, data.x_tests[cond]) for cond in data.x_tests},
     )
     return inputs, cfg.sweep.head_hidden_dims
 
@@ -493,6 +521,10 @@ def _learned_eval(cfg, inputs, hidden_dims, seed_index, method, param_kind):
     smallest validation deferral rate (ties broken toward the cost value that
     discourages deferral hardest), read out with its defer output disabled:
     the renormalized class scores of its curve predictions.
+
+    The evaluation is condition-major: each condition's test inputs are read
+    once, for every model of the grid, and dropped before the next
+    condition's are read. The points are emitted model-major all the same.
     """
     models = []
     for gi, value in enumerate(getattr(cfg.sweep, f"{param_kind}_grid")):
@@ -518,19 +550,22 @@ def _learned_eval(cfg, inputs, hidden_dims, seed_index, method, param_kind):
     sign = -1.0 if param_kind == "alpha" else 1.0
     best = min(models, key=lambda m: (m[2], sign * m[1]))[0]
 
-    points, rows = [], []
-    for sel, value, _ in models:
-        for cond in plan_conditions(cfg):
-            pred = predict_extended(sel.network, inputs.x_tests[cond])
+    curves, rows = [[] for _ in models], []
+    for cond in plan_conditions(cfg):
+        x = inputs.x_tests[cond]
+        tag = {"method": method, "condition": cond, "seed": seed_index}
+        for (sel, value, _), curve in zip(models, curves):
+            pred = predict_extended(sel.network, x)
             point = deferral_curve_point(pred.decisions, inputs.y_test, pred.scores)
             point.param_kind = param_kind
             point.param_value = value
             if point.bacc is None:
                 point.status = "absent"
-            tag = {"method": method, "condition": cond, "seed": seed_index}
-            points.extend(_tag([point], **tag))
+            curve.extend(_tag([point], **tag))
             if sel is best:
                 rows.extend(_tag([classification_row(pred.scores, inputs.y_test)], **tag))
+        del x  # so the next condition's copy is not built while this one is held
+    points = [point for curve in curves for point in curve]
     return MethodResult(method, seed_index, points, rows)
 
 

@@ -441,9 +441,10 @@ def new_arrays(features, out) -> int:
 
 
 def test_split_eval_data_peak_memory():
-    # default 10,000 x 256 float32 images, three conditions: the two float64
-    # corrupted test copies are 0.4x the input features, the val and test
-    # scratch 0.3x, and the blur holds one block of images besides its output
+    # default 10,000 x 256 float32 images, three conditions: the split's
+    # peak is its val and test scratch, 0.3x the input features; the two
+    # float64 corrupted test copies (0.4x) are built only when new_arrays
+    # reads them, after the traced split
     features, out, peak = traced_split_eval_data(
         RunConfig(corruption=CorruptionSettings(levels=1))
     )
@@ -453,13 +454,64 @@ def test_split_eval_data_peak_memory():
 
 
 def test_split_eval_data_temporaries_do_not_grow_with_the_conditions():
-    # ten float64 corrupted conditions return 2x the float32 input; beyond
-    # that the peak holds one corruption's temporaries, a block of images
-    # for the blur, not a copy of the dataset
-    features, out, peak = traced_split_eval_data(RunConfig())
-    kept = new_arrays(features, out)
-    assert kept == 2 * features.nbytes
-    assert peak - kept <= 0.3 * features.nbytes, (peak - kept) / features.nbytes
+    # the default run has ten corrupted conditions, and the split corrupts
+    # none of them: reading the widest blur holds its float64 copy plus the
+    # blur's temporaries for one block of images (a row pass, a weighted tap
+    # and a padded copy twice as wide at radius 8), not a copy per condition
+    cfg = RunConfig()
+    data = sweep.build_eval_data(cfg)
+    block = data_mod._ROW_BLOCK * data.input_dim * 8  # one block of float64 images
+    tracemalloc.start()
+    try:
+        x = data.x_tests[sweep.Condition("blur", cfg.corruption.levels)]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert x.nbytes == 2 * data.y_test.size * data.input_dim * 4
+    assert peak - x.nbytes <= 5 * block, (peak - x.nbytes) / block
+
+
+def test_corrupted_conditions_are_built_when_read():
+    cfg = tiny_config(
+        data=SynthSpec(n_samples=600, positive_fraction=0.05, spatial_shape=(16, 16, 1)),
+        corruption=CorruptionSettings(levels=5),
+    )
+    ds = sweep.prepare_dataset(cfg)
+    tracemalloc.start()
+    try:
+        data = sweep.split_eval_data(cfg, ds)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    clean = data.x_tests[sweep.Condition("id")]
+    copy_bytes = clean.size * 8  # one float64 corrupted copy
+    # the split keeps its labels and weights, but no corrupted copy
+    assert len(data.x_tests) == 11
+    assert retained < copy_bytes, retained / copy_bytes
+
+    # a task reads one condition at a time, so four more levels of each
+    # corruption add at most one copy to the peak of a threshold method
+    peaks = []
+    for levels in (1, 5):
+        level_cfg = dataclasses.replace(cfg, corruption=CorruptionSettings(levels=levels))
+        level_data = sweep.build_eval_data(level_cfg)
+        tracemalloc.start()
+        try:
+            sweep.run_method(level_cfg, level_data, 0, "softmax")
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] <= copy_bytes, (peaks[1] - peaks[0]) / copy_bytes
+
+    # every read builds a new array with the same bytes: the corruption of
+    # the clean test split, mapped to model inputs
+    cond = sweep.Condition("blur", 5)
+    first, second = data.x_tests[cond], data.x_tests[cond]
+    assert not np.shares_memory(first, second)
+    test = data_mod.Dataset(clean, data.y_test, (16, 16, 1))
+    spec = data_mod.CorruptionSpec(kind="blur", level=5)
+    corrupted = data_mod.corrupt(test, spec, child_seed(cfg.seed, "corrupt")).features
+    assert first.tobytes() == second.tobytes() == nnet.model_inputs(corrupted).tobytes()
 
 
 def test_run_from_file_matches_in_memory(tiny_cfg, eval_data, tmp_path):
