@@ -244,29 +244,43 @@ def _forward_cached(net: Network, batch: np.ndarray, dropout_mask=None):
 def _inference_logits(net: Network, batch: np.ndarray, dropout_mask=None) -> np.ndarray:
     """The logits of ``_forward_cached``, computed _ROW_BLOCK rows at a time.
 
-    Only one block's activations are alive at once, next to the logits;
-    float32 rows are mapped block by block into one reused float64 buffer.
-    The logits are bit-identical to one whole-batch pass: blocks start at
+    One set of buffers serves the whole pass: a float64 input buffer when the
+    rows are float32 (mapped block by block), and one activation buffer per
+    hidden layer, each of at most _ROW_BLOCK + 1 rows, that every block
+    overwrites in place; the output layer writes straight into the logits.
+    Every block runs the operations of ``_forward_cached`` in its order, so
+    the logits are bit-identical to one whole-batch pass: blocks start at
     multiples of _ROW_BLOCK, so every row keeps its place in the BLAS
     kernel's row tiling, and a one-row remainder joins the block before it,
     because numpy hands a one-row product to a matrix-vector routine that
     rounds differently.
     """
     n = batch.shape[0]
+    rows = min(n, _ROW_BLOCK + 1)
     logits = np.empty((n, net.config.output_dim))
     inputs = None
     if batch.dtype == np.float32:
-        inputs = np.empty((min(n, _ROW_BLOCK + 1), batch.shape[1]))
+        inputs = np.empty((rows, batch.shape[1]))
+    hidden = [np.empty((rows, w.shape[1])) for w in net.weights[:-1]]
     start = 0
     while start < n:
         stop = start + _ROW_BLOCK
         if n - stop <= 1:
             stop = n
-        block = batch[start:stop]
+        k = stop - start
+        a = batch[start:stop]
         if inputs is not None:
-            block = model_inputs(block, out=inputs[: stop - start])
-        mask = None if dropout_mask is None else dropout_mask[start:stop]
-        logits[start:stop] = _forward_cached(net, block, mask)[0]
+            a = model_inputs(a, out=inputs[:k])
+        for w, b, h in zip(net.weights[:-1], net.biases[:-1], hidden):
+            h = h[:k]
+            np.matmul(a, w, out=h)
+            h += b
+            a = np.maximum(h, 0.0, out=h)
+        if dropout_mask is not None and hidden:
+            a *= dropout_mask[start:stop]
+        out = logits[start:stop]
+        np.matmul(a, net.weights[-1], out=out)
+        out += net.biases[-1]
         start = stop
     return logits
 

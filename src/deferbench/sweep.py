@@ -26,9 +26,11 @@ share one task, so the committee goes from one to the other inside the
 process that trained it; every other task is one method. A task returns its
 rows and writes no file. Each process that runs tasks splits the run's data
 once, and --jobs only decides who runs them: --jobs 1 in a plain loop in
-this process, --jobs N at most N at a time in a process pool. A worker
-process that dies breaks the pool: every task not finished by then gets
-failure rows, and the run still ends.
+this process, --jobs N at most N at a time in a process pool. Only a
+--jobs N>1 run imports the pool (concurrent.futures and multiprocessing),
+so importing the package and serial runs load none of it. A worker process
+that dies breaks the pool: every task not finished by then gets failure
+rows, and the run still ends.
 """
 
 from __future__ import annotations
@@ -38,8 +40,6 @@ import math
 import sys
 import time
 from collections.abc import Mapping
-from concurrent.futures import ProcessPoolExecutor, as_completed
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from operator import attrgetter
@@ -667,13 +667,14 @@ def run_plan(cfg: RunConfig, data_path=None) -> PlanResult:
 
     The plan is a list of independent tasks (see _plan_tasks), each one
     _run_task call with the same arguments at every --jobs. --jobs 1 runs
-    them in-process in turn; otherwise a pool of min(jobs, tasks) workers
-    gets them in plan order, one more each time one finishes, so none waits
-    queued. Each process that runs tasks builds the data once (_task_data),
-    so a pool's main process holds none, and the cache is cleared when the
-    plan ends. Each finished task prints one stderr line per method with
-    that method's own time (a seed's ensemble line waits for its deferral
-    head, which shares the task). A task whose future raises, as the running
+    them in-process in turn; otherwise a pool of min(jobs, tasks) workers,
+    imported from concurrent.futures only in that branch, gets them in plan
+    order, one more each time one finishes, so none waits queued. Each
+    process that runs tasks builds the data once (_task_data), so a pool's
+    main process holds none, and the cache is cleared when the plan ends.
+    Each finished task prints one stderr line per method with that method's
+    own time (a seed's ensemble line waits for its deferral head, which
+    shares the task). A task whose future raises, as the running
     ones' do when a worker process dies, gives failure rows to every method
     in it, timed from its submission; once the pool is broken, every later
     task gets them timed 0 s. An interrupt cancels every task not yet
@@ -695,6 +696,9 @@ def run_plan(cfg: RunConfig, data_path=None) -> PlanResult:
 
     try:
         if cfg.jobs > 1:
+            from concurrent.futures import ProcessPoolExecutor, as_completed
+            from concurrent.futures.process import BrokenProcessPool
+
             workers = min(cfg.jobs, len(tasks))
             running: dict = {}  # future -> (seed, methods, submission time)
 

@@ -213,6 +213,26 @@ def test_run_output_bytes_are_frozen_across_blas_threads_and_jobs(tmp_path, jobs
     assert not (out / "models").exists()
 
 
+def test_only_a_pool_run_loads_the_process_pool(tmp_path):
+    # the pool's modules cost a process about 2 MB; importing the package
+    # and a serial run need none of them
+    ini = tmp_path / "frozen.ini"
+    ini.write_text(FROZEN_INI)
+    probe = (
+        "import sys, deferbench\n"
+        "from deferbench import cli\n"
+        f"code = cli.main(['run', '--config', {str(ini)!r}, '--out', {str(tmp_path / 'run')!r},"
+        " '--jobs', '1'])\n"
+        "pool = ('concurrent.futures.process', 'multiprocessing')\n"
+        "print(code, sorted(m for m in sys.modules if m.startswith(pool)))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=fresh_process_env(), capture_output=True,
+        text=True, check=True, timeout=300,
+    )
+    assert done.stdout.splitlines()[-1] == "0 []", done.stdout
+
+
 def test_run_writes_expected_artifacts(run_dir, ini_path):
     echoed = (run_dir / "config.ini").read_text()
     assert echoed == emit_config(load_config(ini_path))
