@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import closing
 from dataclasses import replace
 from pathlib import Path
 
@@ -60,10 +61,13 @@ def cmd_generate(args) -> int:
 
 def _clear_run_outputs(out: Path, data_path) -> None:
     """Remove every file an earlier run wrote into out, so that nothing there
-    can disagree with the config.ini this run writes next. The dataset file
-    given with --data stays."""
-    stale = [out / sweep.RESULTS_NAME, out / sweep.CLASSIFICATION_NAME, out / "dataset.dfd1"]
-    stale += (out / "report").glob("*.svg")
+    can disagree with the config.ini this run writes next. That includes the
+    temporary files (atomic.atomic_open) of a run killed before it could
+    remove them, such as the tables it had open. The dataset file given with
+    --data stays."""
+    stale = list((out / "report").glob("*.svg"))
+    for name in (sweep.RESULTS_NAME, sweep.CLASSIFICATION_NAME, "dataset.dfd1"):
+        stale += [out / name, *out.glob(f".{name}.*.tmp")]
     keep = Path(data_path).resolve() if data_path else None
     for path in stale:
         if path.is_file() and path.resolve() != keep:
@@ -71,6 +75,15 @@ def _clear_run_outputs(out: Path, data_path) -> None:
 
 
 def cmd_run(args) -> int:
+    """Run the plan and write its tables and report into OUT.
+
+    The plan yields each method's result in plan order as soon as it and
+    every earlier one have finished (sweep.run_plan); its rows go straight
+    into results.csv and classification.csv, which stay temporary files
+    until the plan ends, so an interrupted or failed run leaves neither.
+    Only the report's three plotted columns (report.Figures) and the
+    failure lines outlive a result, not its rows.
+    """
     cfg = _load_run_config(args)
     data_path = args.data
     if data_path is not None:
@@ -95,23 +108,34 @@ def cmd_run(args) -> int:
         data_mod.write_dataset(data_path, ds)
     del ds  # the tasks read the file back; keep no second copy while they train
 
-    result = sweep.run_plan(cfg, data_path=data_path)
-    sweep.write_results_csv(out / sweep.RESULTS_NAME, result.points)
-    sweep.write_classification_csv(out / sweep.CLASSIFICATION_NAME, result.classification)
+    figures, failures, n_points, n_rows = report.Figures(), [], 0, 0
+    with (
+        sweep.open_tables(out) as (results, classification),
+        closing(sweep.run_plan(cfg, data_path=data_path)) as plan,
+    ):
+        for result in plan:
+            sweep.write_results_csv(results, result.points)
+            sweep.write_classification_csv(classification, result.classification)
+            figures.add(result.points)
+            n_points += len(result.points)
+            n_rows += len(result.classification)
+            if result.failure is not None:
+                failures.append(f"seed {result.seed_index} {result.method}: {result.failure}")
+            del result  # so its rows are not held while the plan runs the next task
     try:
-        report.write_report(out, result.points)
+        report.write_report(out, figures)
     except FormatError as exc:
         # only a fully failed plan leaves nothing to plot; keep the results
         # table and the failure listing
-        if not result.failures:
+        if not failures:
             raise
         print(f"report skipped: {exc}", file=sys.stderr)
 
-    print(f"wrote {out / sweep.RESULTS_NAME}: {len(result.points)} rows")
-    print(f"wrote {out / sweep.CLASSIFICATION_NAME}: {len(result.classification)} rows")
-    for failure in result.failures:
+    print(f"wrote {out / sweep.RESULTS_NAME}: {n_points} rows")
+    print(f"wrote {out / sweep.CLASSIFICATION_NAME}: {n_rows} rows")
+    for failure in failures:
         print(f"FAILED {failure}", file=sys.stderr)
-    return 1 if result.failures else 0
+    return 1 if failures else 0
 
 
 def cmd_report(args) -> int:
@@ -119,8 +143,8 @@ def cmd_report(args) -> int:
     results_path = Path(args.results) if args.results else out / sweep.RESULTS_NAME
     if not results_path.is_file():
         raise UsageError(f"{results_path}: no such results file")
-    points = sweep.read_results_csv(results_path)
-    written = report.write_report(out, points)
+    figures = report.Figures(sweep.read_results_csv(results_path))
+    written = report.write_report(out, figures)
     for path in written:
         print(f"wrote {path}")
     return 0

@@ -5,11 +5,20 @@ rate (y fixed to [0.4, 1.0]) and the fraction of positives deferred against
 deferral rate (y fixed to [0, 1]). One polyline per (method, seed) series.
 Panels and series carry data-* attributes so tests can parse the geometry
 back out with an XML parser.
+
+A report is drawn from ``Figures``, which keeps only the three plotted
+columns of each series as float64 arrays. ``deferbench run`` adds each
+task's points to it as the task finishes, and ``deferbench report`` adds the
+points of a results table, so both draw the same bytes through one path.
 """
 
 from __future__ import annotations
 
+import math
+from operator import attrgetter
 from pathlib import Path
+
+import numpy as np
 
 from deferbench.atomic import atomic_open
 from deferbench.errors import FormatError
@@ -110,14 +119,14 @@ class _Panel:
         )
         return parts
 
-    def series(self, method, seed, xy_pairs) -> list:
-        """One or more polylines; gaps (missing y) split the series."""
+    def series(self, method, seed, xs, ys) -> list:
+        """One or more polylines; gaps (NaN y) split the series."""
         color = METHOD_COLORS.get(method, _FALLBACK_COLOR)
         parts = []
         segment = []
         segments = []
-        for x, y in xy_pairs:
-            if y is None:
+        for x, y in zip(xs.tolist(), ys.tolist()):
+            if math.isnan(y):
                 if segment:
                     segments.append(segment)
                 segment = []
@@ -156,21 +165,47 @@ def _legend(methods) -> list:
     return parts
 
 
-def render_condition_svg(points, condition: str, level: int) -> str:
-    """SVG text for every series of one condition; raises on an empty group."""
-    usable = [
-        p
-        for p in points
-        if p.deferral_rate is not None and not p.status.startswith("failed")
-    ]
-    if not usable:
-        raise FormatError(f"no plottable rows for condition {condition!r} level {level}")
+_PLOTTED = attrgetter("deferral_rate", "bacc", "frac_positives_deferred")
 
-    series: dict = {}  # (method, seed) -> its points, in first-seen order
-    for p in usable:
-        series.setdefault((p.method, p.seed), []).append(p)
-    for pts in series.values():
-        pts.sort(key=lambda p: p.deferral_rate)
+
+class Figures:
+    """The plotted columns of a results table, grouped as the report draws them.
+
+    ``groups`` maps each (condition, level) to its series, both in the order
+    the points first name them. A series maps (method, seed) to a (3, n)
+    float64 array: the deferral rate, bAcc and fraction of positives
+    deferred of its n plottable points, sorted by rate (a stable sort, so
+    tied rates keep their table order), NaN where a value is missing. A
+    point with no deferral rate, or of a failed method, is not plotted, but
+    its condition still gets a figure. Points may be added in any number of
+    batches, for example one task's rows at a time; the arrays are those of
+    the whole table added at once, and nothing else of a point is kept.
+    """
+
+    def __init__(self, points=()):
+        self.groups: dict = {}
+        self.add(points)
+
+    def add(self, points) -> None:
+        batch: dict = {}  # (condition, level) -> (method, seed) -> its plottable points
+        for p in points:
+            series = batch.setdefault((p.condition, p.level), {})
+            if p.deferral_rate is not None and not p.status.startswith("failed"):
+                series.setdefault((p.method, p.seed), []).append(p)
+        for key, series in batch.items():
+            group = self.groups.setdefault(key, {})
+            for name, pts in series.items():
+                columns = np.array(list(map(_PLOTTED, pts)), dtype=np.float64).T  # None is NaN
+                if name in group:
+                    columns = np.concatenate((group[name], columns), axis=1)
+                group[name] = columns[:, np.argsort(columns[0], kind="stable")]
+
+
+def render_condition_svg(series, condition: str, level: int) -> str:
+    """SVG text for every series of one condition (a ``Figures`` group);
+    raises on an empty group."""
+    if not series:
+        raise FormatError(f"no plottable rows for condition {condition!r} level {level}")
     methods = dict.fromkeys(method for method, _ in series)
 
     top = _Panel(
@@ -190,44 +225,38 @@ def render_condition_svg(points, condition: str, level: int) -> str:
     ]
     parts.extend(_legend(methods))
     parts.extend(top.frame())
-    for (method, seed), pts in series.items():
-        parts.extend(top.series(method, seed, [(p.deferral_rate, p.bacc) for p in pts]))
+    for (method, seed), (rates, baccs, _) in series.items():
+        parts.extend(top.series(method, seed, rates, baccs))
     parts.append("</g>")
     parts.extend(bottom.frame())
-    for (method, seed), pts in series.items():
-        parts.extend(
-            bottom.series(
-                method, seed, [(p.deferral_rate, p.frac_positives_deferred) for p in pts]
-            )
-        )
+    for (method, seed), (rates, _, fracs) in series.items():
+        parts.extend(bottom.series(method, seed, rates, fracs))
     parts.append("</g>")
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
 
-def write_report(out_dir, points) -> list:
-    """One SVG per condition under out_dir/report; returns the written paths.
+def write_report(out_dir, figures: Figures) -> list:
+    """One SVG per condition of figures under out_dir/report; returns the
+    written paths.
 
     File names are Condition labels, so a condition that is not a valid
     Condition raises ConfigError before anything is written. Every other
     SVG already in out_dir/report is removed, so no figure outlives the
     table it was drawn from.
     """
-    if not points:
+    if not figures.groups:
         raise FormatError("no result rows to render")
-    groups: dict = {}  # (condition, level) -> its points, in first-seen order
-    for p in points:
-        groups.setdefault((p.condition, p.level), []).append(p)
-    conditions = [Condition(*key) for key in groups]  # raises before any file changes
+    conditions = [Condition(*key) for key in figures.groups]  # raises before any file changes
     report_dir = Path(out_dir) / "report"
     report_dir.mkdir(parents=True, exist_ok=True)
     for stale in report_dir.glob("*.svg"):
         stale.unlink()
 
     written = []
-    for cond, group in zip(conditions, groups.values()):
+    for cond, series in zip(conditions, figures.groups.values()):
         path = report_dir / f"{cond.label}.svg"
         with atomic_open(path, "w", encoding="utf-8") as fh:
-            fh.write(render_condition_svg(group, cond.kind, cond.level))
+            fh.write(render_condition_svg(series, cond.kind, cond.level))
         written.append(path)
     return written

@@ -31,6 +31,12 @@ this process, --jobs N at most N at a time in a process pool. Only a
 so importing the package and serial runs load none of it. A worker process
 that dies breaks the pool: every task not finished by then gets failure
 rows, and the run still ends.
+
+The plan yields each method's result in plan order as soon as it and every
+earlier one have finished, instead of merging all of them at the end; the
+caller appends its rows to the two open tables (``open_tables``) and drops
+it, so a run holds the rows of the results that wait for an earlier one,
+not the rows of the whole plan.
 """
 
 from __future__ import annotations
@@ -39,10 +45,13 @@ import csv as _csv
 import math
 import sys
 import time
+from collections import deque
 from collections.abc import Mapping
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from operator import attrgetter
+from pathlib import Path
 from typing import Optional
 
 import numpy as np
@@ -591,13 +600,6 @@ def run_method(cfg, data, seed_index, method, members=None) -> MethodResult:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class PlanResult:
-    points: list
-    classification: list
-    failures: list  # "seed/method: reason" strings
-
-
 def _worker(cfg, seed_index, method, members, data):
     """One method of a task, on the data its process built."""
     return run_method(cfg, data, seed_index, method, members)
@@ -662,37 +664,45 @@ def _run_task(cfg, seed_index, methods, data_path) -> list:
     return outcomes
 
 
-def run_plan(cfg: RunConfig, data_path=None) -> PlanResult:
+def run_plan(cfg: RunConfig, data_path=None):
     """Train and evaluate every (seed, method) pair of the plan.
 
-    The plan is a list of independent tasks (see _plan_tasks), each one
-    _run_task call with the same arguments at every --jobs. --jobs 1 runs
-    them in-process in turn; otherwise a pool of min(jobs, tasks) workers,
-    imported from concurrent.futures only in that branch, gets them in plan
-    order, one more each time one finishes, so none waits queued. Each
-    process that runs tasks builds the data once (_task_data), so a pool's
-    main process holds none, and the cache is cleared when the plan ends.
-    Each finished task prints one stderr line per method with that method's
-    own time (a seed's ensemble line waits for its deferral head, which
-    shares the task). A task whose future raises, as the running
-    ones' do when a worker process dies, gives failure rows to every method
-    in it, timed from its submission; once the pool is broken, every later
-    task gets them timed 0 s. An interrupt cancels every task not yet
-    started and re-raises, so the pool's exit waits at most for the tasks
-    its workers run. Results are merged in plan order (seeds outer, methods
-    in configuration order), so the output is independent of scheduling.
+    A generator: it yields each method's MethodResult in plan order (seeds
+    outer, methods in configuration order) as soon as that result and every
+    earlier one have finished, so the output is independent of scheduling
+    and a result waits only for the earlier ones. The plan is a list of
+    independent tasks (see _plan_tasks), each one _run_task call with the
+    same arguments at every --jobs. --jobs 1 runs them in-process in turn;
+    otherwise a pool of min(jobs, tasks) workers, imported from
+    concurrent.futures only in that branch, gets them in plan order, one
+    more each time one finishes, so none waits queued; the next task is
+    submitted before any result is yielded, so no worker idles while the
+    caller writes. Each process that runs tasks builds the data once
+    (_task_data), so a pool's main process holds none, and the cache is
+    cleared when the plan ends. Each finished task prints one stderr line
+    per method with that method's own time (a seed's ensemble line waits
+    for its deferral head, which shares the task). A task whose future
+    raises, as the running ones' do when a worker process dies, gives
+    failure rows to every method in it, timed from its submission; once the
+    pool is broken, every later task gets them timed 0 s. An interrupt, or
+    closing the generator, cancels every task not yet started and re-raises,
+    so the pool's exit waits at most for the tasks its workers run.
     """
-    plan = [(s, m) for s in range(cfg.n_seeds) for m in cfg.methods]
     tasks = _plan_tasks(cfg)
-    results: dict = {}
+    waiting = deque((s, m) for s in range(cfg.n_seeds) for m in cfg.methods)
+    finished: dict = {}  # (seed, method) -> result, until its turn in the plan
 
-    def report(s, outcomes):
+    def finish(s, outcomes):
         for result, seconds in outcomes:
             status = "ok"
             if result.failure is not None:
                 status = f"failed ({result.failure.split(':')[0]})"
             print(f"seed {s} {result.method}: {status} in {seconds:.2f} s", file=sys.stderr)
-            results[s, result.method] = result
+            finished[s, result.method] = result
+
+    def in_plan_order():
+        while waiting and waiting[0] in finished:
+            yield finished.pop(waiting.popleft())
 
     try:
         if cfg.jobs > 1:
@@ -710,7 +720,7 @@ def run_plan(cfg: RunConfig, data_path=None) -> PlanResult:
                 except Exception as exc:  # noqa: BLE001 - isolate per-task failures
                     elapsed = time.perf_counter() - t0
                     outcomes = [(_failure_result(cfg, s, m, exc), elapsed) for m in methods]
-                report(s, outcomes)
+                finish(s, outcomes)
 
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 try:
@@ -721,27 +731,21 @@ def run_plan(cfg: RunConfig, data_path=None) -> PlanResult:
                             future = pool.submit(_run_task, cfg, s, methods, data_path)
                             running[future] = (s, methods, time.perf_counter())
                         except BrokenProcessPool as exc:
-                            report(s, [(_failure_result(cfg, s, m, exc), 0.0) for m in methods])
+                            finish(s, [(_failure_result(cfg, s, m, exc), 0.0) for m in methods])
+                        yield from in_plan_order()  # the pool is full again
                     while running:
                         collect_one()
+                        yield from in_plan_order()
                 except BaseException:
                     for future in running:
                         future.cancel()
                     raise
         else:
             for s, methods in tasks:
-                report(s, _run_task(cfg, s, methods, data_path))
+                finish(s, _run_task(cfg, s, methods, data_path))
+                yield from in_plan_order()
     finally:
         _task_data.cache_clear()
-
-    points, classification = [], []
-    for key in plan:
-        points.extend(results[key].points)
-        classification.extend(results[key].classification)
-    failed = [
-        f"seed {s} {m}: {results[s, m].failure}" for s, m in plan if results[s, m].failure
-    ]
-    return PlanResult(points=points, classification=classification, failures=failed)
 
 
 # ---------------------------------------------------------------------------
@@ -749,13 +753,31 @@ def run_plan(cfg: RunConfig, data_path=None) -> PlanResult:
 # ---------------------------------------------------------------------------
 
 
-def _write_table(path, table, records) -> None:
+@contextmanager
+def open_tables(out_dir):
+    """results.csv and classification.csv in out_dir, open for rows.
+
+    Yields (results, classification): two text files that hold their header
+    line, to which write_results_csv and write_classification_csv append
+    rows. Each is a temporary file in out_dir (atomic.atomic_open) until the
+    block ends, so both tables appear complete, or, if the block raises, no
+    table and no temporary file is left.
+    """
+    out_dir = Path(out_dir)
+    text = {"mode": "w", "newline": "", "encoding": "utf-8"}
+    with (
+        atomic_open(out_dir / RESULTS_NAME, **text) as results,
+        atomic_open(out_dir / CLASSIFICATION_NAME, **text) as classification,
+    ):
+        for fh, table in ((results, _RESULTS_TABLE), (classification, _CLASSIFICATION_TABLE)):
+            _csv.writer(fh, lineterminator="\n").writerow([column for column, _, _ in table])
+        yield results, classification
+
+
+def _write_rows(fh, table, records) -> None:
     # csv writes None as an empty field, and str() of a float is its repr
     attrs = attrgetter(*(attr for _, attr, _ in table))
-    with atomic_open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = _csv.writer(fh, lineterminator="\n")
-        writer.writerow([column for column, _, _ in table])
-        writer.writerows(map(attrs, records))
+    _csv.writer(fh, lineterminator="\n").writerows(map(attrs, records))
 
 
 def _read_table(path, table, what) -> list:
@@ -783,16 +805,18 @@ def _read_table(path, table, what) -> list:
     return records
 
 
-def write_results_csv(path, points) -> None:
-    _write_table(path, _RESULTS_TABLE, points)
+def write_results_csv(fh, points) -> None:
+    """Append the rows of points to the results table open in fh (open_tables)."""
+    _write_rows(fh, _RESULTS_TABLE, points)
 
 
 def read_results_csv(path) -> list:
     return _read_table(path, _RESULTS_TABLE, "results")
 
 
-def write_classification_csv(path, rows) -> None:
-    _write_table(path, _CLASSIFICATION_TABLE, rows)
+def write_classification_csv(fh, rows) -> None:
+    """Append rows to the classification table open in fh (open_tables)."""
+    _write_rows(fh, _CLASSIFICATION_TABLE, rows)
 
 
 def read_classification_csv(path) -> list:

@@ -20,6 +20,7 @@ from deferbench import cli, data as data_mod, nnet, sweep, uq
 from deferbench.config import CorruptionSettings, RunConfig
 from deferbench.losses import LossSpec
 from deferbench.metrics import ConfusionCounts, auc, balanced_accuracy, pauc
+from plan_results import collect_plan
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -265,7 +266,7 @@ def id_benchmark():
         corruption=CorruptionSettings(levels=0),
     )
     start = time.perf_counter()
-    result = sweep.run_plan(cfg)
+    result = collect_plan(cfg)
     return cfg, result, time.perf_counter() - start
 
 

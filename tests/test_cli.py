@@ -5,7 +5,9 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 import xml.etree.ElementTree as ET
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -153,6 +155,20 @@ FROZEN_SHA256 = {
     "classification.csv": "6e4b10decac8a1ba47e2022f97089da1d5bda1a3a1730a20b5d26182f4b672e5",
     "dataset.dfd1": "c030fbe38957ea54b94e6c0fcb926bd430ab5e65ef9cbcccbc514b886df9e6eb",
 }
+# The figures of the same run, recorded while the report was drawn from the
+# whole table at the end of the run, before it was fed one task at a time.
+FROZEN_REPORT_SHA256 = {
+    "id.svg": "b0b3ada1c01d4952518f6f9e0e0e064bf9514b1bd4672bdaded3182952f5af0f",
+    "noise1.svg": "3218bc8ac7853b1a7e2e743a1de8e4b9a35b3ed2238beddecfa84d364a3d8480",
+    "blur1.svg": "831742a6b05f047a258bb59de6c56666bfdb2f6c6c3787c993ca61bc3353f083",
+}
+
+
+def assert_frozen_outputs(out):
+    assert {name: sha(out / name) for name in FROZEN_SHA256} == FROZEN_SHA256
+    figures = {path.name: sha(path) for path in (out / "report").iterdir()}
+    assert figures == FROZEN_REPORT_SHA256
+    assert not (out / "models").exists()
 
 
 def test_run_output_bytes_are_frozen(tmp_path):
@@ -160,8 +176,7 @@ def test_run_output_bytes_are_frozen(tmp_path):
     ini.write_text(FROZEN_INI)
     out = tmp_path / "run"
     assert cli.main(["run", "--config", str(ini), "--out", str(out)]) == 0
-    assert {name: sha(out / name) for name in FROZEN_SHA256} == FROZEN_SHA256
-    assert not (out / "models").exists()
+    assert_frozen_outputs(out)
 
 
 THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -209,8 +224,7 @@ def test_run_output_bytes_are_frozen_across_blas_threads_and_jobs(tmp_path, jobs
         env=fresh_process_env(**thread_variables), capture_output=True, check=True,
         timeout=300,
     )
-    assert {name: sha(out / name) for name in FROZEN_SHA256} == FROZEN_SHA256
-    assert not (out / "models").exists()
+    assert_frozen_outputs(out)
 
 
 def test_only_a_pool_run_loads_the_process_pool(tmp_path):
@@ -287,6 +301,91 @@ def test_interrupted_rerun_leaves_no_old_tables(ini_path, tmp_path, monkeypatch)
     assert (out / "config.ini").is_file()
     assert not (out / "results.csv").exists()
     assert not (out / "classification.csv").exists()
+
+
+def test_rerun_removes_the_open_tables_of_a_killed_run(ini_path, tmp_path):
+    # a run keeps both tables open as temporary files while its plan runs,
+    # so a run killed then (SIGKILL, out of memory) leaves them behind
+    out = tmp_path / "killed"
+    out.mkdir()
+    leftovers = [
+        out / f".{name}.4242.tmp" for name in (sweep.RESULTS_NAME, sweep.CLASSIFICATION_NAME)
+    ]
+    unrelated = out / "notes.tmp"
+    for path in (*leftovers, unrelated):
+        path.write_text("method,condition\nsoftmax,id\n")
+    assert cli.main(["run", "--config", str(ini_path), "--out", str(out)]) == 0
+    assert not any(path.exists() for path in leftovers)
+    assert unrelated.is_file()
+    assert not [p.name for p in out.iterdir() if p.name.startswith(".")]
+
+
+def interrupting_worker(flag, cfg, seed_index, method, members, data):
+    """Stand-in for sweep._worker: seeds 0 and 1 run for real; seed 2, the
+    third task, waits until the main process has written rows and then
+    raises KeyboardInterrupt, as Ctrl-C does in the middle of a task."""
+    if seed_index < 2:
+        return REAL_WORKER(cfg, seed_index, method, members, data)
+    deadline = time.monotonic() + 20.0
+    while not flag.exists() and time.monotonic() < deadline:
+        time.sleep(0.01)
+    raise KeyboardInterrupt
+
+
+REAL_WORKER = sweep._worker
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_interrupt_mid_plan_leaves_no_table(ini_path, tmp_path, monkeypatch, jobs):
+    flag = tmp_path / "rows_written"
+    real_write, writes = sweep.write_results_csv, []
+
+    def write(fh, points):
+        real_write(fh, points)
+        writes.append(len(points))
+        flag.touch()
+
+    # forked pool workers inherit the patched module global
+    monkeypatch.setattr(sweep, "_worker", partial(interrupting_worker, flag))
+    monkeypatch.setattr(sweep, "write_results_csv", write)
+    ini = tmp_path / "three_seeds.ini"
+    ini.write_text(ini_path.read_text().replace("n_seeds = 1", "n_seeds = 3"))
+    out = tmp_path / "run"
+    with pytest.raises(KeyboardInterrupt):
+        cli.main(["run", "--config", str(ini), "--out", str(out), "--jobs", jobs])
+    assert writes and all(writes)  # rows were streamed before the interrupt
+    assert sorted(p.name for p in out.iterdir()) == ["config.ini", "dataset.dfd1"]
+
+
+# A run's main process holds each finished task's rows only until it has
+# written them, and keeps three float64 plotted columns (24 bytes) per row
+# for the report. It held every row as a CurvePoint, about 200 bytes each
+# as traced, until the plan ended.
+PEAK_INI = TINY_INI.replace("epochs = 3", "epochs = 1").replace(
+    "threshold_steps = 5", "threshold_steps = 2000"
+)
+
+
+def traced_run_peak(tmp_path, n_seeds) -> int:
+    ini = tmp_path / f"seeds{n_seeds}.ini"
+    ini.write_text(PEAK_INI.replace("n_seeds = 1", f"n_seeds = {n_seeds}"))
+    tracemalloc.start()
+    try:
+        rc = cli.main(["run", "--config", str(ini), "--out", str(tmp_path / f"run{n_seeds}")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    return peak
+
+
+def test_run_peak_does_not_grow_with_the_rows_of_finished_tasks(tmp_path):
+    traced_run_peak(tmp_path, 1)  # first-call allocations stay out of both
+    one, three = traced_run_peak(tmp_path, 1), traced_run_peak(tmp_path, 3)
+    rows_per_seed = len(sweep.read_results_csv(tmp_path / "run1" / sweep.RESULTS_NAME))
+    assert rows_per_seed == 3 * 2000
+    # measured: 25 bytes per added row, against 200 when every row was held
+    assert three - one < 64 * 2 * rows_per_seed
 
 
 def test_run_keeps_its_own_dataset_file(run_dir, ini_path, tmp_path):
@@ -631,7 +730,10 @@ def test_report_rerenders_from_results(run_dir, tmp_path, capsys):
     for name in ("id.svg", "noise1.svg", "blur1.svg"):
         assert (out / "report" / name).is_file()
         assert name in stdout
-    assert (out / "report" / "id.svg").read_text() == (run_dir / "report" / "id.svg").read_text()
+    # the run fed its figures one task at a time, the report from the table
+    for svg in (run_dir / "report").iterdir():
+        assert (out / "report" / svg.name).read_bytes() == svg.read_bytes(), svg.name
+    assert len(list((out / "report").iterdir())) == len(list((run_dir / "report").iterdir()))
 
 
 def test_report_removes_figures_of_conditions_the_results_lack(run_dir, tmp_path):

@@ -8,6 +8,7 @@ dataset file with a non-finite feature is refused the same way.
 """
 
 import os
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -38,12 +39,23 @@ ROWS = [
 ]
 
 
+def _tables() -> dict:
+    """File name -> bytes of results.csv holding POINTS and classification.csv
+    holding ROWS, written as a run writes them."""
+    with tempfile.TemporaryDirectory() as tmp:
+        with sweep.open_tables(tmp) as (results, classification):
+            sweep.write_results_csv(results, POINTS)
+            sweep.write_classification_csv(classification, ROWS)
+        return {name: Path(tmp, name).read_bytes()
+                for name in (sweep.RESULTS_NAME, sweep.CLASSIFICATION_NAME)}
+
+
 def _write_results(path):
-    sweep.write_results_csv(path, POINTS)
+    path.write_bytes(_tables()[sweep.RESULTS_NAME])
 
 
 def _write_classification(path):
-    sweep.write_classification_csv(path, ROWS)
+    path.write_bytes(_tables()[sweep.CLASSIFICATION_NAME])
 
 
 def _write_ini(path):

@@ -33,6 +33,13 @@ def simple_series(method="softmax", seed=0, n=5):
     return [point(r, 0.9 - 0.1 * r, frac=r, method=method, seed=seed) for r in rates]
 
 
+def render(points, condition, level) -> str:
+    """SVG text of points, all of one condition, drawn as the figure of
+    (condition, level)."""
+    (series,) = report.Figures(points).groups.values()
+    return report.render_condition_svg(series, condition, level)
+
+
 def parse(svg_text: str):
     return ET.fromstring(svg_text)
 
@@ -50,7 +57,7 @@ def circles(node):
 
 
 def test_svg_parses_and_carries_condition_identity():
-    svg = report.render_condition_svg(simple_series(), "noise", 3)
+    svg = render(simple_series(), "noise", 3)
     root = parse(svg)
     assert root.tag == f"{SVG_NS}svg"
     assert root.get("data-condition") == "noise"
@@ -58,7 +65,7 @@ def test_svg_parses_and_carries_condition_identity():
 
 
 def test_two_panels_with_fixed_axis_ranges():
-    root = parse(report.render_condition_svg(simple_series(), "id", 0))
+    root = parse(render(simple_series(), "id", 0))
     by_name = panels(root)
     assert set(by_name) == {"bacc", "frac_pos"}
 
@@ -75,7 +82,7 @@ def test_one_polyline_per_method_seed_series():
     for method in ("softmax", "one_stage"):
         for seed in (0, 1):
             pts.extend(simple_series(method=method, seed=seed))
-    root = parse(report.render_condition_svg(pts, "id", 0))
+    root = parse(render(pts, "id", 0))
     for panel in panels(root).values():
         lines = polylines(panel)
         assert len(lines) == 4
@@ -86,7 +93,7 @@ def test_one_polyline_per_method_seed_series():
 def test_missing_bacc_splits_the_curve_not_the_other_panel():
     pts = simple_series()
     pts[2].bacc = None  # e.g. remainder lost one class at this rate
-    root = parse(report.render_condition_svg(pts, "id", 0))
+    root = parse(render(pts, "id", 0))
     by_name = panels(root)
     assert len(polylines(by_name["bacc"])) == 2  # split around the gap
     assert len(polylines(by_name["frac_pos"])) == 1  # frac still defined everywhere
@@ -94,7 +101,7 @@ def test_missing_bacc_splits_the_curve_not_the_other_panel():
 
 def test_single_point_series_renders_as_circle():
     pts = [point(1.0, None, frac=1.0, status="absent"), point(0.5, 0.8, frac=0.3)]
-    root = parse(report.render_condition_svg(pts, "blur", 2))
+    root = parse(render(pts, "blur", 2))
     bacc = panels(root)["bacc"]
     assert len(polylines(bacc)) == 0
     marks = circles(bacc)
@@ -104,7 +111,7 @@ def test_single_point_series_renders_as_circle():
 
 def test_pixel_mapping_anchors():
     pts = simple_series()  # rates 0..1, bacc 0.9..0.8
-    root = parse(report.render_condition_svg(pts, "id", 0))
+    root = parse(render(pts, "id", 0))
     line = polylines(panels(root)["bacc"])[0]
     coords = [pair.split(",") for pair in line.get("points").split()]
     assert float(coords[0][0]) == 70.0  # x_px(0)
@@ -125,7 +132,7 @@ def test_failed_rows_are_not_plotted():
         )
         for _ in range(3)
     )
-    root = parse(report.render_condition_svg(pts, "id", 0))
+    root = parse(render(pts, "id", 0))
     methods = {e.get("data-method") for e in polylines(root)}
     assert methods == {"softmax"}
 
@@ -138,12 +145,12 @@ def test_all_failed_rows_is_an_error():
         )
     ]
     with pytest.raises(FormatError, match="no plottable rows"):
-        report.render_condition_svg(failed, "id", 0)
+        render(failed, "id", 0)
 
 
 def test_legend_lists_each_method_once():
     pts = simple_series() + simple_series(method="bnn") + simple_series(method="bnn", seed=1)
-    root = parse(report.render_condition_svg(pts, "id", 0))
+    root = parse(render(pts, "id", 0))
     texts = [e.text for e in root.iter(f"{SVG_NS}text")]
     assert texts.count("softmax") == 1
     assert texts.count("bnn") == 1
@@ -155,7 +162,7 @@ def test_write_report_one_file_per_condition(tmp_path):
         pts.extend(
             point(r / 4, 0.8, frac=0.2, condition=condition, level=level) for r in range(5)
         )
-    written = report.write_report(tmp_path, pts)
+    written = report.write_report(tmp_path, report.Figures(pts))
     names = [p.name for p in written]
     assert names == ["id.svg", "noise1.svg", "noise2.svg", "blur1.svg"]
     for path in written:
@@ -166,20 +173,20 @@ def test_write_report_one_file_per_condition(tmp_path):
 
 def test_write_report_rejects_empty_results(tmp_path):
     with pytest.raises(FormatError, match="no result rows"):
-        report.write_report(tmp_path, [])
+        report.write_report(tmp_path, report.Figures([]))
 
 
 def test_write_report_rejects_an_invalid_condition_before_writing(tmp_path):
     good = [point(r / 4, 0.8, condition="id", level=0) for r in range(5)]
     escaping = [point(0.5, 0.8, condition="../../escaped", level=1)]
     with pytest.raises(ConfigError, match="unknown condition kind"):
-        report.write_report(tmp_path / "out", good + escaping)
+        report.write_report(tmp_path / "out", report.Figures(good + escaping))
     assert list(tmp_path.iterdir()) == []
 
 
 def test_svg_escapes_method_and_condition_text():
     pts = simple_series(method="soft<max&") + simple_series(method='a"b', seed=1)
-    root = parse(report.render_condition_svg(pts, 'a"b<&', 1))
+    root = parse(render(pts, 'a"b<&', 1))
     assert root.get("data-condition") == 'a"b<&'
     texts = [e.text for e in root.iter(f"{SVG_NS}text")]
     assert "soft<max&" in texts and 'a"b' in texts
@@ -190,7 +197,7 @@ def test_write_report_failure_leaves_no_partial_svg(tmp_path):
     good = [point(r / 4, 0.8, condition="id", level=0) for r in range(5)]
     unplottable = [point(0.5, None, condition="noise", level=1, status="failed:DivergenceError")]
     with pytest.raises(FormatError, match="no plottable rows"):
-        report.write_report(tmp_path, good + unplottable)
+        report.write_report(tmp_path, report.Figures(good + unplottable))
     # the first file is complete; the failed one left neither a file nor a temporary
     assert [p.name for p in (tmp_path / "report").iterdir()] == ["id.svg"]
     parse((tmp_path / "report" / "id.svg").read_text())
@@ -226,8 +233,22 @@ def mixed_table():
     return pts
 
 
+def test_figures_fed_in_batches_draw_the_whole_tables_bytes(tmp_path):
+    # a run adds each task's points as the task finishes; any split of the
+    # table into batches, even one point each, draws the same figures
+    pts = mixed_table()
+    batched = report.Figures()
+    for p in pts:
+        batched.add([p])
+    whole = report.write_report(tmp_path / "whole", report.Figures(pts))
+    split = report.write_report(tmp_path / "split", batched)
+    assert [p.name for p in split] == [p.name for p in whole]
+    for a, b in zip(whole, split):
+        assert a.read_bytes() == b.read_bytes(), a.name
+
+
 def test_rendered_bytes_are_pinned(tmp_path):
-    written = report.write_report(tmp_path, mixed_table())
+    written = report.write_report(tmp_path, report.Figures(mixed_table()))
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in written}
     assert digests == {
         "id.svg": "579a4b11d2ab1d4866cbe0f04726b59c80e6a5ab8d77f36309b4d315d5fa4d94",

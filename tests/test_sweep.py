@@ -8,11 +8,13 @@ import io
 import os
 import pickle
 import re
+import tempfile
 import time
 import tracemalloc
 from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,6 +35,7 @@ from deferbench.metrics import DEFER, CurvePoint, deferral_curve_point
 from deferbench.nnet import SgdConfig
 from deferbench.rng import child_seed
 from deferbench.uq import SwagCollectConfig
+from plan_results import PlanResults, collect_plan
 
 
 def tiny_config(**overrides):
@@ -53,17 +56,24 @@ def tiny_config(**overrides):
     return RunConfig(**base)
 
 
-def points_as_csv(points, write=sweep.write_results_csv) -> str:
-    import tempfile, os
+# each table writer -> its place in sweep.open_tables and its file name
+TABLES = {
+    sweep.write_results_csv: (0, sweep.RESULTS_NAME),
+    sweep.write_classification_csv: (1, sweep.CLASSIFICATION_NAME),
+}
 
-    fd, path = tempfile.mkstemp(suffix=".csv")
-    os.close(fd)
-    try:
-        write(path, points)
-        with open(path) as fh:
-            return fh.read()
-    finally:
-        os.unlink(path)
+
+def write_table(out_dir, records, write=sweep.write_results_csv) -> Path:
+    """The table of write holding records, written as a run writes it; its path."""
+    index, name = TABLES[write]
+    with sweep.open_tables(out_dir) as tables:
+        write(tables[index], records)
+    return Path(out_dir) / name
+
+
+def points_as_csv(points, write=sweep.write_results_csv) -> str:
+    with tempfile.TemporaryDirectory() as tmp:
+        return write_table(tmp, points, write).read_text()
 
 
 # ---------------------------------------------------------------------------
@@ -532,7 +542,7 @@ def test_run_from_file_matches_in_memory(tiny_cfg, eval_data, tmp_path):
 
 @pytest.fixture(scope="module")
 def softmax_plan(tiny_cfg):
-    return sweep.run_plan(tiny_cfg)
+    return collect_plan(tiny_cfg)
 
 
 def test_run_plan_row_counts_and_provenance(tiny_cfg, softmax_plan):
@@ -553,15 +563,15 @@ def test_run_plan_row_counts_and_provenance(tiny_cfg, softmax_plan):
 
 def test_run_plan_merges_in_plan_order_independent_of_seed(tiny_cfg, eval_data):
     cfg = dataclasses.replace(tiny_cfg, n_seeds=2)
-    plan = sweep.run_plan(cfg)
+    plan = collect_plan(cfg)
     alone = sweep.run_method(cfg, eval_data, 1, "softmax")
     seed1 = [p for p in plan.points if p.seed == 1]
     assert points_as_csv(seed1) == points_as_csv(alone.points)
 
 
 def test_two_stage_points_unaffected_by_committee_reuse(tiny_cfg):
-    with_ensemble = sweep.run_plan(dataclasses.replace(tiny_cfg, methods=("ensemble", "two_stage")))
-    alone = sweep.run_plan(dataclasses.replace(tiny_cfg, methods=("two_stage",)))
+    with_ensemble = collect_plan(dataclasses.replace(tiny_cfg, methods=("ensemble", "two_stage")))
+    alone = collect_plan(dataclasses.replace(tiny_cfg, methods=("two_stage",)))
     shared = [p for p in with_ensemble.points if p.method == "two_stage"]
     assert points_as_csv(shared) == points_as_csv(alone.points)
 
@@ -570,8 +580,8 @@ def test_parallel_execution_is_byte_identical(tiny_cfg, tmp_path):
     cfg = dataclasses.replace(tiny_cfg, n_seeds=2)
     path = tmp_path / "dataset.dfd1"
     data_mod.write_dataset(path, sweep.prepare_dataset(cfg))
-    serial = sweep.run_plan(cfg, data_path=path)
-    parallel = sweep.run_plan(dataclasses.replace(cfg, jobs=2), data_path=path)
+    serial = collect_plan(cfg, data_path=path)
+    parallel = collect_plan(dataclasses.replace(cfg, jobs=2), data_path=path)
     assert points_as_csv(serial.points) == points_as_csv(parallel.points)
 
 
@@ -581,7 +591,7 @@ def test_failed_method_keeps_the_plan_running(tiny_cfg):
         methods=("swag", "softmax"),
         swag=SwagCollectConfig(burn_in_frac=0.9, max_rank=20),  # keeps < 2 snapshots
     )
-    result = sweep.run_plan(cfg)
+    result = collect_plan(cfg)
     assert len(result.failures) == 1
     assert "swag" in result.failures[0] and "CollectionError" in result.failures[0]
 
@@ -621,8 +631,8 @@ def test_head_first_plans_are_byte_identical_across_jobs(tiny_cfg, tmp_path, met
     cfg = dataclasses.replace(tiny_cfg, methods=methods)
     path = tmp_path / "dataset.dfd1"
     data_mod.write_dataset(path, sweep.prepare_dataset(cfg))
-    serial = sweep.run_plan(cfg, data_path=path)
-    parallel = sweep.run_plan(dataclasses.replace(cfg, jobs=2), data_path=path)
+    serial = collect_plan(cfg, data_path=path)
+    parallel = collect_plan(dataclasses.replace(cfg, jobs=2), data_path=path)
     assert serial.failures == parallel.failures == []
     assert tables_as_csv(parallel) == tables_as_csv(serial)
 
@@ -646,7 +656,7 @@ def test_a_serial_run_builds_its_data_once(tiny_cfg, tmp_path, monkeypatch):
     log = tmp_path / "builds"
     log_builds(monkeypatch, log)
     cfg = dataclasses.replace(tiny_cfg, n_seeds=2, methods=("softmax", "ensemble", "two_stage"))
-    assert sweep.run_plan(cfg).failures == []
+    assert collect_plan(cfg).failures == []
     assert log.read_text().splitlines() == [str(os.getpid())]
     # no evaluation data outlives the run
     assert sweep._task_data.cache_info().currsize == 0
@@ -657,7 +667,7 @@ def test_a_pool_run_builds_its_data_once_per_worker(tiny_cfg, tmp_path, monkeypa
     log = tmp_path / "builds"
     log_builds(monkeypatch, log)
     cfg = dataclasses.replace(tiny_cfg, n_seeds=2, methods=("softmax", "mc_dropout"), jobs=2)
-    assert sweep.run_plan(cfg).failures == []
+    assert collect_plan(cfg).failures == []
     pids = log.read_text().splitlines()
     assert 1 <= len(pids) == len(set(pids)) <= 2
     assert str(os.getpid()) not in pids
@@ -676,7 +686,7 @@ def test_every_method_runs_through_worker(tiny_cfg, tmp_path, monkeypatch, jobs)
 
     monkeypatch.setattr(sweep, "_worker", logged_worker)
     cfg = dataclasses.replace(tiny_cfg, methods=("softmax", "ensemble", "two_stage"), jobs=jobs)
-    assert sweep.run_plan(cfg).failures == []
+    assert collect_plan(cfg).failures == []
     calls = [line.split() for line in log.read_text().splitlines()]
     assert sorted(method for _, method in calls) == ["ensemble", "softmax", "two_stage"]
     assert {pid == str(os.getpid()) for pid, _ in calls} == {jobs == 1}
@@ -711,7 +721,7 @@ def test_head_starts_while_an_unrelated_task_runs(tiny_cfg, tmp_path, monkeypatc
     cfg = dataclasses.replace(
         tiny_cfg, methods=("softmax", "ensemble", "two_stage", "swag"), jobs=2
     )
-    result = sweep.run_plan(cfg)
+    result = collect_plan(cfg)
     assert result.failures == []
     assert (tmp_path / "head_started").exists()
 
@@ -754,8 +764,55 @@ def test_pool_has_at_most_one_worker_per_task(tiny_cfg, monkeypatch, jobs, worke
     cfg = dataclasses.replace(
         tiny_cfg, methods=("softmax", "ensemble", "two_stage"), jobs=jobs
     )
-    assert sweep.run_plan(cfg).failures == []
+    assert collect_plan(cfg).failures == []
     assert InlineExecutor.created == [workers]
+
+
+class OrderedPool(InlineExecutor):
+    """Stand-in for ProcessPoolExecutor that logs each submission; with
+    finish_out_of_plan_order as as_completed, its tasks finish in FINISH
+    order, not in plan order."""
+
+    log = []
+    tasks = {}  # future -> the methods of its task
+
+    def submit(self, fn, *args):
+        future = super().submit(fn, *args)
+        self.tasks[future] = args[2]
+        self.log.append(f"submit {'+'.join(args[2])}")
+        return future
+
+
+FINISH = [("swag",), ("softmax",), ("bnn",), ("mc_dropout",)]
+
+
+def finish_out_of_plan_order(futures):
+    yield min(futures, key=lambda future: FINISH.index(OrderedPool.tasks[future]))
+
+
+def one_row_worker(cfg, seed_index, method, members, data):
+    return sweep.MethodResult(method, seed_index, [CurvePoint(method=method)], [])
+
+
+def test_pool_results_reach_the_writer_in_plan_order_after_the_refill(tiny_cfg, monkeypatch):
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", OrderedPool)
+    monkeypatch.setattr(concurrent.futures, "as_completed", finish_out_of_plan_order)
+    monkeypatch.setattr(OrderedPool, "log", [])
+    monkeypatch.setattr(OrderedPool, "tasks", {})
+    monkeypatch.setattr(sweep, "_worker", one_row_worker)
+    methods = ("softmax", "swag", "mc_dropout", "bnn")
+    cfg = dataclasses.replace(tiny_cfg, methods=methods, jobs=2)
+    rows = []
+    for result in sweep.run_plan(cfg):
+        OrderedPool.log.append(f"write {result.method}")
+        rows.extend(result.points)
+    assert [p.method for p in rows] == list(methods)
+    # swag finishes first and waits for softmax; when softmax finishes, bnn
+    # takes its worker before softmax and swag reach the writer
+    assert OrderedPool.log == [
+        "submit softmax", "submit swag", "submit mc_dropout", "submit bnn",
+        "write softmax", "write swag", "write mc_dropout", "write bnn",
+    ]
 
 
 def failing_first_build(monkeypatch) -> list:
@@ -778,7 +835,7 @@ def test_a_failed_pool_build_fails_its_task_and_the_next_task_builds_again(
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
     attempts = failing_first_build(monkeypatch)
     cfg = dataclasses.replace(tiny_cfg, methods=("ensemble", "two_stage", "softmax"), jobs=2)
-    result = sweep.run_plan(cfg)
+    result = collect_plan(cfg)
     assert result.failures == [
         "seed 0 ensemble: FormatError: damaged", "seed 0 two_stage: FormatError: damaged"
     ]
@@ -790,7 +847,7 @@ def test_a_failed_serial_build_stops_the_plan(tiny_cfg, monkeypatch):
     attempts = failing_first_build(monkeypatch)
     cfg = dataclasses.replace(tiny_cfg, methods=("softmax", "mc_dropout"))
     with pytest.raises(FormatError, match="damaged"):
-        sweep.run_plan(cfg)
+        collect_plan(cfg)
     assert len(attempts) == 1
     assert sweep._task_data.cache_info().currsize == 0
 
@@ -837,7 +894,7 @@ def test_no_weights_cross_a_process_boundary(tiny_cfg, eval_data, tmp_path, monk
     cfg = dataclasses.replace(tiny_cfg, methods=("softmax", "ensemble", "two_stage"), jobs=2)
     path = tmp_path / "dataset.dfd1"
     data_mod.write_dataset(path, sweep.prepare_dataset(cfg))
-    result = sweep.run_plan(cfg, data_path=path)
+    result = collect_plan(cfg, data_path=path)
     assert result.failures == []
 
     size = nnet.init_network(sweep._net_config(cfg, eval_data, 0, "ensemble")).parameter_count
@@ -858,7 +915,7 @@ def failing_fit(cfg, data, seed_index, members):
 def method_tables(result, method) -> tuple:
     """results.csv and classification.csv text of one method's rows."""
     return tables_as_csv(
-        sweep.PlanResult(
+        PlanResults(
             [p for p in result.points if p.method == method],
             [r for r in result.classification if r.method == method],
             [],
@@ -874,8 +931,8 @@ def test_failed_ensemble_leaves_the_head_its_own_committee(
     cfg = dataclasses.replace(tiny_cfg, methods=("ensemble", "two_stage"), jobs=jobs)
     path = tmp_path / "dataset.dfd1"
     data_mod.write_dataset(path, sweep.prepare_dataset(cfg))
-    result = sweep.run_plan(cfg, data_path=path)
-    alone = sweep.run_plan(dataclasses.replace(cfg, methods=("two_stage",)), data_path=path)
+    result = collect_plan(cfg, data_path=path)
+    alone = collect_plan(dataclasses.replace(cfg, methods=("two_stage",)), data_path=path)
 
     assert [f.split(": ")[:2] for f in result.failures] == [["seed 0 ensemble", "RuntimeError"]]
     for table in method_tables(result, "ensemble"):
@@ -892,8 +949,8 @@ def test_failed_head_leaves_the_ensemble_rows_intact(tiny_cfg, tmp_path, monkeyp
     cfg = dataclasses.replace(tiny_cfg, methods=("ensemble", "two_stage"), jobs=jobs)
     path = tmp_path / "dataset.dfd1"
     data_mod.write_dataset(path, sweep.prepare_dataset(cfg))
-    result = sweep.run_plan(cfg, data_path=path)
-    alone = sweep.run_plan(dataclasses.replace(cfg, methods=("ensemble",)), data_path=path)
+    result = collect_plan(cfg, data_path=path)
+    alone = collect_plan(dataclasses.replace(cfg, methods=("ensemble",)), data_path=path)
 
     assert [f.split(": ")[:2] for f in result.failures] == [["seed 0 two_stage", "RuntimeError"]]
     assert {p.status for p in result.points if p.method == "two_stage"} == {
@@ -916,7 +973,7 @@ def test_dead_task_fails_every_method_in_it(tiny_cfg, monkeypatch, capsys):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", DeadPool)
     cfg = dataclasses.replace(tiny_cfg, methods=("ensemble", "two_stage"), jobs=2)
     capsys.readouterr()
-    result = sweep.run_plan(cfg)
+    result = collect_plan(cfg)
 
     assert result.failures == [
         "seed 0 ensemble: BrokenProcessPool: worker died",
@@ -964,9 +1021,9 @@ def test_dying_worker_fails_only_unfinished_work(tiny_cfg, tmp_path, monkeypatch
     cfg = dataclasses.replace(tiny_cfg, methods=methods, jobs=2)
     path = tmp_path / "dataset.dfd1"
     data_mod.write_dataset(path, sweep.prepare_dataset(cfg))
-    alone = sweep.run_plan(dataclasses.replace(cfg, methods=("softmax",), jobs=1), data_path=path)
+    alone = collect_plan(dataclasses.replace(cfg, methods=("softmax",), jobs=1), data_path=path)
     monkeypatch.setattr(sweep, "_worker", partial(dying_worker, tmp_path))
-    result = sweep.run_plan(cfg, data_path=path)
+    result = collect_plan(cfg, data_path=path)
 
     assert [f.split(": ")[:2] for f in result.failures] == [
         [f"seed 0 {m}", "BrokenProcessPool"] for m in methods[1:]
@@ -1003,7 +1060,7 @@ def test_interrupt_cancels_every_pending_task(tiny_cfg, monkeypatch):
     monkeypatch.setattr(concurrent.futures, "as_completed", interrupt)
     cfg = dataclasses.replace(tiny_cfg, methods=("softmax", "swag", "mc_dropout"), jobs=2)
     with pytest.raises(KeyboardInterrupt):
-        sweep.run_plan(cfg)
+        collect_plan(cfg)
     # two of the three tasks were submitted, and neither may start
     assert len(PendingPool.futures) == 2
     assert all(future.cancelled() for future in PendingPool.futures)
@@ -1032,7 +1089,7 @@ def test_interrupted_pool_starts_no_further_task(tiny_cfg, tmp_path, monkeypatch
     methods = ("softmax", "swag", "mc_dropout", "bnn")
     cfg = dataclasses.replace(tiny_cfg, methods=methods, jobs=2)
     with pytest.raises(KeyboardInterrupt):
-        sweep.run_plan(cfg)
+        collect_plan(cfg)
     # the pool's exit has waited for every call it had queued
     started = {p.name.split(".")[0] for p in tmp_path.glob("*.started")}
     assert "softmax" in started
@@ -1054,7 +1111,7 @@ def test_progress_lines_carry_each_methods_own_time(tiny_cfg, monkeypatch, capsy
     monkeypatch.setattr(sweep, "_worker", lambda cfg, s, m, *rest: sleeping_head(s, m))
     cfg = dataclasses.replace(tiny_cfg, methods=("ensemble", "two_stage"), jobs=jobs)
     capsys.readouterr()
-    assert sweep.run_plan(cfg).failures == []
+    assert collect_plan(cfg).failures == []
     pattern = re.compile(r"seed 0 (\w+): ok in (\d+\.\d\d) s")
     seconds = dict(pattern.fullmatch(line).groups() for line in capsys.readouterr().err.splitlines())
     assert float(seconds["ensemble"]) < 0.3
@@ -1078,8 +1135,8 @@ def test_failures_are_listed_in_plan_order(tiny_cfg, tmp_path, monkeypatch, caps
     )
     path = tmp_path / "dataset.dfd1"
     data_mod.write_dataset(path, sweep.prepare_dataset(cfg))
-    serial = sweep.run_plan(cfg, data_path=path)
-    parallel = sweep.run_plan(dataclasses.replace(cfg, jobs=2), data_path=path)
+    serial = collect_plan(cfg, data_path=path)
+    parallel = collect_plan(dataclasses.replace(cfg, jobs=2), data_path=path)
     assert [failure.split(": ")[:2] for failure in serial.failures] == [
         ["seed 0 mc_dropout", "RuntimeError"], ["seed 0 swag", "CollectionError"],
     ]
@@ -1096,7 +1153,7 @@ def test_one_progress_line_per_finished_task(tiny_cfg, capsys):
     cfg = dataclasses.replace(tiny_cfg, n_seeds=2, methods=("swag", "softmax"),
                               swag=SwagCollectConfig(burn_in_frac=0.9, max_rank=20))
     capsys.readouterr()
-    sweep.run_plan(cfg)
+    collect_plan(cfg)
     captured = capsys.readouterr()
     assert captured.out == ""
     pattern = re.compile(r"seed (\d) (\w+): (ok|failed \((\w+)\)) in \d+\.\d\d s")
@@ -1134,8 +1191,7 @@ def test_results_csv_roundtrip_is_exact(softmax_plan, tiny_cfg, tmp_path):
     points = list(softmax_plan.points) + sweep._failure_result(
         tiny_cfg, 4, "one_stage", ConfigError("boom")
     ).points
-    path = tmp_path / "results.csv"
-    sweep.write_results_csv(path, points)
+    path = write_table(tmp_path, points)
     back = sweep.read_results_csv(path)
     assert len(back) == len(points)
     fields = (
@@ -1198,8 +1254,7 @@ def test_csv_bytes_match_the_per_cell_reference(tmp_path, writer, table, make):
 
     records = [make(**{attr: cell(i, j, attr, parse) for j, (_, attr, parse) in enumerate(table)})
                for i in range(len(values))]
-    path = tmp_path / "table.csv"
-    writer(path, records)
+    path = write_table(tmp_path, records, writer)
 
     reference = io.StringIO(newline="")
     rows = csv.writer(reference, lineterminator="\n")
@@ -1213,8 +1268,7 @@ def test_classification_csv_roundtrip(softmax_plan, tiny_cfg, tmp_path):
     rows = list(softmax_plan.classification) + sweep._failure_result(
         tiny_cfg, 4, "one_stage", ConfigError("boom")
     ).classification
-    path = tmp_path / "classification.csv"
-    sweep.write_classification_csv(path, rows)
+    path = write_table(tmp_path, rows, sweep.write_classification_csv)
     back = sweep.read_classification_csv(path)
     assert back == rows
 
@@ -1233,14 +1287,14 @@ def test_csv_writer_failure_leaves_no_partial_file(softmax_plan, tmp_path, write
     fresh = tmp_path / "fresh"
     fresh.mkdir()
     with pytest.raises(AttributeError):
-        writer(fresh / "table.csv", rows)
+        write_table(fresh, rows, writer)
     assert list(fresh.iterdir()) == []
 
     kept = tmp_path / "kept"
     kept.mkdir()
-    writer(kept / "table.csv", rows[:-1])
-    before = (kept / "table.csv").read_bytes()
+    path = write_table(kept, rows[:-1], writer)
+    before = path.read_bytes()
     with pytest.raises(AttributeError):
-        writer(kept / "table.csv", rows)
-    assert [p.name for p in kept.iterdir()] == ["table.csv"]
-    assert (kept / "table.csv").read_bytes() == before
+        write_table(kept, rows, writer)
+    assert sorted(p.name for p in kept.iterdir()) == sorted(name for _, name in TABLES.values())
+    assert path.read_bytes() == before
