@@ -1,10 +1,10 @@
 """Command line entry points.
 
 Subcommands: generate a dataset, run the full benchmark, re-render SVG
-reports from a results table, corrupt a dataset file, and inspect any of the
-produced artifacts. Exit code 0 on success, 1 when the experiment itself
-fails or a file cannot be read or written, 2 on usage or configuration
-errors.
+reports from a results table, corrupt a dataset file, and inspect a dataset
+file or a results or classification table. Exit code 0 on success, 1 when
+the experiment itself fails or a file cannot be read or written, 2 on usage
+or configuration errors.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from deferbench import report, sweep
 from deferbench.atomic import atomic_open
 from deferbench.config import RunConfig, emit_config, load_config
 from deferbench.errors import ConfigError, DeferBenchError, FormatError, UsageError
-from deferbench.nnet import read_checkpoint
 from deferbench.rng import child_seed
 
 
@@ -180,16 +179,6 @@ def _inspect_dataset(path: Path) -> None:
     print(f"feature_max={float(ds.features.max())!r}")
 
 
-def _inspect_checkpoint(path: Path) -> None:
-    config, params, sections = read_checkpoint(path)
-    print("kind=weights")
-    print(f"param_count={params.shape[0]}")
-    for line in config.to_text().splitlines():
-        print(f"config.{line}")
-    for name in sorted(sections):
-        print(f"section.{name}={sections[name].shape[0]}")
-
-
 def _inspect_table(path: Path, kind: str, read) -> None:
     records = read(path)
     methods = sorted({r.method for r in records})
@@ -222,16 +211,13 @@ def cmd_inspect(args) -> int:
     if head.startswith(b"DFD1"):
         _inspect_dataset(path)
         return 0
-    if head.startswith(b"DFB1"):
-        _inspect_checkpoint(path)
-        return 0
     for kind, (columns, read) in _TABLES.items():
         if head.rstrip(b"\r\n") == ",".join(columns).encode():
             _inspect_table(path, kind, read)
             return 0
     raise FormatError(
-        f"{path}: not a format inspect reads (a DFD1 dataset, a DFB1 weight file, "
-        "or a results or classification table)"
+        f"{path}: not a format inspect reads "
+        "(a DFD1 dataset, a results table or a classification table)"
     )
 
 
@@ -272,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--level", required=True, type=int, metavar="N")
     p.set_defaults(func=cmd_corrupt)
 
-    p = sub.add_parser("inspect", help="describe a dataset, weight, results or classification file")
+    p = sub.add_parser("inspect", help="describe a dataset, results or classification file")
     p.add_argument("path", metavar="PATH")
     p.set_defaults(func=cmd_inspect)
 

@@ -7,15 +7,20 @@ input rows are raw [0, 1] intensities: a network widens them and maps them
 with ``model_inputs`` as they enter it, one minibatch or one inference block
 at a time; rows of any other type already are model inputs. A network is
 one flat parameter vector, and its layers are views of it; SGD, the
-weight-posterior methods (SWAG, variational nets), checkpoint selection and
-the DFB1 container all work on that vector. Gradients are hand-derived
-backprop for this fixed topology; no autodiff.
+weight-posterior methods (SWAG, variational nets) and checkpoint selection
+all work on that vector. Gradients are hand-derived backprop for this fixed
+topology; no autodiff.
+
+``write_checkpoint`` writes that vector as a DFB1 weight file. No run calls
+it and nothing reads the format back. It stays only because the
+benchmark's layer tracer (``bench/layertrace.py``) hooks it by name, and
+goes when the tracer drops that hook.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,7 +28,6 @@ from deferbench.atomic import atomic_open
 from deferbench.errors import (
     ConfigError,
     DivergenceError,
-    FormatError,
     InputShapeError,
     LabelError,
 )
@@ -77,36 +81,6 @@ class NetConfig:
     @property
     def parameter_count(self) -> int:
         return sum((fan_in + 1) * fan_out for fan_in, fan_out in self.layer_dims)
-
-    @classmethod
-    def from_text(cls, text: str) -> "NetConfig":
-        """Parse to_text's form; a line without '=', an unknown or a repeated
-        key, a missing key or a bad value raises FormatError."""
-        names = {f.name for f in fields(cls)}
-        kv = {}
-        for line in text.splitlines():
-            key, sep, value = line.partition("=")
-            key = key.strip()
-            if not sep:
-                raise FormatError(f"NetConfig line without '=': {line!r}")
-            if key not in names:
-                raise FormatError(f"unknown NetConfig field {key!r}")
-            if key in kv:
-                raise FormatError(f"repeated NetConfig field {key!r}")
-            kv[key] = value.strip()
-        try:
-            hidden = tuple(int(h) for h in kv["hidden_dims"].split(",") if h)
-            return cls(
-                input_dim=int(kv["input_dim"]),
-                hidden_dims=hidden,
-                output_dim=int(kv["output_dim"]),
-                dropout_rate=float(kv["dropout_rate"]),
-                seed=int(kv["seed"]),
-            )
-        except KeyError as exc:
-            raise FormatError(f"missing NetConfig field {exc}") from exc
-        except (ValueError, ConfigError) as exc:
-            raise FormatError(f"bad NetConfig field: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -470,8 +444,8 @@ def train(
 
 # ---------------------------------------------------------------------------
 # Checkpoint container ("DFB1"): header, canonical NetConfig text, float64
-# parameter payload, then optional named float64 sections (used by the weight
-# posteriors to stash second moments, deviation matrices, log-stddevs, ...).
+# parameter payload, then optional named float64 sections. Write-only: kept
+# for the benchmark's layer-tracer hook alone (see the module docstring).
 # ---------------------------------------------------------------------------
 
 
@@ -495,71 +469,3 @@ def write_checkpoint(path, config: NetConfig, params: np.ndarray, sections=None)
                 fh.write(struct.pack("<Q", payload.size))
                 fh.write(payload.ravel().tobytes())
 
-
-class _ByteReader:
-    """Bounds-checked little-endian reads from an in-memory file image."""
-
-    def __init__(self, buf: bytes, path):
-        self.buf = buf
-        self.path = path
-        self.pos = 0
-
-    def take(self, size: int, what: str) -> bytes:
-        if size > len(self.buf) - self.pos:
-            raise FormatError(f"{self.path}: truncated {what}")
-        chunk = self.buf[self.pos : self.pos + size]
-        self.pos += size
-        return chunk
-
-    def uint(self, size: int, what: str) -> int:
-        return int.from_bytes(self.take(size, what), "little")
-
-    def text(self, size: int, what: str) -> str:
-        try:
-            return self.take(size, what).decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise FormatError(f"{self.path}: {what} is not UTF-8") from exc
-
-    def float64s(self, count: int, what: str) -> np.ndarray:
-        return np.frombuffer(self.take(count * 8, what), dtype="<f8").copy()
-
-    @property
-    def at_end(self) -> bool:
-        return self.pos == len(self.buf)
-
-
-def read_checkpoint(path):
-    """Returns (NetConfig, params, sections) where sections maps name -> 1-D array.
-
-    Damaged input (a short file or header, text that is not UTF-8, a bad
-    NetConfig text, a payload that is not the configured network's parameter
-    count, a repeated section or trailing bytes) raises FormatError.
-    """
-    with open(path, "rb") as fh:
-        reader = _ByteReader(fh.read(), path)
-    if reader.take(4, "header") != _MAGIC:
-        raise FormatError(f"{path}: bad magic, not a DFB1 checkpoint")
-    version = reader.uint(4, "header")
-    if version != _VERSION:
-        raise FormatError(f"{path}: unsupported DFB1 version {version}")
-    count = reader.uint(8, "header")
-    config_len = reader.uint(4, "header")
-    try:
-        config = NetConfig.from_text(reader.text(config_len, "config text"))
-    except FormatError as exc:
-        raise FormatError(f"{path}: {exc}") from exc
-    if count != config.parameter_count:
-        raise FormatError(f"{path}: {count} parameters in the payload, the configured "
-                          f"network has {config.parameter_count}")
-    params = reader.float64s(count, "parameter payload")
-    sections = {}
-    if not reader.at_end:
-        for _ in range(reader.uint(4, "section count")):
-            name = reader.text(reader.uint(4, "section header"), "section name")
-            if name in sections:
-                raise FormatError(f"{path}: repeated section {name!r}")
-            size = reader.uint(8, f"section {name!r} header")
-            sections[name] = reader.float64s(size, f"section {name!r}")
-    if not reader.at_end:
-        raise FormatError(f"{path}: trailing bytes after the last section")
-    return config, params, sections

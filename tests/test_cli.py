@@ -889,14 +889,19 @@ def test_inspect_dataset_lines_are_frozen(dataset_path, capsys):
 
 
 def test_inspect_weights(tmp_path, capsys):
+    # no command reads the DFB1 weight format, so inspect refuses a whole,
+    # well-formed weight file as it refuses any other format
     config = nnet.NetConfig(input_dim=4, hidden_dims=(3,), output_dim=2, seed=0)
     net = nnet.init_network(config)
     path = tmp_path / "model.dfb1"
     nnet.write_checkpoint(path, config, nnet.get_params(net))
-    assert cli.main(["inspect", str(path)]) == 0
-    stdout = capsys.readouterr().out
-    assert "kind=weights" in stdout
-    assert f"param_count={net.parameter_count}" in stdout
+    assert cli.main(["inspect", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: {path}: not a format inspect reads "
+        "(a DFD1 dataset, a results table or a classification table)"
+    ]
 
 
 def test_inspect_results(run_dir, capsys):
@@ -933,8 +938,9 @@ def test_inspect_rejects_a_file_of_no_format_it_reads(run_dir, tmp_path, capsys)
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"error: {path}: not a format inspect reads")
-        for name in ("DFD1", "DFB1", "results", "classification"):
+        for name in ("DFD1", "results", "classification"):
             assert name in captured.err
+        assert "DFB1" not in captured.err
         assert "bundle" not in captured.err
 
 

@@ -1,10 +1,14 @@
-"""Every public function or method in the package has a caller outside tests.
+"""Every public function or method in the package has a caller outside tests,
+and every private top-level function or class is named in the package.
 
-A name counts as used when it appears as an identifier (a bare name or an
-attribute) in a module of ``src/deferbench`` other than its definition, in
-``scripts/``, or among the functions that ``bench/layertrace.py`` traces by
-name. Code that only tests reach is code to maintain with nothing gained, so
-it goes, and any test that checks it moves to what a run does call.
+A public name counts as used when it appears as an identifier (a bare name
+or an attribute) in a module of ``src/deferbench`` other than its
+definition, in ``scripts/``, or among the functions that
+``bench/layertrace.py`` traces by name. A private name counts as used when
+it appears as an identifier anywhere in the package outside its own
+definition. Code that only tests reach is code to maintain with nothing
+gained, so it goes, and any test that checks it moves to what a run does
+call; a private helper whose last caller went is left behind by mistake.
 """
 
 from __future__ import annotations
@@ -66,8 +70,12 @@ def _traced_names() -> set:
     raise AssertionError("bench/layertrace.py defines no LAYERS")
 
 
+def _package_trees() -> dict:
+    return {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in PACKAGE.glob("*.py")}
+
+
 def _unused_public_names() -> list:
-    modules = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in PACKAGE.glob("*.py")}
+    modules = _package_trees()
     scripts = [ast.parse(p.read_text(encoding="utf-8")) for p in (ROOT / "scripts").glob("*.py")]
     outside = _traced_names().union(*(_identifiers(tree) for tree in scripts))
     unused = []
@@ -86,3 +94,22 @@ def _unused_public_names() -> list:
 def test_every_public_function_has_a_caller_outside_tests():
     assert _unused_public_names() == []
 
+
+def _unused_private_names() -> list:
+    modules = _package_trees()
+    unused = []
+    for module, tree in sorted(modules.items()):
+        elsewhere = set().union(
+            *(_identifiers(other) for name, other in modules.items() if name != module)
+        )
+        for node in tree.body:
+            is_definition = isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            if not (is_definition and node.name.startswith("_")):
+                continue
+            if node.name not in elsewhere and node.name not in _identifiers(tree, skip=node):
+                unused.append(f"{module}.{node.name}")
+    return unused
+
+
+def test_every_private_top_level_definition_is_named_in_the_package():
+    assert _unused_private_names() == []
